@@ -23,8 +23,7 @@ from .heights import (HeightDistribution, convergence_study,
                       rescaled_cdf, riemann_sum_order, small_a_check,
                       tabulate_rescaled)
 from .painleve import (PainleveGrid, accumulate_tails, airy_ai, build_grid,
-                       load_grid, save_grid, solve_hastings_mcleod,
-                       tracy_widom)
+                       solve_hastings_mcleod, tracy_widom)
 from .psikernel import (PsiSolution, compatibility_defect, critical_kernel,
                         integrate_psi, kernel_integral_form)
 

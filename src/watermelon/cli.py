@@ -17,7 +17,7 @@ import numpy as np
 
 from . import asym, dgop, heights, psikernel, validation
 from .errors import WatermelonError
-from .painleve import build_grid, resolve_cache_dir, tracy_widom
+from .painleve import build_grid, tracy_widom
 from .tableio import Table, emit
 
 EXIT_OK = 0
@@ -25,7 +25,7 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
-CONFIG_KEYS = ("cache_dir", "output", "format", "precision_mode", "tail_tol")
+CONFIG_KEYS = ("output", "format", "precision_mode", "tail_tol")
 COMMANDS = ("tw", "height", "converge", "dgop", "kernel", "free-energy", "validate")
 
 
@@ -38,7 +38,6 @@ class RunConfig:
     command: str
     precision_mode: str = "standard"
     tail_tol: float = 1e-30
-    cache_dir: str | None = None
     output: str = "-"
     format: str = "csv"
 
@@ -106,7 +105,6 @@ def _int_list(text: str) -> list[int]:
 def build_parser() -> _Parser:
     parser = _Parser(prog="watermelon", description=__doc__)
     parser.add_argument("--config", default=None, help="config file path")
-    parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--output", default=None, help="output path or - for stdout")
     parser.add_argument("--format", default=None, choices=("csv", "json"))
     parser.add_argument("--precision-mode", default=None,
@@ -181,7 +179,7 @@ def parse_args(argv) -> tuple[RunConfig, argparse.Namespace]:
     ns = parser.parse_args(_join_negative_values(list(argv)))
     cfg_path = ns.config if ns.config else "watermelon.conf"
     file_values = _read_config(cfg_path, required=ns.config is not None)
-    merged = {"cache_dir": None, "output": "-", "format": "csv",
+    merged = {"output": "-", "format": "csv",
               "precision_mode": "standard", "tail_tol": 1e-30}
     for key, value in file_values.items():
         merged[key] = value
@@ -206,7 +204,7 @@ def _emit(config: RunConfig, table: Table) -> None:
 
 
 def _cmd_tw(config, ns):
-    grid = build_grid(cache_dir=config.cache_dir)
+    grid = build_grid()
     xs = _grid_spec(f"{ns.xmin}:{ns.xmax}:{ns.step}")
     which = "F1" if ns.which == "f1" else "F2"
     rows = [(float(x), tracy_widom(float(x), which, grid)) for x in xs]
@@ -226,7 +224,7 @@ def _cmd_height(config, ns):
         table = Table(name="watermelon", params=params,
                       columns=("M", "cdf"), rows=rows)
     else:
-        grid = build_grid(cache_dir=config.cache_dir)
+        grid = build_grid()
         rows = []
         for k in _grid_spec(ns.k_grid):
             cdf = heights.rescaled_cdf(ns.N, float(k), ns.wall, config.tail_tol)
@@ -238,7 +236,7 @@ def _cmd_height(config, ns):
 
 
 def _cmd_converge(config, ns):
-    grid = build_grid(cache_dir=config.cache_dir)
+    grid = build_grid()
     walls = heights.WALLS if ns.wall == "both" else (ns.wall,)
     ks = _grid_spec(ns.k_grid)
     rows = []
@@ -262,13 +260,13 @@ def _cmd_dgop(config, ns):
 
 
 def _cmd_kernel(config, ns):
-    grid = build_grid(cache_dir=config.cache_dir)
+    grid = build_grid()
     psis = psikernel.integrate_psi(2.0 ** (2.0 / 3.0) * ns.L, painleve=grid)
     pts = _float_list(ns.grid)
     rows_raw, skipped = asym.kernel_limit_table(ns.n, ns.L, pts, pts,
                                                   grid, psis,
                                                   tail_tol=config.tail_tol)
-    rows = [(ns.n, f"K({r['u']:.6g},{r['v']:.6g})", r["exact"], r["limit"],
+    rows = [(ns.n, f"K({r['u']:.6g};{r['v']:.6g})", r["exact"], r["limit"],
              r["rel_diff"]) for r in rows_raw]
     if not rows:
         raise WatermelonError("all kernel pairs collided on the lattice")
@@ -279,7 +277,7 @@ def _cmd_kernel(config, ns):
 
 
 def _cmd_free_energy(config, ns):
-    grid = build_grid(cache_dir=config.cache_dir)
+    grid = build_grid()
     rows = []
     for n in _int_list(ns.n_list):
         for L in _float_list(ns.l_list):
@@ -293,7 +291,7 @@ def _cmd_free_energy(config, ns):
 
 
 def _cmd_validate(config, ns):
-    ctx = validation.ValidationContext(cache_dir=config.cache_dir)
+    ctx = validation.ValidationContext()
     results = validation.run_suite(ns.suite, ctx, report=print)
     if config.output != "-":
         table = Table(name="validation", params={"suite": ns.suite},
@@ -326,8 +324,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    if config.cache_dir is None:
-        config.cache_dir = resolve_cache_dir()
     try:
         _DISPATCH[config.command](config, ns)
     except UsageError as exc:

@@ -44,6 +44,19 @@ class HeightDistribution:
     clamped: np.ndarray = field(default=None)
 
 
+def _log_prefactor(N: int, M: float, wall: str) -> float:
+    """log of the closed-form factor multiplying prod h in P(max height < M)."""
+    if wall == "absorbing":
+        return (-0.5 * N * math.log(2.0)
+                + (2.0 * N * N + 0.5 * N) * math.log(math.pi)
+                - N * (2 * N + 1) * math.log(M)
+                - sum(math.lgamma(2 * k + 2) for k in range(N)))
+    return (-0.5 * N * math.log(2.0)
+            + (2.0 * N * N - 1.5 * N) * math.log(math.pi)
+            - N * (2 * N - 1) * math.log(M)
+            - sum(math.lgamma(2 * k + 1) for k in range(N)))
+
+
 def log_height_cdf(N: int, M: float, wall: str,
                    tail_tol: float = dgop.DEFAULT_TAIL_TOL,
                    extra_degrees: int = 0,
@@ -63,19 +76,13 @@ def log_height_cdf(N: int, M: float, wall: str,
         k_max = 2 * N - 1 + extra_degrees
         system = dgop.build_system(1, 0.0, a_eff, k_max, tail_tol,
                                    half_width=half_width)
-        log_p = (-0.5 * N * math.log(2.0)
-                 + (2.0 * N * N + 0.5 * N) * math.log(math.pi)
-                 - N * (2 * N + 1) * math.log(M)
-                 - sum(math.lgamma(2 * k + 2) for k in range(N))
+        log_p = (_log_prefactor(N, M, wall)
                  + float(sum(system.log_h[2 * k + 1] for k in range(N))))
     else:
         k_max = max(2 * N - 2, 0) + extra_degrees
         system = dgop.build_system(1, 0.5, a_eff, k_max, tail_tol,
                                    half_width=half_width)
-        log_p = (-0.5 * N * math.log(2.0)
-                 + (2.0 * N * N - 1.5 * N) * math.log(math.pi)
-                 - N * (2 * N - 1) * math.log(M)
-                 - sum(math.lgamma(2 * k + 1) for k in range(N))
+        log_p = (_log_prefactor(N, M, wall)
                  + float(sum(system.log_h[2 * k] for k in range(N))))
     return log_p
 
@@ -169,17 +176,7 @@ def deformation_identity_check(N: int, a: float, delta_a: float, wall: str,
         log_p = log_height_cdf(N, M, wall, tail_tol, extra_degrees=extra,
                                half_width=half_width)
         # strip the prefactor: keep only sum log h
-        if wall == "absorbing":
-            pref = (-0.5 * N * math.log(2.0)
-                    + (2.0 * N * N + 0.5 * N) * math.log(math.pi)
-                    - N * (2 * N + 1) * math.log(M)
-                    - sum(math.lgamma(2 * k + 2) for k in range(N)))
-        else:
-            pref = (-0.5 * N * math.log(2.0)
-                    + (2.0 * N * N - 1.5 * N) * math.log(math.pi)
-                    - N * (2 * N - 1) * math.log(M)
-                    - sum(math.lgamma(2 * k + 1) for k in range(N)))
-        return log_p - pref
+        return log_p - _log_prefactor(N, M, wall)
 
     a_lo = a - delta_a
     M_widest = math.sqrt(2.0 * N / a_lo)

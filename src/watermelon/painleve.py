@@ -18,7 +18,6 @@ int q), F = exp(-1/2 int R), F1 = F*E, F2 = F^2.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,31 +219,9 @@ def accumulate_tails(grid: PainleveGrid) -> PainleveGrid:
 
 
 def build_grid(s_min: float = DEFAULT_S_MIN, s_max: float = DEFAULT_S_MAX,
-               mesh: int = DEFAULT_MESH, tol: float = DEFAULT_TOL,
-               cache_dir: str | None = None) -> PainleveGrid:
-    """Solve + accumulate, with a CSV disk cache keyed by the parameters.
-
-    A grid whose cache file exists with matching parameters is loaded, never
-    recomputed.  ``cache_dir`` defaults to $WATERMELON_CACHE or ./.cache.
-    """
-    directory = resolve_cache_dir(cache_dir)
-    path = os.path.join(directory, _cache_name(s_min, s_max, mesh, tol))
-    if os.path.exists(path):
-        return load_grid(path)
-    grid = accumulate_tails(solve_hastings_mcleod(s_min, s_max, mesh, tol))
-    os.makedirs(directory, exist_ok=True)
-    save_grid(grid, path)
-    return grid
-
-
-def resolve_cache_dir(cache_dir: str | None = None) -> str:
-    if cache_dir is not None:
-        return cache_dir
-    return os.environ.get("WATERMELON_CACHE", os.path.join(os.getcwd(), ".cache"))
-
-
-def _cache_name(s_min, s_max, mesh, tol) -> str:
-    return f"painleve_{s_min:g}_{s_max:g}_{mesh}_{tol:g}.csv"
+               mesh: int = DEFAULT_MESH, tol: float = DEFAULT_TOL) -> PainleveGrid:
+    """Solve + accumulate: the grid every Tracy-Widom evaluation reads."""
+    return accumulate_tails(solve_hastings_mcleod(s_min, s_max, mesh, tol))
 
 
 def tracy_widom(x: float, which: str, grid: PainleveGrid) -> float:
@@ -264,42 +241,3 @@ def tracy_widom(x: float, which: str, grid: PainleveGrid) -> float:
     xe = min(x, grid.s_max)
     val = float(grid.spline(key)(xe))
     return min(1.0, max(0.0, val))
-
-
-_COLUMNS = ("s", "q", "qp", "R", "E", "F", "F1", "F2")
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def save_grid(grid: PainleveGrid, path: str) -> None:
-    """Serialize at 17 significant digits; round trips are byte identical."""
-    if grid.f2.size == 0:
-        raise ValueError("refusing to cache a grid without distribution data")
-    header = (f"# painleve-grid v1 s_min={_fmt(grid.s_min)} s_max={_fmt(grid.s_max)}"
-              f" mesh={grid.mesh} tol={_fmt(grid.tol)}"
-              f" s_max_used={_fmt(grid.s_max_used)} residual={_fmt(grid.residual_norm)}")
-    lines = [header, ",".join(_COLUMNS)]
-    data = np.column_stack([grid.s_values, grid.q, grid.q_prime, grid.R,
-                            grid.E, grid.F, grid.f1, grid.f2])
-    for row in data:
-        lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_grid(path: str) -> PainleveGrid:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        columns = fh.readline().strip()
-        if not header.startswith("# painleve-grid v1 ") or columns != ",".join(_COLUMNS):
-            raise ValueError(f"not a painleve-grid cache: {path}")
-        meta = dict(tok.split("=", 1) for tok in header.split()[3:])
-        data = np.loadtxt(fh, delimiter=",")
-    return PainleveGrid(
-        s_values=data[:, 0], q=data[:, 1], q_prime=data[:, 2], R=data[:, 3],
-        E=data[:, 4], F=data[:, 5], f1=data[:, 6], f2=data[:, 7],
-        s_max_used=float(meta["s_max_used"]),
-        residual_norm=float(meta["residual"]),
-        mesh=int(meta["mesh"]), tol=float(meta["tol"]))

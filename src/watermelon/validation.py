@@ -40,15 +40,14 @@ class CheckResult:
 class ValidationContext:
     """Shared lazily-built inputs (Painleve grid, psi solution)."""
 
-    def __init__(self, cache_dir: str | None = None):
-        self.cache_dir = cache_dir
+    def __init__(self):
         self._grid = None
         self._psis = None
 
     @property
     def grid(self) -> PainleveGrid:
         if self._grid is None:
-            self._grid = build_grid(cache_dir=self.cache_dir)
+            self._grid = build_grid()
         return self._grid
 
     @property

@@ -9,7 +9,7 @@ import watermelon as wm
 
 @pytest.fixture(scope="session")
 def grid():
-    """Default Painleve grid, solved once per session (no disk cache)."""
+    """Default Painleve grid, solved once per session."""
     return wm.accumulate_tails(wm.solve_hastings_mcleod())
 
 
@@ -34,17 +34,15 @@ def f1_of(grid):
 
 
 @pytest.fixture
-def cli_env(tmp_path):
+def cli_env():
     """Environment for a `python -m watermelon.cli` child process.
 
     The directory holding the imported `watermelon` goes first on the
     child's PYTHONPATH (entries already there are kept after it), so the
     child imports the package under test whatever its working directory;
     a relative `PYTHONPATH=src` alone would resolve against that directory.
-    The Painleve grid cache goes to `tmp_path / "cache"`.
     """
     package_root = str(Path(wm.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
     path = package_root + (os.pathsep + inherited if inherited else "")
-    return dict(os.environ, PYTHONPATH=path,
-                WATERMELON_CACHE=str(tmp_path / "cache"))
+    return dict(os.environ, PYTHONPATH=path)

@@ -17,9 +17,8 @@ from watermelon.tableio import parse_csv, to_csv
 
 
 @pytest.fixture(scope="module")
-def ctx(tmp_path_factory):
-    cache = tmp_path_factory.mktemp("acceptance-cache")
-    return validation.ValidationContext(cache_dir=str(cache))
+def ctx():
+    return validation.ValidationContext()
 
 
 def _run(number, ctx):

@@ -59,6 +59,7 @@ def test_usage_errors_exit_1(run_cli):
          "--M-grid", "1:2:0.5", "--k-grid", "0:1:1"],                       # conflict
         ["tw", "--which", "f2", "--xmax", "oops"],                          # malformed
         ["tw", "--which", "f2", "--bogus"],                                 # unknown flag
+        ["--cache-dir", "x", "tw", "--which", "f2"],                        # removed flag
         ["nosuchcommand"],
     ]
     for args in cases:
@@ -89,8 +90,8 @@ def test_config_file_and_flag_precedence(run_cli, tmp_path):
 
 
 def test_unknown_config_key_rejected(run_cli):
-    proc = run_cli(["tw", "--which", "f2"], config_text="no_such_key = 7\n")
-    assert_usage_error(proc)
+    for text in ("no_such_key = 7\n", "cache_dir = x\n"):
+        assert_usage_error(run_cli(["tw", "--which", "f2"], config_text=text))
 
 
 def test_bad_tail_tol_rejected(run_cli):
@@ -130,6 +131,15 @@ def test_determinism_modulo_wall_clock(run_cli):
     assert strip(pa.stdout) == strip(pb.stdout)
 
 
+def test_kernel_csv_round_trip(run_cli):
+    proc = run_cli(["kernel", "--n", "32", "--L", "1", "--grid", "0.5,-0.5"])
+    assert_exit(proc, 0)
+    table = parse_csv(proc.stdout)
+    assert table.rows
+    assert all(len(row) == len(table.columns) for row in table.rows)
+    assert to_csv(table) == proc.stdout
+
+
 def test_validate_smoke_suite(run_cli):
     proc = run_cli(["validate", "--suite", "psi"])
     assert_exit(proc, 0)
@@ -143,17 +153,6 @@ def test_validate_failing_suite_exits_2(run_cli):
     assert "criterion 12 FAIL" in proc.stdout
     assert "criterion 14 FAIL" in proc.stdout
     assert "criterion 04 PASS" in proc.stdout
-
-
-def test_painleve_cache_reused_across_commands(run_cli, tmp_path):
-    assert_exit(run_cli(["tw", "--which", "f2", "--xmin", "0", "--xmax", "1",
-                         "--step", "0.5"]), 0)
-    cache = tmp_path / "cache"
-    files = {p.name: p.stat().st_mtime_ns for p in cache.iterdir()}
-    assert_exit(run_cli(["tw", "--which", "f1", "--xmin", "0", "--xmax", "1",
-                         "--step", "0.5"]), 0)
-    after = {p.name: p.stat().st_mtime_ns for p in cache.iterdir()}
-    assert files == after
 
 
 def test_parse_args_in_process():

@@ -149,30 +149,9 @@ def test_f2_against_fredholm_oracle(grid):
     assert worst <= 1e-5
 
 
-def test_cache_round_trip(tmp_path):
-    g = wm.build_grid(mesh=1024, cache_dir=str(tmp_path))
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    text = files[0].read_text()
-    reloaded = wm.load_grid(str(files[0]))
-    out = tmp_path / "again.csv"
-    wm.save_grid(reloaded, str(out))
-    assert out.read_text() == text
-    assert reloaded.mesh == g.mesh and reloaded.tol == g.tol
-
-
-def test_cache_never_recomputes(tmp_path, monkeypatch):
-    wm.build_grid(mesh=1024, cache_dir=str(tmp_path))
-
-    def boom(*a, **k):
-        raise AssertionError("solver re-ran despite matching cache")
-
-    monkeypatch.setattr(wm.painleve, "solve_hastings_mcleod", boom)
-    g = wm.build_grid(mesh=1024, cache_dir=str(tmp_path))
+def test_build_grid_writes_no_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("WATERMELON_CACHE", raising=False)
+    g = wm.build_grid(mesh=1024)
     assert g.f2.size > 0
-
-
-def test_cache_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("WATERMELON_CACHE", str(tmp_path / "envcache"))
-    wm.build_grid(mesh=1024)
-    assert (tmp_path / "envcache").exists()
+    assert list(tmp_path.iterdir()) == []
