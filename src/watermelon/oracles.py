@@ -16,7 +16,7 @@ from numpy.polynomial.hermite import hermgauss
 from scipy.integrate import solve_ivp
 from scipy.special import airy, gammaln
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, PrecisionError
 
 
 def fredholm_f2(x: float, m: int = 201, span: float = 24.0) -> float:
@@ -139,6 +139,49 @@ def gram_schmidt_log_norms_exact(nodes, weights, k_max: int,
             norms.append(nrm)
             log_h.append(mp.log(nrm))
         return np.array([float(v) for v in log_h])
+
+
+def stieltjes_exact(nodes, n: int, a: float, k_max: int,
+                    prec_bits: int = 120):
+    """Stieltjes recurrence in 120-bit software floats; returns (A, B, log_h).
+
+    Reference for ``dgop.stieltjes`` at large k_max, where no weight
+    exp(-n pi^2 a x^2 / 2)/n, evaluated here from (n, a), can underflow.
+    Slow: about 9 s at n = k_max = 448.
+    """
+    from mpmath import mp, mpf
+
+    with mp.workprec(prec_bits):
+        x = [mpf(float(v)) for v in nodes]
+        coef = mpf(n) * mp.pi**2 * mpf(repr(a)) / 2
+        w = [mp.exp(-coef * xi * xi) / n for xi in x]
+        m = len(x)
+        A = [mp.zero] * (k_max + 1)
+        B = [mp.zero] * (k_max + 1)
+        log_h = [mp.zero] * (k_max + 1)
+        raw = [mp.sqrt(wi) for wi in w]
+        h0 = mp.fsum(r * r for r in raw)
+        log_h[0] = mp.log(h0)
+        root = mp.sqrt(h0)
+        cur = [r / root for r in raw]
+        prev = [mp.zero] * m
+        A[0] = mp.fsum(xi * c * c for xi, c in zip(x, cur))
+        sqrt_b_prev = mp.zero
+        for k in range(1, k_max + 1):
+            u = [(xi - A[k - 1]) * c - sqrt_b_prev * p
+                 for xi, c, p in zip(x, cur, prev)]
+            bk = mp.fsum(ui * ui for ui in u)
+            if bk <= 0:
+                raise PrecisionError(f"B_{k} nonpositive even at {prec_bits} bits")
+            B[k] = bk
+            log_h[k] = log_h[k - 1] + mp.log(bk)
+            prev = cur
+            sqrt_b_prev = mp.sqrt(bk)
+            cur = [ui / sqrt_b_prev for ui in u]
+            A[k] = mp.fsum(xi * c * c for xi, c in zip(x, cur))
+        return (np.array([float(v) for v in A]),
+                np.array([float(v) for v in B]),
+                np.array([float(v) for v in log_h]))
 
 
 def _lattice(alpha: float, half_width: float) -> np.ndarray:

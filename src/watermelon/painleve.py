@@ -60,10 +60,7 @@ class PainleveGrid:
     F: np.ndarray
     f1: np.ndarray
     f2: np.ndarray
-    s_max_used: float
     residual_norm: float
-    mesh: int = 0
-    tol: float = DEFAULT_TOL
     _splines: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -172,8 +169,7 @@ def solve_hastings_mcleod(s_min: float = DEFAULT_S_MIN,
     empty = np.array([])
     return PainleveGrid(s_values=s, q=q, q_prime=np.asarray(q_prime),
                         R=empty, E=empty, F=empty, f1=empty, f2=empty,
-                        s_max_used=float(s_max), residual_norm=residual,
-                        mesh=mesh, tol=tol)
+                        residual_norm=residual)
 
 
 def accumulate_tails(grid: PainleveGrid) -> PainleveGrid:

@@ -60,6 +60,8 @@ def test_usage_errors_exit_1(run_cli):
         ["tw", "--which", "f2", "--xmax", "oops"],                          # malformed
         ["tw", "--which", "f2", "--bogus"],                                 # unknown flag
         ["--cache-dir", "x", "tw", "--which", "f2"],                        # removed flag
+        ["--precision-mode", "extended", "dgop", "--n", "8", "--a", "0.9",
+         "--kmax", "8"],                                                    # removed flag
         ["nosuchcommand"],
     ]
     for args in cases:
@@ -90,7 +92,8 @@ def test_config_file_and_flag_precedence(run_cli, tmp_path):
 
 
 def test_unknown_config_key_rejected(run_cli):
-    for text in ("no_such_key = 7\n", "cache_dir = x\n"):
+    for text in ("no_such_key = 7\n", "cache_dir = x\n",
+                 "precision_mode = extended\n"):
         assert_usage_error(run_cli(["tw", "--which", "f2"], config_text=text))
 
 

@@ -1,21 +1,24 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 import watermelon as wm
-from watermelon.dgop import GaussianWeight, LatticeSpec, build_lattice
-from watermelon.errors import CoverageError, WindowError
+from watermelon.dgop import (MAX_DEGREE, GaussianWeight, LatticeSpec,
+                             build_lattice)
+from watermelon.errors import CoverageError, PrecisionError, WindowError
 from watermelon.oracles import (gram_schmidt_log_norms,
-                                gue_log_partition_quadrature)
+                                gue_log_partition_quadrature, stieltjes_exact)
 
 
 def test_lattice_nodes_alpha_zero():
     spec = LatticeSpec(n=4, alpha=0.0)
-    nodes, weights = build_lattice(spec, GaussianWeight(a=1.0, n=4), 0)
+    nodes, amps = build_lattice(spec, GaussianWeight(a=1.0, n=4), 0)
     assert np.any(nodes == 0.0)
     assert np.allclose(nodes, -nodes[::-1])
-    assert np.all(weights > 0.0) and np.all(weights <= 0.25)
+    # folded amplitudes sqrt(w/n): weights w/n in (0, 1/4]
+    assert np.all(amps > 0.0) and np.all(amps * amps <= 0.25)
 
 
 def test_lattice_nodes_alpha_half():
@@ -31,7 +34,7 @@ def test_window_doubling_leaves_log_h_fixed():
     spec = LatticeSpec(n=6, alpha=0.0)
     w = GaussianWeight(a=0.9, n=6)
     wide = spec.nodes_in(2.0 * np.max(np.abs(sys1.nodes)))
-    log_h2 = wm.stieltjes(wide, w(wide) / 6, 8, keep_phi=False)[2]
+    log_h2 = wm.stieltjes(wide, w.amplitude(wide), 8, keep_phi=False)[2]
     assert np.max(np.abs(sys1.log_h - log_h2)) < 1e-12
 
 
@@ -173,17 +176,43 @@ def test_toda_symmetric_reduction():
 
 def test_extended_precision_agrees_with_double():
     std = wm.build_system(6, 0.25, 0.9, 6)
-    ext = wm.build_system(6, 0.25, 0.9, 6, precision="extended")
-    assert np.max(np.abs(ext.log_h - std.log_h)) < 1e-12
-    assert np.max(np.abs(ext.A - std.A)) < 1e-12
+    A, _, log_h = stieltjes_exact(std.nodes, 6, 0.9, 6)
+    assert np.max(np.abs(log_h - std.log_h)) < 1e-12
+    assert np.max(np.abs(A - std.A)) < 1e-12
 
 
 def test_double_path_still_accurate_at_saturation():
-    # the extended mode exists for a ~ 1 at large n; at n = 64 the double
-    # path must still agree with it closely
+    # a ~ 1 is where the folded weight is smallest at the spectral edge;
+    # at n = 64 the double path must agree closely with the 120-bit oracle
     std = wm.build_system(64, 0.0, 1.0, 64)
-    ext = wm.build_system(64, 0.0, 1.0, 64, precision="extended")
-    assert np.max(np.abs(ext.log_h - std.log_h)) < 1e-11
+    log_h = stieltjes_exact(std.nodes, 64, 1.0, 64)[2]
+    assert np.max(np.abs(log_h - std.log_h)) < 1e-11
+
+
+def test_saturated_norm_matches_asymptotics_past_weight_underflow(grid):
+    # at n = 448 the weight w itself underflows at the spectral edge
+    # (exponent 2n > 745); the folded amplitude does not, so h_nn still
+    # follows the critical expansion (criterion 8's bound)
+    n = 448
+    system = wm.build_system(n, 0.0, 1.0, n)
+    pred, _ = wm.asymptotic_h(n, 0.0, 1.0, grid)
+    assert abs(math.expm1(system.log_h[n] - pred)) <= n ** (-2.0 / 3.0)
+
+
+def test_degree_past_double_range_raises():
+    start = time.perf_counter()
+    with pytest.raises(PrecisionError):
+        wm.build_system(704, 0.0, 1.0, 704)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_degree_envelope_edge():
+    system = wm.build_system(MAX_DEGREE, 0.0, 1.0, MAX_DEGREE)
+    assert np.all(np.isfinite(system.log_h)) and np.all(system.B[1:] > 0.0)
+    # the fixed-width path (Toda and deformation checks) is capped too
+    with pytest.raises(PrecisionError):
+        build_lattice(LatticeSpec(n=1), GaussianWeight(a=1.0, n=1),
+                      MAX_DEGREE + 1, half_width=1e3)
 
 
 def test_weight_rejects_nonpositive_a():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import watermelon as wm
-from watermelon.errors import OrderFitError
+from watermelon.errors import OrderFitError, PrecisionError
 from watermelon.heights import gue_shift_sum, rescale_M, tabulate_rescaled
 from watermelon.oracles import brute_force_height_cdf
 
@@ -119,6 +120,23 @@ def test_walls_share_a_limit(grid):
     d_abs = wm.convergence_study([32], ks, "absorbing", grid)[0][1]
     d_ref = wm.convergence_study([32], ks, "reflecting", grid)[0][1]
     assert abs(d_abs - d_ref) < 0.5 * max(d_abs, d_ref)
+
+
+@pytest.mark.parametrize("wall", ["absorbing", "reflecting"])
+def test_large_N_cdf_approaches_goe_edge(wall, f1_of):
+    # N >= 208 needs degrees whose Gaussian weight underflows at the edge;
+    # the folded amplitude keeps the CDF near F1 and the gap shrinking
+    gaps = [abs(wm.rescaled_cdf(N, 0.0, wall) - f1_of(0.0))
+            for N in (176, 208, 256)]
+    assert max(gaps) <= 0.05
+    assert gaps[1] <= gaps[0] and gaps[2] <= gaps[1]
+
+
+def test_height_past_double_range_raises():
+    start = time.perf_counter()
+    with pytest.raises(PrecisionError):
+        wm.rescaled_cdf(352, 0.0, "absorbing")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_small_a_underflows_to_limit():
