@@ -184,14 +184,13 @@ def ratio_asymptotics(n: int, alpha: float, a: float, grid: PainleveGrid):
     return minus, plus
 
 
-def exact_h_ratios(n: int, alpha: float, a: float,
-                   tail_tol: float = dgop.DEFAULT_TAIL_TOL):
+def exact_h_ratios(n: int, alpha: float, a: float):
     """Exact counterparts of :func:`ratio_asymptotics` from the engine."""
     xi_m = 1.0 - 1.0 / n
     xi_p = 1.0 + 1.0 / n
-    sys_mid = dgop.build_system(n, alpha, a, n, tail_tol)
-    sys_m = dgop.build_system(n - 1, alpha, a * xi_m, n, tail_tol)
-    sys_p = dgop.build_system(n + 1, alpha, a * xi_p, n + 1, tail_tol)
+    sys_mid = dgop.build_system(n, alpha, a, n)
+    sys_m = dgop.build_system(n - 1, alpha, a * xi_m, n)
+    sys_p = dgop.build_system(n + 1, alpha, a * xi_p, n + 1)
     minus = math.exp(sys_mid.log_h[n] - sys_m.log_h[n - 2])
     plus = math.exp(sys_p.log_h[n + 1] - sys_mid.log_h[n - 1])
     return minus, plus
@@ -252,8 +251,7 @@ def free_energy_residual(n: int, L: float, grid: PainleveGrid,
 
 def kernel_limit_table(n: int, L: float, u_grid, v_grid,
                          grid: PainleveGrid, psis: PsiSolution,
-                         alpha: float = 0.0,
-                         tail_tol: float = dgop.DEFAULT_TAIL_TOL):
+                         alpha: float = 0.0):
     """Scaled Christoffel-Darboux kernel against the critical kernel.
 
     For each requested (u, v), both are snapped to nearest lattice points
@@ -263,7 +261,7 @@ def kernel_limit_table(n: int, L: float, u_grid, v_grid,
     distinct u, v collapse onto one node are reported in ``skipped``.
     """
     a = 1.0 - L * n ** (-2.0 / 3.0)
-    system = dgop.build_system(n, alpha, a, n, tail_tol)
+    system = dgop.build_system(n, alpha, a, n)
     scale = n ** (2.0 / 3.0) / KERNEL_SCALE_C
     rows = []
     skipped = []

@@ -25,7 +25,7 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
-CONFIG_KEYS = ("output", "format", "tail_tol")
+CONFIG_KEYS = ("output", "format")
 COMMANDS = ("tw", "height", "converge", "dgop", "kernel", "free-energy", "validate")
 
 
@@ -36,7 +36,6 @@ class UsageError(Exception):
 @dataclass
 class RunConfig:
     command: str
-    tail_tol: float = 1e-30
     output: str = "-"
     format: str = "csv"
 
@@ -45,8 +44,6 @@ class RunConfig:
             raise UsageError(f"unknown command {self.command!r}")
         if self.format not in ("csv", "json"):
             raise UsageError("format must be csv or json")
-        if not 0.0 < self.tail_tol <= 1e-10:
-            raise UsageError("tail_tol must lie in (0, 1e-10]")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,7 +101,6 @@ def build_parser() -> _Parser:
     parser.add_argument("--config", default=None, help="config file path")
     parser.add_argument("--output", default=None, help="output path or - for stdout")
     parser.add_argument("--format", default=None, choices=("csv", "json"))
-    parser.add_argument("--tail-tol", default=None, type=float)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tw", help="Tracy-Widom CDF table")
@@ -146,6 +142,7 @@ def build_parser() -> _Parser:
     return parser
 
 
+_GLOBAL_FLAGS = ("--config", "--output", "--format")
 _VALUE_FLAGS = ("--k-grid", "--M-grid", "--N-list", "--n-list", "--L-list",
                 "--grid", "--xmin", "--xmax", "--L", "--alpha", "--a")
 
@@ -167,24 +164,36 @@ def _join_negative_values(argv):
     return out
 
 
+def _check_global_flags(argv):
+    """Reject an option before the command that is not a global flag.
+
+    argparse would otherwise take the unknown flag's value for the command.
+    """
+    i = 0
+    while i < len(argv) and argv[i].startswith("-"):
+        flag, sep, _ = argv[i].partition("=")
+        if flag in ("-h", "--help"):
+            return
+        if flag not in _GLOBAL_FLAGS:
+            raise UsageError(f"unknown option {flag}")
+        i += 1 if sep else 2
+
+
 def parse_args(argv) -> tuple[RunConfig, argparse.Namespace]:
     if not argv:
         raise UsageError("no command given")
+    _check_global_flags(argv)
     parser = build_parser()
     ns = parser.parse_args(_join_negative_values(list(argv)))
     cfg_path = ns.config if ns.config else "watermelon.conf"
     file_values = _read_config(cfg_path, required=ns.config is not None)
-    merged = {"output": "-", "format": "csv", "tail_tol": 1e-30}
+    merged = {"output": "-", "format": "csv"}
     for key, value in file_values.items():
         merged[key] = value
     for key in CONFIG_KEYS:
         flag = getattr(ns, key, None)
         if flag is not None:
             merged[key] = flag
-    try:
-        merged["tail_tol"] = float(merged["tail_tol"])
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad tail_tol {merged['tail_tol']!r}") from exc
     config = RunConfig(command=ns.command, **merged)
     config.validate()
     return config, ns
@@ -212,8 +221,7 @@ def _cmd_height(config, ns):
         raise UsageError("give exactly one of --M-grid or --k-grid")
     params = {"N": ns.N, "wall": ns.wall}
     if ns.m_grid:
-        rows = [(float(M), heights.height_cdf(ns.N, float(M), ns.wall,
-                                              config.tail_tol))
+        rows = [(float(M), heights.height_cdf(ns.N, float(M), ns.wall))
                 for M in _grid_spec(ns.m_grid)]
         table = Table(name="watermelon", params=params,
                       columns=("M", "cdf"), rows=rows)
@@ -221,7 +229,7 @@ def _cmd_height(config, ns):
         grid = build_grid()
         rows = []
         for k in _grid_spec(ns.k_grid):
-            cdf = heights.rescaled_cdf(ns.N, float(k), ns.wall, config.tail_tol)
+            cdf = heights.rescaled_cdf(ns.N, float(k), ns.wall)
             f1 = tracy_widom(float(k), "F1", grid)
             rows.append((float(k), cdf, f1, cdf - f1))
         table = Table(name="watermelon", params=params,
@@ -243,7 +251,7 @@ def _cmd_converge(config, ns):
 
 
 def _cmd_dgop(config, ns):
-    system = dgop.build_system(ns.n, ns.alpha, ns.a, ns.kmax, config.tail_tol)
+    system = dgop.build_system(ns.n, ns.alpha, ns.a, ns.kmax)
     rows = [(k, float(system.A[k]), float(system.B[k]), float(system.log_h[k]))
             for k in range(system.k_max + 1)]
     _emit(config, Table(name="dgop",
@@ -257,8 +265,7 @@ def _cmd_kernel(config, ns):
     psis = psikernel.integrate_psi(2.0 ** (2.0 / 3.0) * ns.L, painleve=grid)
     pts = _float_list(ns.grid)
     rows_raw, skipped = asym.kernel_limit_table(ns.n, ns.L, pts, pts,
-                                                  grid, psis,
-                                                  tail_tol=config.tail_tol)
+                                                  grid, psis)
     rows = [(ns.n, f"K({r['u']:.6g};{r['v']:.6g})", r["exact"], r["limit"],
              r["rel_diff"]) for r in rows_raw]
     if not rows:

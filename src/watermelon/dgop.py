@@ -10,9 +10,10 @@ so stored values stay O(1) at any degree; squared norms live in log domain
 only.  The recurrence x phi_k = sqrt(B_{k+1}) phi_{k+1} + A_k phi_k
 + sqrt(B_k) phi_{k-1} yields A_k, B_k and log h_k = log h_{k-1} + log B_k.
 
-Truncation windows start from the mass balance
-X0 = (1/pi) sqrt(2 (k_max + ln(1/tail_tol)) / (n a)) and are certified by
-doubling until every log h_k moves by less than 1e-12.
+The lattice is truncated where the folded amplitude underflows: past
+X_u = (2/pi) sqrt(-ln(tiny) / (n a)), tiny the smallest positive double,
+exp(-n pi^2 a x^2 / 4) is exactly 0, so no wider window can change a
+double-precision result and one Stieltjes pass per family suffices.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ import numpy as np
 
 from .errors import CoverageError, PrecisionError, WindowError
 
-DEFAULT_TAIL_TOL = 1e-30
-_WINDOW_STABLE_TOL = 1e-12
-_MAX_DOUBLINGS = 24
+# exp(-_UNDERFLOW_EXPONENT) is the smallest positive double (744.4).
+_UNDERFLOW_EXPONENT = -math.log(np.finfo(float).smallest_subnormal)
 # sqrt(w/n) is exp(-k_max)/sqrt(n) at the degree-k_max spectral edge for all
 # n and a, so double range ends at a fixed degree: log_h matches the 120-bit
 # oracle to 2e-15 relative up to k_max = 672; by 704 edge amplitudes underflow.
@@ -40,15 +40,12 @@ class LatticeSpec:
 
     n: int
     alpha: float = 0.0
-    tail_tol: float = DEFAULT_TAIL_TOL
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("lattice mesh parameter n must be >= 1")
         if not -0.5 <= self.alpha <= 0.5:
             raise ValueError("alpha must lie in [-1/2, 1/2]")
-        if not 0.0 < self.tail_tol < 1.0:
-            raise ValueError("tail_tol must lie in (0, 1)")
 
     def nodes_in(self, half_width: float) -> np.ndarray:
         k = np.arange(math.floor(-half_width * self.n + self.alpha),
@@ -163,55 +160,39 @@ def stieltjes(nodes: np.ndarray, amplitudes: np.ndarray, k_max: int,
 
 def build_lattice(spec: LatticeSpec, weight: GaussianWeight, k_max: int,
                   half_width: float | None = None):
-    """Retained nodes and folded amplitudes sqrt(w(x)/n) on a certified window.
+    """Retained nodes and folded amplitudes sqrt(w(x)/n).
 
-    With ``half_width`` given, the adaptive search is skipped (used when
-    several a-values must share one truncation, e.g. Toda differencing).
+    By default the window is every node whose amplitude is nonzero in double
+    precision.  With ``half_width`` given, the window is fixed instead (used
+    when several a-values must share one truncation, e.g. Toda differencing).
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     if k_max > MAX_DEGREE:
         raise PrecisionError(f"k_max={k_max} > {MAX_DEGREE}, the double-range cap")
-    n = spec.n
     if half_width is not None:
         x = spec.nodes_in(half_width)
         if len(x) < k_max + 10:
             raise WindowError(f"only {len(x)} nodes at fixed width {half_width}")
         return x, weight.amplitude(x)
 
-    X = (1.0 / math.pi) * math.sqrt(
-        2.0 * (k_max + math.log(1.0 / spec.tail_tol)) / (n * weight.a))
-    x = spec.nodes_in(X)
-    doublings = 0
-    while len(x) < k_max + 10:
-        if doublings >= _MAX_DOUBLINGS:
-            raise WindowError(f"node count {len(x)} < {k_max + 10} at window cap")
-        X *= 2.0
-        x = spec.nodes_in(X)
-        doublings += 1
-    log_h = stieltjes(x, weight.amplitude(x), k_max, keep_phi=False)[2]
-    while doublings < _MAX_DOUBLINGS:
-        x2 = spec.nodes_in(2.0 * X)
-        log_h2 = stieltjes(x2, weight.amplitude(x2), k_max, keep_phi=False)[2]
-        if np.max(np.abs(log_h - log_h2)) < _WINDOW_STABLE_TOL:
-            return x, weight.amplitude(x)
-        X *= 2.0
-        x, log_h = x2, log_h2
-        doublings += 1
-    raise WindowError("window doubling cap exceeded without log_h stability")
+    x = spec.nodes_in((2.0 / math.pi) * math.sqrt(
+        _UNDERFLOW_EXPONENT / (spec.n * weight.a)))
+    amplitudes = weight.amplitude(x)
+    keep = amplitudes > 0.0
+    return x[keep], amplitudes[keep]
 
 
 def build_system(n: int, alpha: float, a: float, k_max: int,
-                 tail_tol: float = DEFAULT_TAIL_TOL,
                  half_width: float | None = None) -> OrthoSystem:
     """Construct an OrthoSystem; results for default windows are memoized."""
     if half_width is None:
-        return _build_cached(n, alpha, a, k_max, tail_tol, None)
-    return _build(n, alpha, a, k_max, tail_tol, half_width)
+        return _build_cached(n, alpha, a, k_max, None)
+    return _build(n, alpha, a, k_max, half_width)
 
 
-def _build(n, alpha, a, k_max, tail_tol, half_width):
-    spec = LatticeSpec(n=n, alpha=alpha, tail_tol=tail_tol)
+def _build(n, alpha, a, k_max, half_width):
+    spec = LatticeSpec(n=n, alpha=alpha)
     weight = GaussianWeight(a=a, n=n)
     nodes, amplitudes = build_lattice(spec, weight, k_max, half_width)
     A, B, log_h, phi = stieltjes(nodes, amplitudes, k_max)
@@ -236,7 +217,7 @@ def rescale_check(system: OrthoSystem, direction: int) -> float:
     n = system.n
     xi = 1.0 + direction / n
     companion = build_system(n + direction, system.alpha, system.a * xi,
-                             system.k_max, system.spec.tail_tol)
+                             system.k_max)
     j = np.arange(system.k_max + 1)
     h_defect = np.abs(np.expm1(system.log_h - companion.log_h
                                - (2 * j + 1) * math.log(xi)))
@@ -245,10 +226,9 @@ def rescale_check(system: OrthoSystem, direction: int) -> float:
 
 
 def partition_and_free_energy(n: int, alpha: float, a: float,
-                              tail_tol: float = DEFAULT_TAIL_TOL,
                               half_width: float | None = None):
     """log Z = log n! + sum_{k<n} log h_k and F = -log Z / n^2."""
-    system = build_system(n, alpha, a, n - 1, tail_tol, half_width)
+    system = build_system(n, alpha, a, n - 1, half_width)
     log_z = math.lgamma(n + 1) + float(np.sum(system.log_h[:n]))
     return log_z, -log_z / n**2
 
@@ -291,25 +271,24 @@ def correlation_det(system: OrthoSystem, points, n_particles: int) -> float:
     return float(np.linalg.det(K))
 
 
-def toda_residual(n: int, alpha: float, a: float, delta_a: float,
-                  tail_tol: float = DEFAULT_TAIL_TOL):
+def toda_residual(n: int, alpha: float, a: float, delta_a: float):
     """Second a-difference of log Z against the recurrence-coefficient form.
 
     Returns (lhs, rhs, defect) with rhs = (n pi^2 / 2)^2 B_n (B_{n-1}
     + B_{n+1} + (A_n + A_{n-1})^2).  All three partition evaluations share
-    the truncation window certified at the smallest a, so the identity is
+    the truncation window of the smallest a, so the identity is
     exact per measure and the defect is pure O(delta_a^2) differencing bias.
     """
     if a - delta_a <= 0.0:
         raise ValueError("a - delta_a must stay positive")
-    spec = LatticeSpec(n=n, alpha=alpha, tail_tol=tail_tol)
+    spec = LatticeSpec(n=n, alpha=alpha)
     wmin = GaussianWeight(a=a - delta_a, n=n)
     nodes, _ = build_lattice(spec, wmin, n + 1)
     width = float(np.max(np.abs(nodes))) + 1e-9
-    lz = [partition_and_free_energy(n, alpha, av, tail_tol, half_width=width)[0]
+    lz = [partition_and_free_energy(n, alpha, av, half_width=width)[0]
           for av in (a - delta_a, a, a + delta_a)]
     lhs = (lz[2] - 2.0 * lz[1] + lz[0]) / delta_a**2
-    system = build_system(n, alpha, a, n + 1, tail_tol, half_width=width)
+    system = build_system(n, alpha, a, n + 1, half_width=width)
     A, B = system.A, system.B
     rhs = (n * math.pi**2 / 2.0)**2 * B[n] * (
         B[n - 1] + B[n + 1] + (A[n] + A[n - 1])**2)

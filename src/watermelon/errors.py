@@ -14,7 +14,7 @@ class ConvergenceError(WatermelonError):
 
 
 class WindowError(WatermelonError):
-    """A lattice truncation window could not be certified."""
+    """A lattice truncation window holds too few nodes."""
 
 
 class CoverageError(WatermelonError):

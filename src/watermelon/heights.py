@@ -58,7 +58,6 @@ def _log_prefactor(N: int, M: float, wall: str) -> float:
 
 
 def log_height_cdf(N: int, M: float, wall: str,
-                   tail_tol: float = dgop.DEFAULT_TAIL_TOL,
                    extra_degrees: int = 0,
                    half_width: float | None = None) -> float:
     """log P(max height < M), assembled entirely in log domain.
@@ -74,23 +73,20 @@ def log_height_cdf(N: int, M: float, wall: str,
     a_eff = 1.0 / (M * M)
     if wall == "absorbing":
         k_max = 2 * N - 1 + extra_degrees
-        system = dgop.build_system(1, 0.0, a_eff, k_max, tail_tol,
-                                   half_width=half_width)
+        system = dgop.build_system(1, 0.0, a_eff, k_max, half_width)
         log_p = (_log_prefactor(N, M, wall)
                  + float(sum(system.log_h[2 * k + 1] for k in range(N))))
     else:
         k_max = max(2 * N - 2, 0) + extra_degrees
-        system = dgop.build_system(1, 0.5, a_eff, k_max, tail_tol,
-                                   half_width=half_width)
+        system = dgop.build_system(1, 0.5, a_eff, k_max, half_width)
         log_p = (_log_prefactor(N, M, wall)
                  + float(sum(system.log_h[2 * k] for k in range(N))))
     return log_p
 
 
-def height_cdf(N: int, M: float, wall: str,
-               tail_tol: float = dgop.DEFAULT_TAIL_TOL) -> float:
+def height_cdf(N: int, M: float, wall: str) -> float:
     """P(max height < M), clamped to [0, 1]."""
-    return min(1.0, math.exp(min(log_height_cdf(N, M, wall, tail_tol), 0.0)))
+    return min(1.0, math.exp(min(log_height_cdf(N, M, wall), 0.0)))
 
 
 def rescale_M(N: int, k: float) -> float:
@@ -98,20 +94,18 @@ def rescale_M(N: int, k: float) -> float:
     return math.sqrt(2.0 * N) + k * 2.0 ** (-11.0 / 6.0) * N ** (-1.0 / 6.0)
 
 
-def rescaled_cdf(N: int, k: float, wall: str,
-                 tail_tol: float = dgop.DEFAULT_TAIL_TOL) -> float:
+def rescaled_cdf(N: int, k: float, wall: str) -> float:
     """CDF at the rescaled coordinate k (the Tracy-Widom GOE variable)."""
     M = rescale_M(N, k)
     if M <= 0.0:
         raise ValueError(f"k={k} drives the barrier nonpositive at N={N}")
-    return height_cdf(N, M, wall, tail_tol)
+    return height_cdf(N, M, wall)
 
 
-def tabulate_rescaled(N: int, k_grid, wall: str,
-                      tail_tol: float = dgop.DEFAULT_TAIL_TOL) -> HeightDistribution:
+def tabulate_rescaled(N: int, k_grid, wall: str) -> HeightDistribution:
     k_grid = np.asarray(k_grid, dtype=float)
     M = np.array([rescale_M(N, k) for k in k_grid])
-    logs = np.array([log_height_cdf(N, m, wall, tail_tol) for m in M])
+    logs = np.array([log_height_cdf(N, m, wall) for m in M])
     clamped = logs > 0.0
     cdf = np.minimum(1.0, np.exp(np.minimum(logs, 0.0)))
     return HeightDistribution(N=N, wall=wall, M_values=M, cdf=cdf,
@@ -158,8 +152,7 @@ def small_a_check(N: int, a_list, wall: str = "absorbing"):
     return records
 
 
-def deformation_identity_check(N: int, a: float, delta_a: float, wall: str,
-                               tail_tol: float = dgop.DEFAULT_TAIL_TOL):
+def deformation_identity_check(N: int, a: float, delta_a: float, wall: str):
     """Second a-difference of log prod h against the norm-ratio identity.
 
     Uses the unrescaled mesh-1 norms with M = sqrt(2N/a); the right side is
@@ -173,7 +166,7 @@ def deformation_identity_check(N: int, a: float, delta_a: float, wall: str,
 
     def log_prod(av, half_width, extra=0):
         M = math.sqrt(2.0 * N / av)
-        log_p = log_height_cdf(N, M, wall, tail_tol, extra_degrees=extra,
+        log_p = log_height_cdf(N, M, wall, extra_degrees=extra,
                                half_width=half_width)
         # strip the prefactor: keep only sum log h
         return log_p - _log_prefactor(N, M, wall)
@@ -182,7 +175,7 @@ def deformation_identity_check(N: int, a: float, delta_a: float, wall: str,
     M_widest = math.sqrt(2.0 * N / a_lo)
     alpha = 0.0 if wall == "absorbing" else 0.5
     k_need = (2 * N + 1) if wall == "absorbing" else (2 * N)
-    spec = dgop.LatticeSpec(n=1, alpha=alpha, tail_tol=tail_tol)
+    spec = dgop.LatticeSpec(n=1, alpha=alpha)
     nodes, _ = dgop.build_lattice(spec, dgop.GaussianWeight(a=1.0 / M_widest**2, n=1),
                                   k_need)
     width = float(np.max(np.abs(nodes))) + 1e-9
@@ -191,7 +184,7 @@ def deformation_identity_check(N: int, a: float, delta_a: float, wall: str,
     lhs = (lp[2] - 2.0 * lp[1] + lp[0]) / delta_a**2
 
     M_mid = math.sqrt(2.0 * N / a)
-    system = dgop.build_system(1, alpha, 1.0 / M_mid**2, k_need, tail_tol,
+    system = dgop.build_system(1, alpha, 1.0 / M_mid**2, k_need,
                                half_width=width)
     if wall == "absorbing":
         ratio = math.exp(system.log_h[2 * N + 1] - system.log_h[2 * N - 1])

@@ -59,13 +59,17 @@ def test_usage_errors_exit_1(run_cli):
          "--M-grid", "1:2:0.5", "--k-grid", "0:1:1"],                       # conflict
         ["tw", "--which", "f2", "--xmax", "oops"],                          # malformed
         ["tw", "--which", "f2", "--bogus"],                                 # unknown flag
-        ["--cache-dir", "x", "tw", "--which", "f2"],                        # removed flag
-        ["--precision-mode", "extended", "dgop", "--n", "8", "--a", "0.9",
-         "--kmax", "8"],                                                    # removed flag
         ["nosuchcommand"],
     ]
     for args in cases:
         assert_usage_error(run_cli(args))
+    # removed global flags are named, not mistaken for a command
+    for args in (["--cache-dir", "x", "tw", "--which", "f2"],
+                 ["--precision-mode", "extended", "dgop", "--n", "8",
+                  "--a", "0.9", "--kmax", "8"]):
+        proc = run_cli(args)
+        assert_usage_error(proc)
+        assert f"unknown option {args[0]}" in proc.stderr, proc.stderr
 
 
 def test_io_error_exit_3(run_cli, tmp_path):
@@ -93,13 +97,14 @@ def test_config_file_and_flag_precedence(run_cli, tmp_path):
 
 def test_unknown_config_key_rejected(run_cli):
     for text in ("no_such_key = 7\n", "cache_dir = x\n",
-                 "precision_mode = extended\n"):
+                 "precision_mode = extended\n", "tail_tol = 1e-30\n"):
         assert_usage_error(run_cli(["tw", "--which", "f2"], config_text=text))
 
 
 def test_bad_tail_tol_rejected(run_cli):
     proc = run_cli(["--tail-tol", "1e-5", "tw", "--which", "f2"])
     assert_usage_error(proc)
+    assert "--tail-tol" in proc.stderr, proc.stderr
 
 
 def test_dgop_json_csv_row_parity(run_cli):
@@ -161,6 +166,5 @@ def test_validate_failing_suite_exits_2(run_cli):
 def test_parse_args_in_process():
     config, ns = cli.parse_args(["tw", "--which", "f2"])
     assert config.command == "tw" and config.format == "csv"
-    assert config.tail_tol == 1e-30
     with pytest.raises(cli.UsageError):
         cli.parse_args([])

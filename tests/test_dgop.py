@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import watermelon as wm
+from watermelon import dgop
 from watermelon.dgop import (MAX_DEGREE, GaussianWeight, LatticeSpec,
                              build_lattice)
-from watermelon.errors import CoverageError, PrecisionError, WindowError
+from watermelon.errors import (CoverageError, PrecisionError, WatermelonError,
+                               WindowError)
 from watermelon.oracles import (gram_schmidt_log_norms,
                                 gue_log_partition_quadrature, stieltjes_exact)
 
@@ -183,9 +185,11 @@ def test_extended_precision_agrees_with_double():
 
 def test_double_path_still_accurate_at_saturation():
     # a ~ 1 is where the folded weight is smallest at the spectral edge;
-    # at n = 64 the double path must agree closely with the 120-bit oracle
+    # at n = 64 the double path must agree closely with the 120-bit oracle,
+    # which sums over 1.5x the retained window, so truncation is checked too
     std = wm.build_system(64, 0.0, 1.0, 64)
-    log_h = stieltjes_exact(std.nodes, 64, 1.0, 64)[2]
+    wide = std.spec.nodes_in(1.5 * np.max(np.abs(std.nodes)))
+    log_h = stieltjes_exact(wide, 64, 1.0, 64)[2]
     assert np.max(np.abs(log_h - std.log_h)) < 1e-11
 
 
@@ -213,6 +217,37 @@ def test_degree_envelope_edge():
     with pytest.raises(PrecisionError):
         build_lattice(LatticeSpec(n=1), GaussianWeight(a=1.0, n=1),
                       MAX_DEGREE + 1, half_width=1e3)
+
+
+@pytest.mark.parametrize("family", [(384, 0.0, 1.0, 384),
+                                    (1, 0.0, 1.0 / 8.0**2, 63)])
+def test_one_stieltjes_pass_per_build(monkeypatch, family):
+    calls = []
+    stieltjes = dgop.stieltjes
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return stieltjes(*args, **kwargs)
+
+    monkeypatch.setattr(dgop, "stieltjes", counted)
+    dgop._build_cached.cache_clear()
+    wm.build_system(*family)
+    assert len(calls) == 1
+
+
+def test_window_keeps_no_zero_amplitude_node():
+    system = wm.build_system(384, 0.0, 1.0, 384)
+    assert np.all(system.amplitudes > 0.0)
+
+
+def test_past_saturation_build_is_bounded():
+    # a = 3 is far past saturation; the window must not grow without end
+    start = time.perf_counter()
+    try:
+        wm.build_system(100, 0.0, 3.0, 100)
+    except WatermelonError:
+        pass
+    assert time.perf_counter() - start < 1.0
 
 
 def test_weight_rejects_nonpositive_a():
