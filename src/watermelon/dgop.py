@@ -14,13 +14,19 @@ The lattice is truncated where the folded amplitude underflows: past
 X_u = (2/pi) sqrt(-ln(tiny) / (n a)), tiny the smallest positive double,
 exp(-n pi^2 a x^2 / 4) is exactly 0, so no wider window can change a
 double-precision result and one Stieltjes pass per family suffices.
+
+That window depends on (n, alpha, a) only, and degree k of the pass on lower
+degrees only, so the memo holds one recurrence-only entry per family: a
+request for a lower degree is served as a prefix of the stored arrays, bit
+for bit what a fresh build returns.  ``phi`` is recomputed on first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from collections import OrderedDict
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,7 +83,8 @@ class OrthoSystem:
 
     ``phi`` holds the orthonormal weight-folded values, one row per degree,
     on the retained nodes; these are exactly the psi-functions entering the
-    Christoffel-Darboux kernel.
+    Christoffel-Darboux kernel.  It is not stored by the build: the first
+    read reruns the Stieltjes pass on the same nodes, so it is bit-identical.
     """
 
     spec: LatticeSpec
@@ -88,7 +95,10 @@ class OrthoSystem:
     B: np.ndarray
     nodes: np.ndarray
     amplitudes: np.ndarray
-    phi: np.ndarray = field(repr=False)
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        return stieltjes(self.nodes, self.amplitudes, self.k_max)[3]
 
     @property
     def n(self) -> int:
@@ -137,22 +147,29 @@ def stieltjes(nodes: np.ndarray, amplitudes: np.ndarray, k_max: int,
     log_h[0] = math.log(h0)
     cur = amplitudes / math.sqrt(h0)
     prev = np.zeros(m)
-    A[0] = float(nodes @ (cur * cur))
+    # u and t are scratch: each degree rotates (prev, cur, u) in place
+    u = np.empty(m)
+    t = cur * cur
+    A[0] = float(nodes @ t)
     if keep_phi:
         phi[0] = cur
     sqrt_b_prev = 0.0
     for k in range(1, k_max + 1):
-        u = (nodes - A[k - 1]) * cur - sqrt_b_prev * prev
+        np.subtract(nodes, A[k - 1], out=t)
+        np.multiply(t, cur, out=t)
+        np.multiply(prev, sqrt_b_prev, out=u)
+        np.subtract(t, u, out=u)
         bk = float(u @ u)
         if not bk > 0.0:
             raise PrecisionError(
                 f"B_{k} lost positivity; double precision exhausted")
         B[k] = bk
         log_h[k] = log_h[k - 1] + math.log(bk)
-        prev = cur
         sqrt_b_prev = math.sqrt(bk)
-        cur = u / sqrt_b_prev
-        A[k] = float(nodes @ (cur * cur))
+        np.divide(u, sqrt_b_prev, out=u)
+        prev, cur, u = cur, u, prev
+        np.multiply(cur, cur, out=t)
+        A[k] = float(nodes @ t)
         if keep_phi:
             phi[k] = cur
     return A, B, log_h, phi
@@ -185,23 +202,34 @@ def build_lattice(spec: LatticeSpec, weight: GaussianWeight, k_max: int,
 
 def build_system(n: int, alpha: float, a: float, k_max: int,
                  half_width: float | None = None) -> OrthoSystem:
-    """Construct an OrthoSystem; results for default windows are memoized."""
-    if half_width is None:
-        return _build_cached(n, alpha, a, k_max, None)
-    return _build(n, alpha, a, k_max, half_width)
+    """Construct an OrthoSystem; default windows are memoized per family."""
+    if half_width is not None:
+        return _build(n, alpha, a, k_max, half_width)
+    key = (n, alpha, a)
+    entry = _memo.get(key)
+    if entry is None or not 0 <= k_max <= entry.k_max:
+        entry = _memo[key] = _build(n, alpha, a, k_max, None)
+        if len(_memo) > _MEMO_SIZE:
+            _memo.popitem(last=False)
+    _memo.move_to_end(key)
+    m = k_max + 1
+    return OrthoSystem(spec=entry.spec, weight=entry.weight, k_max=k_max,
+                       log_h=entry.log_h[:m], A=entry.A[:m], B=entry.B[:m],
+                       nodes=entry.nodes, amplitudes=entry.amplitudes)
 
 
 def _build(n, alpha, a, k_max, half_width):
     spec = LatticeSpec(n=n, alpha=alpha)
     weight = GaussianWeight(a=a, n=n)
     nodes, amplitudes = build_lattice(spec, weight, k_max, half_width)
-    A, B, log_h, phi = stieltjes(nodes, amplitudes, k_max)
+    A, B, log_h, _ = stieltjes(nodes, amplitudes, k_max, keep_phi=False)
     return OrthoSystem(spec=spec, weight=weight, k_max=k_max, log_h=log_h,
-                       A=A, B=B, nodes=nodes, amplitudes=amplitudes,
-                       phi=phi)
+                       A=A, B=B, nodes=nodes, amplitudes=amplitudes)
 
 
-_build_cached = lru_cache(maxsize=128)(_build)
+# Least recently used first; entries are never handed out, so none holds phi.
+_MEMO_SIZE = 128
+_memo: OrderedDict = OrderedDict()
 
 
 def rescale_check(system: OrthoSystem, direction: int) -> float:
@@ -262,13 +290,11 @@ def cd_kernel_matrix(system: OrthoSystem, n_particles: int) -> np.ndarray:
 
 def correlation_det(system: OrthoSystem, points, n_particles: int) -> float:
     """m-point correlation function det[K(x_i, x_j)]."""
-    m = len(points)
-    K = np.empty((m, m))
+    if n_particles > system.k_max + 1:
+        raise ValueError("n_particles exceeds computed degrees")
     idx = [system.node_index(p) for p in points]
-    for r, i in enumerate(idx):
-        for c, j in enumerate(idx):
-            K[r, c] = system.phi[:n_particles, i] @ system.phi[:n_particles, j]
-    return float(np.linalg.det(K))
+    P = system.phi[:n_particles, idx]
+    return float(np.linalg.det(P.T @ P))
 
 
 def toda_residual(n: int, alpha: float, a: float, delta_a: float):

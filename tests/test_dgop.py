@@ -158,6 +158,25 @@ def test_kernel_point_evaluation_and_errors():
     assert 0.0 <= val <= 1.0
     with pytest.raises(CoverageError):
         wm.cd_kernel(sys1, x + 1e-3, x, 12)
+    with pytest.raises(ValueError):
+        wm.correlation_det(sys1, [x], 14)
+
+
+@pytest.mark.parametrize("offsets", [(0, 3), (-1, 0), (-5, 0, 4), (-2, 1, 3)])
+def test_correlation_det_matches_explicit_determinant(offsets):
+    sys1 = wm.build_system(12, 0.0, 0.9, 12)
+    mid = len(sys1.nodes) // 2
+    pts = [sys1.nodes[mid + o] for o in offsets]
+    K = [[wm.cd_kernel(sys1, x, y, 12) for y in pts] for x in pts]
+    if len(pts) == 2:
+        # K(x,x) K(y,y) - K(x,y)^2
+        explicit = K[0][0] * K[1][1] - K[0][1] ** 2
+    else:
+        (p, q, r), (s, t, u), (v, w, z) = K
+        explicit = p * (t * z - u * w) - q * (s * z - u * v) + r * (s * w - t * v)
+    assert explicit > 0.0
+    assert math.isclose(wm.correlation_det(sys1, pts, 12), explicit,
+                        rel_tol=1e-13)
 
 
 @pytest.mark.parametrize("a", [0.9, 1.1])
@@ -230,8 +249,83 @@ def test_one_stieltjes_pass_per_build(monkeypatch, family):
         return stieltjes(*args, **kwargs)
 
     monkeypatch.setattr(dgop, "stieltjes", counted)
-    dgop._build_cached.cache_clear()
+    dgop._memo.clear()
     wm.build_system(*family)
+    assert len(calls) == 1
+
+
+def _count_passes(monkeypatch):
+    calls = []
+    stieltjes = dgop.stieltjes
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return stieltjes(*args, **kwargs)
+
+    monkeypatch.setattr(dgop, "stieltjes", counted)
+    dgop._memo.clear()
+    return calls
+
+
+def _assert_same_as_fresh(system):
+    fresh = dgop._build(system.n, system.alpha, system.a, system.k_max, None)
+    for name in ("A", "B", "log_h", "nodes", "amplitudes", "phi"):
+        assert np.array_equal(getattr(system, name), getattr(fresh, name)), name
+
+
+@pytest.mark.parametrize("family", [(64, 0.0, 1.0, 64), (200, 0.25, 0.97, 200),
+                                    (1, 0.0, 1.0 / 672, 671)])
+def test_lower_degree_served_from_family_memo(monkeypatch, family):
+    n, alpha, a, k_max = family
+    calls = _count_passes(monkeypatch)
+    wm.build_system(n, alpha, a, k_max)
+    lower = wm.build_system(n, alpha, a, k_max - 1)
+    assert len(calls) == 1
+    _assert_same_as_fresh(lower)
+
+    calls = _count_passes(monkeypatch)
+    lower = wm.build_system(n, alpha, a, k_max - 1)
+    upper = wm.build_system(n, alpha, a, k_max)
+    assert len(calls) == 2
+    _assert_same_as_fresh(lower)
+    _assert_same_as_fresh(upper)
+
+
+def test_phi_is_built_on_first_read(monkeypatch):
+    calls = _count_passes(monkeypatch)
+    system = wm.build_system(64, 0.0, 1.0, 64)
+    assert "phi" not in system.__dict__
+    x = system.nodes[len(system.nodes) // 2]
+    wm.cd_kernel(system, x, x, 64)
+    assert len(calls) == 2
+    expected = dgop.stieltjes(system.nodes, system.amplitudes, 64,
+                              keep_phi=True)[3]
+    assert np.array_equal(system.phi, expected)
+    # the memo hands out a fresh system, so the entry holds no phi
+    assert "phi" not in wm.build_system(64, 0.0, 1.0, 64).__dict__
+
+
+def test_failed_request_leaves_memo_entry(monkeypatch):
+    calls = _count_passes(monkeypatch)
+    wm.build_system(64, 0.0, 1.0, 64)
+    with pytest.raises(PrecisionError):
+        wm.build_system(64, 0.0, 1.0, MAX_DEGREE + 1)
+    calls.clear()
+    assert wm.build_system(64, 0.0, 1.0, 63).k_max == 63
+    assert len(calls) == 0
+
+
+def test_memo_evicts_least_recently_used(monkeypatch):
+    calls = _count_passes(monkeypatch)
+    for i in range(dgop._MEMO_SIZE):
+        wm.build_system(4, 0.0, 1.0 + i / 1000, 2)
+    wm.build_system(4, 0.0, 1.0, 2)  # refresh the oldest entry
+    wm.build_system(4, 0.0, 2.0, 2)  # evicts a = 1.001
+    assert len(dgop._memo) == dgop._MEMO_SIZE
+    calls.clear()
+    wm.build_system(4, 0.0, 1.0, 2)
+    assert len(calls) == 0
+    wm.build_system(4, 0.0, 1.001, 2)
     assert len(calls) == 1
 
 
