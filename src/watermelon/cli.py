@@ -1,6 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 usage, 2 numerical failure, 3 I/O.  Options are
+Exit codes: 0 success, 1 usage (also a ``ValueError`` from the library),
+2 numerical failure, 3 I/O.  Options are
 resolved as flags > config file (plain ``key = value`` lines, default
 ./watermelon.conf) > built-in defaults.  All tables go through the
 deterministic emitter; the only varying header line is the wall clock.
@@ -326,7 +327,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _DISPATCH[config.command](config, ns)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except WatermelonError as exc:

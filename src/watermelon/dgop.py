@@ -13,7 +13,9 @@ only.  The recurrence x phi_k = sqrt(B_{k+1}) phi_{k+1} + A_k phi_k
 The lattice is truncated where the folded amplitude underflows: past
 X_u = (2/pi) sqrt(-ln(tiny) / (n a)), tiny the smallest positive double,
 exp(-n pi^2 a x^2 / 4) is exactly 0, so no wider window can change a
-double-precision result and one Stieltjes pass per family suffices.
+double-precision result and one Stieltjes pass per family suffices.  It is
+the only window: a node at amplitude 0 stays 0 through the recurrence, so
+identities that difference across a (``toda_residual``) need no shared one.
 
 That window depends on (n, alpha, a) only, and degree k of the pass on lower
 degrees only, so the memo holds one recurrence-only entry per family: a
@@ -175,24 +177,15 @@ def stieltjes(nodes: np.ndarray, amplitudes: np.ndarray, k_max: int,
     return A, B, log_h, phi
 
 
-def build_lattice(spec: LatticeSpec, weight: GaussianWeight, k_max: int,
-                  half_width: float | None = None):
+def build_lattice(spec: LatticeSpec, weight: GaussianWeight, k_max: int):
     """Retained nodes and folded amplitudes sqrt(w(x)/n).
 
-    By default the window is every node whose amplitude is nonzero in double
-    precision.  With ``half_width`` given, the window is fixed instead (used
-    when several a-values must share one truncation, e.g. Toda differencing).
+    The window is every node whose amplitude is nonzero in double precision.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     if k_max > MAX_DEGREE:
         raise PrecisionError(f"k_max={k_max} > {MAX_DEGREE}, the double-range cap")
-    if half_width is not None:
-        x = spec.nodes_in(half_width)
-        if len(x) < k_max + 10:
-            raise WindowError(f"only {len(x)} nodes at fixed width {half_width}")
-        return x, weight.amplitude(x)
-
     x = spec.nodes_in((2.0 / math.pi) * math.sqrt(
         _UNDERFLOW_EXPONENT / (spec.n * weight.a)))
     amplitudes = weight.amplitude(x)
@@ -200,15 +193,12 @@ def build_lattice(spec: LatticeSpec, weight: GaussianWeight, k_max: int,
     return x[keep], amplitudes[keep]
 
 
-def build_system(n: int, alpha: float, a: float, k_max: int,
-                 half_width: float | None = None) -> OrthoSystem:
-    """Construct an OrthoSystem; default windows are memoized per family."""
-    if half_width is not None:
-        return _build(n, alpha, a, k_max, half_width)
+def build_system(n: int, alpha: float, a: float, k_max: int) -> OrthoSystem:
+    """Construct an OrthoSystem, memoized per family (n, alpha, a)."""
     key = (n, alpha, a)
     entry = _memo.get(key)
     if entry is None or not 0 <= k_max <= entry.k_max:
-        entry = _memo[key] = _build(n, alpha, a, k_max, None)
+        entry = _memo[key] = _build(n, alpha, a, k_max)
         if len(_memo) > _MEMO_SIZE:
             _memo.popitem(last=False)
     _memo.move_to_end(key)
@@ -218,10 +208,10 @@ def build_system(n: int, alpha: float, a: float, k_max: int,
                        nodes=entry.nodes, amplitudes=entry.amplitudes)
 
 
-def _build(n, alpha, a, k_max, half_width):
+def _build(n, alpha, a, k_max):
     spec = LatticeSpec(n=n, alpha=alpha)
     weight = GaussianWeight(a=a, n=n)
-    nodes, amplitudes = build_lattice(spec, weight, k_max, half_width)
+    nodes, amplitudes = build_lattice(spec, weight, k_max)
     A, B, log_h, _ = stieltjes(nodes, amplitudes, k_max, keep_phi=False)
     return OrthoSystem(spec=spec, weight=weight, k_max=k_max, log_h=log_h,
                        A=A, B=B, nodes=nodes, amplitudes=amplitudes)
@@ -253,10 +243,9 @@ def rescale_check(system: OrthoSystem, direction: int) -> float:
     return float(max(h_defect.max(), a_defect.max()))
 
 
-def partition_and_free_energy(n: int, alpha: float, a: float,
-                              half_width: float | None = None):
+def partition_and_free_energy(n: int, alpha: float, a: float):
     """log Z = log n! + sum_{k<n} log h_k and F = -log Z / n^2."""
-    system = build_system(n, alpha, a, n - 1, half_width)
+    system = build_system(n, alpha, a, n - 1)
     log_z = math.lgamma(n + 1) + float(np.sum(system.log_h[:n]))
     return log_z, -log_z / n**2
 
@@ -301,20 +290,17 @@ def toda_residual(n: int, alpha: float, a: float, delta_a: float):
     """Second a-difference of log Z against the recurrence-coefficient form.
 
     Returns (lhs, rhs, defect) with rhs = (n pi^2 / 2)^2 B_n (B_{n-1}
-    + B_{n+1} + (A_n + A_{n-1})^2).  All three partition evaluations share
-    the truncation window of the smallest a, so the identity is
-    exact per measure and the defect is pure O(delta_a^2) differencing bias.
+    + B_{n+1} + (A_n + A_{n-1})^2).  Each a keeps its own window: the
+    nodes one a drops have amplitude exactly 0 there and stay 0 through the
+    recurrence, so the identity is exact per measure and the defect is pure
+    O(delta_a^2) differencing bias.
     """
     if a - delta_a <= 0.0:
         raise ValueError("a - delta_a must stay positive")
-    spec = LatticeSpec(n=n, alpha=alpha)
-    wmin = GaussianWeight(a=a - delta_a, n=n)
-    nodes, _ = build_lattice(spec, wmin, n + 1)
-    width = float(np.max(np.abs(nodes))) + 1e-9
-    lz = [partition_and_free_energy(n, alpha, av, half_width=width)[0]
+    lz = [partition_and_free_energy(n, alpha, av)[0]
           for av in (a - delta_a, a, a + delta_a)]
     lhs = (lz[2] - 2.0 * lz[1] + lz[0]) / delta_a**2
-    system = build_system(n, alpha, a, n + 1, half_width=width)
+    system = build_system(n, alpha, a, n + 1)
     A, B = system.A, system.B
     rhs = (n * math.pi**2 / 2.0)**2 * B[n] * (
         B[n - 1] + B[n + 1] + (A[n] + A[n - 1])**2)

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import dgop
 from .errors import OrderFitError
-from .oracles import gue_log_integral, lue_log_integral
+from .oracles import (gue_log_integral, lue_log_integral,
+                      vandermonde_lattice_sum)
 from .painleve import PainleveGrid, tracy_widom
 
 WALLS = ("absorbing", "reflecting")
@@ -57,14 +58,8 @@ def _log_prefactor(N: int, M: float, wall: str) -> float:
             - sum(math.lgamma(2 * k + 1) for k in range(N)))
 
 
-def log_height_cdf(N: int, M: float, wall: str,
-                   extra_degrees: int = 0,
-                   half_width: float | None = None) -> float:
-    """log P(max height < M), assembled entirely in log domain.
-
-    ``extra_degrees`` extends the computed degree range past what the
-    product needs (the deformation identity wants two more norms).
-    """
+def log_height_cdf(N: int, M: float, wall: str) -> float:
+    """log P(max height < M), assembled entirely in log domain."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if M <= 0.0:
@@ -72,13 +67,11 @@ def log_height_cdf(N: int, M: float, wall: str,
     _check_wall(wall)
     a_eff = 1.0 / (M * M)
     if wall == "absorbing":
-        k_max = 2 * N - 1 + extra_degrees
-        system = dgop.build_system(1, 0.0, a_eff, k_max, half_width)
+        system = dgop.build_system(1, 0.0, a_eff, 2 * N - 1)
         log_p = (_log_prefactor(N, M, wall)
                  + float(sum(system.log_h[2 * k + 1] for k in range(N))))
     else:
-        k_max = max(2 * N - 2, 0) + extra_degrees
-        system = dgop.build_system(1, 0.5, a_eff, k_max, half_width)
+        system = dgop.build_system(1, 0.5, a_eff, 2 * N - 2)
         log_p = (_log_prefactor(N, M, wall)
                  + float(sum(system.log_h[2 * k] for k in range(N))))
     return log_p
@@ -91,6 +84,8 @@ def height_cdf(N: int, M: float, wall: str) -> float:
 
 def rescale_M(N: int, k: float) -> float:
     """Barrier height for the edge-scaling variable k."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     return math.sqrt(2.0 * N) + k * 2.0 ** (-11.0 / 6.0) * N ** (-1.0 / 6.0)
 
 
@@ -157,89 +152,51 @@ def deformation_identity_check(N: int, a: float, delta_a: float, wall: str):
 
     Uses the unrescaled mesh-1 norms with M = sqrt(2N/a); the right side is
     (pi^2/4N)^2 h_{2N+1}/h_{2N-1} (absorbing) or h_{2N}/h_{2N-2}
-    (reflecting).  All three evaluations share one truncation window, fixed
-    at the smallest a (largest barrier).  Returns (lhs, rhs, defect).
+    (reflecting).  Each evaluation uses its own default window.  Returns
+    (lhs, rhs, defect).
     """
     _check_wall(wall)
     if a - delta_a <= 0.0:
         raise ValueError("a - delta_a must stay positive")
 
-    def log_prod(av, half_width, extra=0):
+    def log_prod(av):
         M = math.sqrt(2.0 * N / av)
-        log_p = log_height_cdf(N, M, wall, extra_degrees=extra,
-                               half_width=half_width)
         # strip the prefactor: keep only sum log h
-        return log_p - _log_prefactor(N, M, wall)
+        return log_height_cdf(N, M, wall) - _log_prefactor(N, M, wall)
 
-    a_lo = a - delta_a
-    M_widest = math.sqrt(2.0 * N / a_lo)
-    alpha = 0.0 if wall == "absorbing" else 0.5
-    k_need = (2 * N + 1) if wall == "absorbing" else (2 * N)
-    spec = dgop.LatticeSpec(n=1, alpha=alpha)
-    nodes, _ = dgop.build_lattice(spec, dgop.GaussianWeight(a=1.0 / M_widest**2, n=1),
-                                  k_need)
-    width = float(np.max(np.abs(nodes))) + 1e-9
-
-    lp = [log_prod(av, width) for av in (a_lo, a, a + delta_a)]
+    lp = [log_prod(av) for av in (a - delta_a, a, a + delta_a)]
     lhs = (lp[2] - 2.0 * lp[1] + lp[0]) / delta_a**2
 
     M_mid = math.sqrt(2.0 * N / a)
-    system = dgop.build_system(1, alpha, 1.0 / M_mid**2, k_need,
-                               half_width=width)
     if wall == "absorbing":
+        system = dgop.build_system(1, 0.0, 1.0 / M_mid**2, 2 * N + 1)
         ratio = math.exp(system.log_h[2 * N + 1] - system.log_h[2 * N - 1])
     else:
+        system = dgop.build_system(1, 0.5, 1.0 / M_mid**2, 2 * N)
         ratio = math.exp(system.log_h[2 * N] - system.log_h[2 * N - 2])
     rhs = (math.pi**2 / (4.0 * N))**2 * ratio
     return lhs, rhs, abs(lhs - rhs)
 
 
-def _lue_riemann_sum(N: int, eps: float, x_cut: float = 8.0) -> float:
-    x = np.arange(0.0, x_cut, eps)
-    w = np.exp(-x * x)
-    if N == 1:
-        return float(np.sum(x * x * w)) * eps
-    if N == 2:
-        x1 = x[:, None]; x2 = x[None, :]
-        val = ((x1 * x1 - x2 * x2) ** 2 * x1 * x1 * x2 * x2
-               * w[:, None] * w[None, :])
-        return float(np.sum(val)) * eps**2
-    total = 0.0
-    x2_ = x[:, None]; x3_ = x[None, :]
-    ww = w[:, None] * w[None, :]
-    v23 = (x2_**2 - x3_**2) ** 2
-    for xv, wv in zip(x, w):
-        v = ((xv * xv - x2_**2) ** 2 * (xv * xv - x3_**2) ** 2 * v23
-             * (xv * xv) * x2_**2 * x3_**2)
-        total += wv * float(np.sum(v * ww))
-    return total * eps**3
-
-
-def _gue_riemann_sum(N: int, eps: float, x_cut: float = 8.0) -> float:
-    half = int(math.ceil(x_cut / eps))
-    x = np.arange(-half, half + 1, dtype=float) * eps
-    w = np.exp(-x * x)
-    if N == 1:
-        return float(np.sum(w)) * eps
-    if N == 2:
-        x1 = x[:, None]; x2 = x[None, :]
-        return float(np.sum((x1 - x2) ** 2 * w[:, None] * w[None, :])) * eps**2
-    total = 0.0
-    x2_ = x[:, None]; x3_ = x[None, :]
-    ww = w[:, None] * w[None, :]
-    v23 = (x2_ - x3_) ** 2
-    for xv, wv in zip(x, w):
-        v = (xv - x2_) ** 2 * (xv - x3_) ** 2 * v23
-        total += wv * float(np.sum(v * ww))
-    return total * eps**3
+def _riemann_sum(N: int, eps: float, ensemble: str, x_cut: float = 8.0) -> float:
+    """eps^N times the Vandermonde sum on the mesh-eps lattice cut at x_cut."""
+    if ensemble == "LUE":
+        x = np.arange(0.0, x_cut, eps)
+        y, g = x * x, x * x * np.exp(-x * x)
+    else:
+        half = int(math.ceil(x_cut / eps))
+        x = np.arange(-half, half + 1, dtype=float) * eps
+        y, g = x, np.exp(-x * x)
+    return vandermonde_lattice_sum(y, g, N) * eps**N
 
 
 def riemann_sum_order(N: int, eps_list, ensemble: str) -> float:
     """Least-squares slope of log-error versus log-eps for lattice sums.
 
     The LUE integrand is the half-line Vandermonde-squared * prod x^2 *
-    Gaussian; GUE is the full-line Vandermonde-squared Gaussian.  Exact
-    values come from the Gamma-function product forms.  Raises
+    Gaussian; GUE is the full-line Vandermonde-squared Gaussian.  Both are
+    summed by ``oracles.vandermonde_lattice_sum``; exact values come from
+    the Gamma-function product forms.  Raises
     :class:`OrderFitError` when every error sits below 1e-14 (these
     analytic integrands are summed to far beyond any polynomial order, so
     small eps hits roundoff rather than an eps^4 regime).
@@ -250,12 +207,11 @@ def riemann_sum_order(N: int, eps_list, ensemble: str) -> float:
         raise ValueError("need at least 3 eps values")
     if ensemble == "LUE":
         exact = math.exp(lue_log_integral(N))
-        sums = [_lue_riemann_sum(N, e) for e in eps_list]
     elif ensemble == "GUE":
         exact = math.exp(gue_log_integral(N))
-        sums = [_gue_riemann_sum(N, e) for e in eps_list]
     else:
         raise ValueError("ensemble must be 'LUE' or 'GUE'")
+    sums = [_riemann_sum(N, e, ensemble) for e in eps_list]
     errs = np.abs(np.array(sums) - exact)
     if np.max(errs) < 1e-14:
         raise OrderFitError(

@@ -4,6 +4,8 @@ Everything in this module is deliberately decoupled from the main solvers:
 these routines use different discretizations (Fredholm determinants, shooting,
 explicit Gram-Schmidt, brute-force lattice sums, tensor quadrature) so that
 agreement with the production path is meaningful evidence of correctness.
+The brute-force height CDF and the tensor quadrature share one N <= 3 sum,
+:func:`vandermonde_lattice_sum`, which never touches the Stieltjes engine.
 """
 
 from __future__ import annotations
@@ -193,11 +195,9 @@ def _lattice(alpha: float, half_width: float) -> np.ndarray:
 def brute_force_height_cdf(N: int, M: float, wall: str) -> float:
     """Maximal-height CDF by direct summation of the Vandermonde formulas.
 
-    Sums over Z^N (absorbing) or (Z - 1/2)^N (reflecting); cost grows like
-    (lattice size)^N, so N <= 3.
+    Sums over Z^N (absorbing) or (Z - 1/2)^N (reflecting) with
+    :func:`vandermonde_lattice_sum`, so N <= 3.
     """
-    if N > 3:
-        raise ValueError("brute-force oracle capped at N <= 3")
     half = 10.0 * M + 2.0
     lam = math.pi**2 / (2.0 * M * M)
     if wall == "absorbing":
@@ -213,25 +213,8 @@ def brute_force_height_cdf(N: int, M: float, wall: str) -> float:
     else:
         raise ValueError(f"unknown wall {wall!r}")
     w = np.exp(-lam * x * x)
-    if N == 1:
-        total = np.sum(x * x * w) if wall == "absorbing" else np.sum(w)
-    elif N == 2:
-        x1 = x[:, None]; x2 = x[None, :]
-        van = (x1 * x1 - x2 * x2) ** 2
-        if wall == "absorbing":
-            van = van * x1 * x1 * x2 * x2
-        total = float(np.sum(van * w[:, None] * w[None, :]))
-    else:
-        total = 0.0
-        ww = w[:, None] * w[None, :]
-        x2_ = x[:, None]; x3_ = x[None, :]
-        v23 = (x2_**2 - x3_**2) ** 2
-        for x1v, w1 in zip(x, w):
-            v = ((x1v * x1v - x2_**2) ** 2) * ((x1v * x1v - x3_**2) ** 2) * v23
-            if wall == "absorbing":
-                v = v * (x1v * x1v) * x2_**2 * x3_**2
-            total += w1 * float(np.sum(v * ww))
-    return math.exp(log_pref) * total
+    g = x * x * w if wall == "absorbing" else w
+    return math.exp(log_pref) * vandermonde_lattice_sum(x * x, g, N)
 
 
 def gue_log_partition_quadrature(n: int, order: int = 80) -> float:
@@ -240,19 +223,27 @@ def gue_log_partition_quadrature(n: int, order: int = 80) -> float:
     Independent check of the closed-form Selberg value; n <= 3 keeps the
     tensor grid small.
     """
-    if n > 3:
-        raise ValueError("quadrature oracle capped at n <= 3")
     t, w = hermgauss(order)
-    if n == 1:
-        return math.log(float(np.sum(w)))
-    if n == 2:
-        x1 = t[:, None]; x2 = t[None, :]
-        val = np.sum((x1 - x2) ** 2 * w[:, None] * w[None, :])
-        return math.log(float(val))
-    x1 = t[:, None, None]; x2 = t[None, :, None]; x3 = t[None, None, :]
-    van = ((x1 - x2) * (x1 - x3) * (x2 - x3)) ** 2
-    val = np.einsum("ijk,i,j,k->", van, w, w, w)
-    return math.log(float(val))
+    return math.log(vandermonde_lattice_sum(t, w, n))
+
+
+def vandermonde_lattice_sum(y: np.ndarray, g: np.ndarray, N: int) -> float:
+    """sum over (i_1..i_N) of prod_{j<k} (y_{i_j} - y_{i_k})^2 prod_j g_{i_j}.
+
+    The one N <= 3 Vandermonde sum: the brute-force height CDF, the Riemann
+    sums of ``heights.riemann_sum_order`` and the GUE quadrature all call
+    it.  With D_ij = (y_i - y_j)^2 and E = D diag(g), N = 2 is g^T E 1 and
+    N = 3 is g^T ((E D) o E) 1, so memory stays O(len(y)^2).
+    """
+    if N not in (1, 2, 3):
+        raise ValueError("Vandermonde lattice sum capped at 1 <= N <= 3")
+    if N == 1:
+        return float(np.sum(g))
+    d = np.subtract.outer(y, y) ** 2
+    e = d * g
+    if N == 2:
+        return float(g @ e.sum(axis=1))
+    return float(g @ np.sum((e @ d) * e, axis=1))
 
 
 def lue_log_integral(N: int) -> float:

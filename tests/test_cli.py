@@ -60,9 +60,18 @@ def test_usage_errors_exit_1(run_cli):
         ["tw", "--which", "f2", "--xmax", "oops"],                          # malformed
         ["tw", "--which", "f2", "--bogus"],                                 # unknown flag
         ["nosuchcommand"],
+        # arguments the library rejects with ValueError
+        ["dgop", "--n", "0", "--a", "1", "--kmax", "3"],
+        ["dgop", "--n", "4", "--a", "-1", "--kmax", "3"],
+        ["dgop", "--n", "4", "--alpha", "0.7", "--a", "1", "--kmax", "3"],
+        ["height", "--N", "8", "--wall", "absorbing", "--k-grid", "-100:-99:1"],
+        ["free-energy", "--n-list", "8", "--L-list", "9"],
+        ["converge", "--N-list", "0", "--wall", "absorbing"],
     ]
     for args in cases:
-        assert_usage_error(run_cli(args))
+        proc = run_cli(args)
+        assert_usage_error(proc)
+        assert "Traceback" not in proc.stderr, proc.stderr
     # removed global flags are named, not mistaken for a command
     for args in (["--cache-dir", "x", "tw", "--which", "f2"],
                  ["--precision-mode", "extended", "dgop", "--n", "8",

@@ -41,9 +41,9 @@ def test_window_doubling_leaves_log_h_fixed():
 
 
 def test_degree_unreachable():
-    spec = LatticeSpec(n=1, alpha=0.0)
+    # only 35 nodes carry a nonzero amplitude at n = 1, a = 1
     with pytest.raises(WindowError):
-        build_lattice(spec, GaussianWeight(a=1.0, n=1), 50, half_width=3.0)
+        wm.build_system(1, 0.0, 1.0, 50)
 
 
 def test_log_h0_is_weight_mass():
@@ -195,6 +195,22 @@ def test_toda_symmetric_reduction():
     assert abs(rhs / reduced - 1.0) < 1e-9
 
 
+def test_identity_checks_frozen_values():
+    # literals computed once with the window shared across the three a-values;
+    # per-a default windows drop only nodes of amplitude exactly 0
+    frozen = {
+        "toda": (wm.toda_residual(24, 0.25, 1.0, 1e-3),
+                 267.02581476456544, 267.02601565379626),
+        "absorbing": (wm.deformation_identity_check(6, 0.9, 1e-3, "absorbing"),
+                      36.96604249370239, 36.96600245373955),
+        "reflecting": (wm.deformation_identity_check(6, 0.9, 1e-3, "reflecting"),
+                       35.4732387961576, 35.4732200324874),
+    }
+    for name, ((lhs, rhs, _), want_lhs, want_rhs) in frozen.items():
+        assert math.isclose(lhs, want_lhs, rel_tol=1e-12), name
+        assert math.isclose(rhs, want_rhs, rel_tol=1e-12), name
+
+
 def test_extended_precision_agrees_with_double():
     std = wm.build_system(6, 0.25, 0.9, 6)
     A, _, log_h = stieltjes_exact(std.nodes, 6, 0.9, 6)
@@ -232,10 +248,9 @@ def test_degree_past_double_range_raises():
 def test_degree_envelope_edge():
     system = wm.build_system(MAX_DEGREE, 0.0, 1.0, MAX_DEGREE)
     assert np.all(np.isfinite(system.log_h)) and np.all(system.B[1:] > 0.0)
-    # the fixed-width path (Toda and deformation checks) is capped too
     with pytest.raises(PrecisionError):
         build_lattice(LatticeSpec(n=1), GaussianWeight(a=1.0, n=1),
-                      MAX_DEGREE + 1, half_width=1e3)
+                      MAX_DEGREE + 1)
 
 
 @pytest.mark.parametrize("family", [(384, 0.0, 1.0, 384),
@@ -268,7 +283,7 @@ def _count_passes(monkeypatch):
 
 
 def _assert_same_as_fresh(system):
-    fresh = dgop._build(system.n, system.alpha, system.a, system.k_max, None)
+    fresh = dgop._build(system.n, system.alpha, system.a, system.k_max)
     for name in ("A", "B", "log_h", "nodes", "amplitudes", "phi"):
         assert np.array_equal(getattr(system, name), getattr(fresh, name)), name
 

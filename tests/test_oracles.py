@@ -1,6 +1,8 @@
+import itertools
 import math
 
 import numpy as np
+import pytest
 
 from watermelon import oracles
 
@@ -50,3 +52,23 @@ def test_stirling_series_matches_factorial():
 def test_brute_force_normalizes_to_one():
     assert abs(oracles.brute_force_height_cdf(2, 12.0, "absorbing") - 1.0) < 1e-9
     assert abs(oracles.brute_force_height_cdf(2, 12.0, "reflecting") - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_vandermonde_lattice_sum_matches_explicit_loops(N):
+    y = np.array([-1.5, -0.25, 0.5, 0.75, 2.0, 3.0])
+    g = np.array([0.3, 1.1, 0.7, 0.2, 0.9, 0.05])
+    explicit = 0.0
+    for idx in itertools.product(range(len(y)), repeat=N):
+        term = math.prod(g[i] for i in idx)
+        for j, k in itertools.combinations(idx, 2):
+            term *= (y[j] - y[k]) ** 2
+        explicit += term
+    assert math.isclose(oracles.vandermonde_lattice_sum(y, g, N), explicit,
+                        rel_tol=1e-13)
+
+
+def test_vandermonde_lattice_sum_caps_N():
+    for N in (0, 4):
+        with pytest.raises(ValueError):
+            oracles.vandermonde_lattice_sum(np.zeros(3), np.ones(3), N)
