@@ -33,6 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CoverageError, PrecisionError, WindowError
+from .oracles import gue_log_integral
 
 # exp(-_UNDERFLOW_EXPONENT) is the smallest positive double (744.4).
 _UNDERFLOW_EXPONENT = -math.log(np.finfo(float).smallest_subnormal)
@@ -251,19 +252,20 @@ def partition_and_free_energy(n: int, alpha: float, a: float):
 
 
 def gue_free_energy(n: int) -> float:
-    """GUE free energy from monic Hermite norms sqrt(pi) k! 2^{-k}."""
+    """GUE free energy -log Z / n^2 from ``oracles.gue_log_integral``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    log_z = math.lgamma(n + 1) + sum(
-        0.5 * math.log(math.pi) + math.lgamma(k + 1) - k * math.log(2.0)
-        for k in range(n))
-    return -log_z / n**2
+    return -gue_log_integral(n) / n**2
+
+
+def _check_particles(system: OrthoSystem, n_particles: int) -> None:
+    if n_particles > system.k_max + 1:
+        raise ValueError("n_particles exceeds computed degrees")
 
 
 def cd_kernel(system: OrthoSystem, x: float, y: float, n_particles: int) -> float:
     """Christoffel-Darboux kernel K(x, y) = sum_{k<n} phi_k(x) phi_k(y)."""
-    if n_particles > system.k_max + 1:
-        raise ValueError("n_particles exceeds computed degrees")
+    _check_particles(system, n_particles)
     i = system.node_index(x)
     j = system.node_index(y)
     return float(system.phi[:n_particles, i] @ system.phi[:n_particles, j])
@@ -271,16 +273,14 @@ def cd_kernel(system: OrthoSystem, x: float, y: float, n_particles: int) -> floa
 
 def cd_kernel_matrix(system: OrthoSystem, n_particles: int) -> np.ndarray:
     """Full kernel matrix on the retained nodes (rank-n_particles projection)."""
-    if n_particles > system.k_max + 1:
-        raise ValueError("n_particles exceeds computed degrees")
+    _check_particles(system, n_particles)
     phi = system.phi[:n_particles]
     return phi.T @ phi
 
 
 def correlation_det(system: OrthoSystem, points, n_particles: int) -> float:
     """m-point correlation function det[K(x_i, x_j)]."""
-    if n_particles > system.k_max + 1:
-        raise ValueError("n_particles exceeds computed degrees")
+    _check_particles(system, n_particles)
     idx = [system.node_index(p) for p in points]
     P = system.phi[:n_particles, idx]
     return float(np.linalg.det(P.T @ P))

@@ -23,9 +23,12 @@ from .painleve import PainleveGrid, tracy_widom
 WALLS = ("absorbing", "reflecting")
 
 
-def _check_wall(wall: str) -> None:
+def _parity(wall: str) -> int:
+    """Degree parity p: 1 absorbing (degrees 2k + 1, alpha 0), 0 reflecting
+    (degrees 2k, alpha 1/2); ValueError for any other wall."""
     if wall not in WALLS:
         raise ValueError(f"wall must be one of {WALLS}")
+    return 1 if wall == "absorbing" else 0
 
 
 @dataclass
@@ -45,17 +48,12 @@ class HeightDistribution:
     clamped: np.ndarray = field(default=None)
 
 
-def _log_prefactor(N: int, M: float, wall: str) -> float:
+def _log_prefactor(N: int, M: float, p: int) -> float:
     """log of the closed-form factor multiplying prod h in P(max height < M)."""
-    if wall == "absorbing":
-        return (-0.5 * N * math.log(2.0)
-                + (2.0 * N * N + 0.5 * N) * math.log(math.pi)
-                - N * (2 * N + 1) * math.log(M)
-                - sum(math.lgamma(2 * k + 2) for k in range(N)))
     return (-0.5 * N * math.log(2.0)
-            + (2.0 * N * N - 1.5 * N) * math.log(math.pi)
-            - N * (2 * N - 1) * math.log(M)
-            - sum(math.lgamma(2 * k + 1) for k in range(N)))
+            + (2.0 * N * N + (2 * p - 1.5) * N) * math.log(math.pi)
+            - N * (2 * N - 1 + 2 * p) * math.log(M)
+            - sum(math.lgamma(2 * k + 1 + p) for k in range(N)))
 
 
 def log_height_cdf(N: int, M: float, wall: str) -> float:
@@ -64,17 +62,10 @@ def log_height_cdf(N: int, M: float, wall: str) -> float:
         raise ValueError("N must be >= 1")
     if M <= 0.0:
         raise ValueError("M must be positive")
-    _check_wall(wall)
-    a_eff = 1.0 / (M * M)
-    if wall == "absorbing":
-        system = dgop.build_system(1, 0.0, a_eff, 2 * N - 1)
-        log_p = (_log_prefactor(N, M, wall)
-                 + float(sum(system.log_h[2 * k + 1] for k in range(N))))
-    else:
-        system = dgop.build_system(1, 0.5, a_eff, 2 * N - 2)
-        log_p = (_log_prefactor(N, M, wall)
-                 + float(sum(system.log_h[2 * k] for k in range(N))))
-    return log_p
+    p = _parity(wall)
+    system = dgop.build_system(1, (1 - p) / 2, 1.0 / (M * M), 2 * N - 2 + p)
+    return (_log_prefactor(N, M, p)
+            + float(sum(system.log_h[2 * k + p] for k in range(N))))
 
 
 def height_cdf(N: int, M: float, wall: str) -> float:
@@ -116,7 +107,7 @@ def convergence_study(N_list, k_grid, wall: str, grid: PainleveGrid):
     Returns a list of (N, d_N) with
     d_N = max_k |rescaled_cdf(N, k) - F1(k)|.
     """
-    _check_wall(wall)
+    _parity(wall)
     k_grid = np.asarray(k_grid, dtype=float)
     f1 = np.array([tracy_widom(k, "F1", grid) for k in k_grid])
     out = []
@@ -151,31 +142,33 @@ def deformation_identity_check(N: int, a: float, delta_a: float, wall: str):
     """Second a-difference of log prod h against the norm-ratio identity.
 
     Uses the unrescaled mesh-1 norms with M = sqrt(2N/a); the right side is
-    (pi^2/4N)^2 h_{2N+1}/h_{2N-1} (absorbing) or h_{2N}/h_{2N-2}
-    (reflecting).  Each evaluation uses its own default window.  Returns
+    (pi^2/4N)^2 h_{2N+p}/h_{2N+p-2}, p the wall's degree parity (1 absorbing,
+    0 reflecting).  Each evaluation uses its own default window.  Returns
     (lhs, rhs, defect).
     """
-    _check_wall(wall)
+    p = _parity(wall)
     if a - delta_a <= 0.0:
         raise ValueError("a - delta_a must stay positive")
 
     def log_prod(av):
         M = math.sqrt(2.0 * N / av)
         # strip the prefactor: keep only sum log h
-        return log_height_cdf(N, M, wall) - _log_prefactor(N, M, wall)
+        return log_height_cdf(N, M, wall) - _log_prefactor(N, M, p)
 
     lp = [log_prod(av) for av in (a - delta_a, a, a + delta_a)]
     lhs = (lp[2] - 2.0 * lp[1] + lp[0]) / delta_a**2
 
     M_mid = math.sqrt(2.0 * N / a)
-    if wall == "absorbing":
-        system = dgop.build_system(1, 0.0, 1.0 / M_mid**2, 2 * N + 1)
-        ratio = math.exp(system.log_h[2 * N + 1] - system.log_h[2 * N - 1])
-    else:
-        system = dgop.build_system(1, 0.5, 1.0 / M_mid**2, 2 * N)
-        ratio = math.exp(system.log_h[2 * N] - system.log_h[2 * N - 2])
+    top = 2 * N + p
+    system = dgop.build_system(1, (1 - p) / 2, 1.0 / M_mid**2, top)
+    ratio = math.exp(system.log_h[top] - system.log_h[top - 2])
     rhs = (math.pi**2 / (4.0 * N))**2 * ratio
     return lhs, rhs, abs(lhs - rhs)
+
+
+def _gue_lattice(eps: float, x_cut: float) -> np.ndarray:
+    half = int(math.ceil(x_cut / eps))
+    return np.arange(-half, half + 1, dtype=float) * eps
 
 
 def _riemann_sum(N: int, eps: float, ensemble: str, x_cut: float = 8.0) -> float:
@@ -184,8 +177,7 @@ def _riemann_sum(N: int, eps: float, ensemble: str, x_cut: float = 8.0) -> float
         x = np.arange(0.0, x_cut, eps)
         y, g = x * x, x * x * np.exp(-x * x)
     else:
-        half = int(math.ceil(x_cut / eps))
-        x = np.arange(-half, half + 1, dtype=float) * eps
+        x = _gue_lattice(eps, x_cut)
         y, g = x, np.exp(-x * x)
     return vandermonde_lattice_sum(y, g, N) * eps**N
 
@@ -229,8 +221,7 @@ def gue_shift_sum(N: int, eps: float, x_cut: float = 8.0) -> float:
     Telescopes to zero on the symmetric lattice; kept as the sanity check
     that the first Euler-Maclaurin correction really cancels.
     """
-    half = int(math.ceil(x_cut / eps))
-    x = np.arange(-half, half + 1, dtype=float) * eps
+    x = _gue_lattice(eps, x_cut)
     w = np.exp(-x * x)
     if N == 1:
         return float(np.sum(-2.0 * x * w)) * eps

@@ -5,7 +5,8 @@ these routines use different discretizations (Fredholm determinants, shooting,
 explicit Gram-Schmidt, brute-force lattice sums, tensor quadrature) so that
 agreement with the production path is meaningful evidence of correctness.
 The brute-force height CDF and the tensor quadrature share one N <= 3 sum,
-:func:`vandermonde_lattice_sum`, which never touches the Stieltjes engine.
+:func:`vandermonde_lattice_sum`, which never touches the Stieltjes engine;
+the F1 and F2 Fredholm determinants share one Nystrom step.
 """
 
 from __future__ import annotations
@@ -21,6 +22,22 @@ from scipy.special import airy, gammaln
 from .errors import ConvergenceError, PrecisionError
 
 
+def _nystrom_det(kernel, lo: float, m: int, span: float) -> float:
+    """det(I - K) on L^2(lo, lo + span) by Nystrom discretization.
+
+    ``kernel(xs)`` returns the matrix K(x_i, x_j) on the m Gauss-Legendre
+    nodes; the square-root weights symmetrize it before ``slogdet``.
+    """
+    t, w = leggauss(m)
+    a, b = lo, lo + span
+    xs = 0.5 * (b - a) * t + 0.5 * (b + a)
+    ws = 0.5 * (b - a) * w
+    sw = np.sqrt(ws)
+    M = np.eye(m) - sw[:, None] * kernel(xs) * sw[None, :]
+    sign, logdet = np.linalg.slogdet(M)
+    return float(sign * math.exp(logdet))
+
+
 def fredholm_f2(x: float, m: int = 201, span: float = 24.0) -> float:
     """GUE edge CDF via a Nystrom discretization of the Airy-kernel determinant.
 
@@ -28,20 +45,26 @@ def fredholm_f2(x: float, m: int = 201, span: float = 24.0) -> float:
     decays superexponentially) and discretized on an m-point Gauss-Legendre
     grid with square-root weight symmetrization.
     """
-    t, w = leggauss(m)
-    a, b = x, x + span
-    xs = 0.5 * (b - a) * t + 0.5 * (b + a)
-    ws = 0.5 * (b - a) * w
-    ai, aip, _, _ = airy(xs)
-    diff = np.subtract.outer(xs, xs)
-    num = np.multiply.outer(ai, aip) - np.multiply.outer(aip, ai)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        K = np.where(diff != 0.0, num / np.where(diff == 0.0, 1.0, diff), 0.0)
-    np.fill_diagonal(K, aip**2 - xs * ai**2)
-    sw = np.sqrt(ws)
-    M = np.eye(m) - sw[:, None] * K * sw[None, :]
-    sign, logdet = np.linalg.slogdet(M)
-    return float(sign * math.exp(logdet))
+    def airy_kernel(xs):
+        ai, aip, _, _ = airy(xs)
+        diff = np.subtract.outer(xs, xs)
+        num = np.multiply.outer(ai, aip) - np.multiply.outer(aip, ai)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            K = np.where(diff != 0.0, num / np.where(diff == 0.0, 1.0, diff), 0.0)
+        np.fill_diagonal(K, aip**2 - xs * ai**2)
+        return K
+
+    return _nystrom_det(airy_kernel, x, m, span)
+
+
+def fredholm_f1(s: float, m: int = 120, span: float = 24.0) -> float:
+    """GOE edge CDF F1(s) = det(I - B_s) on L^2(0, infinity).
+
+    B_s(x, y) = Ai(x + y + s) is the Ferrari-Spohn kernel; truncated to
+    [0, span] and discretized like :func:`fredholm_f2`, so it is independent
+    of the Painleve II solver.
+    """
+    return _nystrom_det(lambda xs: airy(np.add.outer(xs, xs) + s)[0], 0.0, m, span)
 
 
 def shooting_q0(s_start: float = 14.0, rtol: float = 1e-13) -> float:
@@ -90,6 +113,8 @@ def shooting_q0(s_start: float = 14.0, rtol: float = 1e-13) -> float:
     lam = 0.5 * (lo + hi)
     sol = solve_ivp(rhs, (s_start, 0.0), [lam * ai0, lam * aip0],
                     method="DOP853", rtol=rtol, atol=1e-280)
+    if not sol.success:
+        raise ConvergenceError(f"final shooting solve failed: {sol.message}")
     return float(sol.y[0, -1])
 
 
@@ -263,12 +288,12 @@ def lue_log_integral(N: int) -> float:
 def gue_log_integral(n: int) -> float:
     """Closed form log Z for the GUE integral with weight exp(-x^2).
 
-    n! times the product of monic Hermite norms sqrt(pi) k! 2^{-k}.
+    n! times the product of monic Hermite norms sqrt(pi) k! 2^{-k};
+    ``dgop.gue_free_energy`` is -log Z / n^2.
     """
-    lg = math.lgamma(n + 1)
-    for k in range(n):
-        lg += 0.5 * math.log(math.pi) + math.lgamma(k + 1) - k * math.log(2.0)
-    return lg
+    return math.lgamma(n + 1) + sum(
+        0.5 * math.log(math.pi) + math.lgamma(k + 1) - k * math.log(2.0)
+        for k in range(n))
 
 
 def stirling_series(n: int) -> float:

@@ -92,9 +92,6 @@ class PainleveGrid:
         if np.any(np.asarray(s) < self.s_min) or np.any(np.asarray(s) > self.s_max):
             raise CoverageError(f"s={s} outside grid [{self.s_min}, {self.s_max}]")
 
-    def covers(self, s: float) -> bool:
-        return self.s_min <= s <= self.s_max
-
 
 def solve_hastings_mcleod(s_min: float = DEFAULT_S_MIN,
                           s_max: float = DEFAULT_S_MAX,

@@ -64,14 +64,23 @@ class PsiSolution:
 
     def phi_prime_at(self, zeta: float) -> tuple[float, float]:
         """Derivatives straight from the ODE right-hand side."""
-        p1, p2 = self.phi_at(zeta)
-        beta = 4.0 * zeta * zeta + self.s + 2.0 * self.q_s**2
-        d1 = 4.0 * zeta * self.q_s * p1 + (beta + 2.0 * self.qp_s) * p2
-        d2 = -(beta - 2.0 * self.qp_s) * p1 - 4.0 * zeta * self.q_s * p2
-        return d1, d2
+        return _zeta_rhs(self.s, self.q_s, self.qp_s)(zeta, self.phi_at(zeta))
 
     def edge_amplitude(self) -> float:
         return math.hypot(self.phi1[-1], self.phi2[-1])
+
+
+def _theta(zeta, s):
+    return 4.0 * zeta**3 / 3.0 + s * zeta
+
+
+def _solve(rhs, t_span, y0, **options):
+    """DOP853 solve; on failure ``solve_ivp`` returns the partial trajectory,
+    whose last point belongs to the wrong endpoint, so raise instead."""
+    sol = solve_ivp(rhs, t_span, y0, method="DOP853", **options)
+    if not sol.success:
+        raise ConvergenceError(f"integration over {t_span} failed: {sol.message}")
+    return sol
 
 
 def _zeta_rhs(s: float, q: float, r: float):
@@ -117,18 +126,14 @@ def integrate_psi(s: float, zeta_max: float = DEFAULT_ZETA_MAX,
     else:
         if painleve is None:
             raise ValueError("need a PainleveGrid unless coeffs are injected")
-        if not painleve.covers(s):
-            raise CoverageError(f"painleve grid does not cover s={s}")
         q = painleve.q_at(s)
         r = painleve.q_prime_at(s)
         R_s = painleve.R_at(s)
 
     rhs = _zeta_rhs(s, q, r)
     half = np.linspace(0.0, zeta_max, mesh)
-    sol = solve_ivp(rhs, (0.0, zeta_max), [1.0, 0.0], method="DOP853",
-                    rtol=rtol, atol=rtol, t_eval=half)
-    if not sol.success:
-        raise ConvergenceError(f"zeta integration failed: {sol.message}")
+    sol = _solve(rhs, (0.0, zeta_max), [1.0, 0.0], rtol=rtol, atol=rtol,
+                 t_eval=half)
     if normalization == "edge":
         amp = math.hypot(sol.y[0, -1], sol.y[1, -1])
     elif normalization == "mean":
@@ -145,10 +150,9 @@ def integrate_psi(s: float, zeta_max: float = DEFAULT_ZETA_MAX,
                       zeta_max=zeta_max, q_s=q, qp_s=r, R_s=R_s)
 
     if validate:
-        theta = 4.0 * zeta_max**3 / 3.0 + s * zeta_max
-        sweep = solve_ivp(rhs, (zeta_max, 0.0),
-                          [math.cos(theta), -math.sin(theta)],
-                          method="DOP853", rtol=rtol, atol=rtol)
+        theta = _theta(zeta_max, s)
+        sweep = _solve(rhs, (zeta_max, 0.0), [math.cos(theta), -math.sin(theta)],
+                       rtol=rtol, atol=rtol)
         defect = math.hypot(sweep.y[0, -1] - p1[0], sweep.y[1, -1] - p2[0])
         out.match_defect = defect
         if match_tol is not None and defect > match_tol:
@@ -168,7 +172,7 @@ def _asymptotic_mean_square(zeta, y1, y2, s):
     sel = zeta >= 0.5 * zeta[-1]
     z = zeta[sel]
     p = y1[sel] ** 2 + y2[sel] ** 2
-    two_theta = 2.0 * (4.0 * z**3 / 3.0 + s * z)
+    two_theta = 2.0 * _theta(z, s)
     design = np.column_stack([np.ones_like(z),
                               np.sin(two_theta) / z,
                               np.cos(two_theta) / z])
@@ -202,12 +206,13 @@ def kernel_integral_form(u: float, v: float, s: float,
 
     The psi pair is rebuilt on a coarse xi-grid (composite Simpson); the
     integrand decays like exp(-(2 sqrt2 / 3)|xi|^{3/2}) so the default
-    lower cutoff max(painleve.s_min, -8) truncates below 1e-8.
+    lower cutoff max(painleve.s_min, -8) truncates below 1e-8.  Simpson's
+    rule needs an odd ``n_xi`` >= 3; anything else raises ValueError.
     """
+    if n_xi < 3 or n_xi % 2 == 0:
+        raise ValueError(f"n_xi must be odd and >= 3, got {n_xi}")
     if xi_min is None:
         xi_min = max(painleve.s_min, -8.0)
-    if n_xi % 2 == 0:
-        n_xi += 1
     xis = np.linspace(xi_min, s, n_xi)
     vals = np.empty(n_xi)
     # outer-half sampling must resolve the 2 theta oscillation for the
@@ -242,7 +247,7 @@ def compatibility_defect(s_center: float, delta: float,
     qc = painleve.q_at(s_center)
 
     def edge_data(s_target):
-        theta = 4.0 * zeta_max**3 / 3.0 + s_center * zeta_max
+        theta = _theta(zeta_max, s_center)
         v0 = [math.cos(theta), -math.sin(theta)]
         if s_target == s_center:
             return v0
@@ -251,28 +256,26 @@ def compatibility_defect(s_center: float, delta: float,
             q = painleve.q_at(s)
             return (q * y[0] + zeta_max * y[1], -zeta_max * y[0] - q * y[1])
 
-        sol = solve_ivp(rhs, (s_center, s_target), v0, method="DOP853",
-                        rtol=1e-13, atol=1e-13)
+        sol = _solve(rhs, (s_center, s_target), v0, rtol=1e-13, atol=1e-13)
         return [sol.y[0, -1], sol.y[1, -1]]
+
+    # the inward sweep needs distinct output points in decreasing order
+    spots = sorted(set(zeta_spots), reverse=True)
 
     def sweep(s_val, data):
         rhs = _zeta_rhs(s_val, painleve.q_at(s_val), painleve.q_prime_at(s_val))
-        t_eval = np.sort(np.unique(np.concatenate([zeta_spots, [0.0, zeta_max]])))[::-1]
-        sol = solve_ivp(rhs, (zeta_max, 0.0), data, method="DOP853",
-                        rtol=rtol, atol=rtol, t_eval=t_eval)
-        return {round(float(z), 12): (y1, y2)
-                for z, y1, y2 in zip(sol.t, sol.y[0], sol.y[1])}
+        return _solve(rhs, (zeta_max, 0.0), data, rtol=rtol, atol=rtol,
+                      t_eval=spots).y
 
     up = sweep(s_center + delta, edge_data(s_center + delta))
     dn = sweep(s_center - delta, edge_data(s_center - delta))
     mid = sweep(s_center, edge_data(s_center))
     worst = 0.0
-    for z in zeta_spots:
-        key = round(float(z), 12)
-        fd1 = (up[key][0] - dn[key][0]) / (2.0 * delta)
-        fd2 = (up[key][1] - dn[key][1]) / (2.0 * delta)
-        rhs1 = qc * mid[key][0] + z * mid[key][1]
-        rhs2 = -z * mid[key][0] - qc * mid[key][1]
+    for i, z in enumerate(spots):
+        fd1 = (up[0, i] - dn[0, i]) / (2.0 * delta)
+        fd2 = (up[1, i] - dn[1, i]) / (2.0 * delta)
+        rhs1 = qc * mid[0, i] + z * mid[1, i]
+        rhs2 = -z * mid[0, i] - qc * mid[1, i]
         worst = max(worst, abs(fd1 - rhs1), abs(fd2 - rhs2))
     return worst
 

@@ -163,6 +163,12 @@ class TestNormAsymptotics:
         direct, _ = wm.ratio_asymptotics(n, 0.0, a, grid)
         assert abs(composed / direct - 1.0) < 5.0 / n
 
+    def test_outside_painleve_grid_raises(self, grid):
+        # a = 2 puts s(a; 672) near -69.2, below the grid; the grid's own
+        # check raises on the first q/R read
+        with pytest.raises(CoverageError):
+            wm.asymptotic_h(672, 0.0, 2.0, grid)
+
 
 class TestSubcritical:
     def test_norm_lines_at_tenth_scale(self):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import watermelon as wm
 from watermelon import oracles
 
 
@@ -20,6 +21,12 @@ def test_fredholm_monotone():
     vals = [oracles.fredholm_f2(float(x)) for x in xs]
     assert np.all(np.diff(vals) > 0.0)
     assert all(0.0 < v < 1.0 + 1e-12 for v in vals)
+
+
+def test_fredholm_f1_matches_painleve_f1(grid):
+    for s in np.arange(-5.0, 3.0001, 0.25):
+        assert abs(oracles.fredholm_f1(float(s))
+                   - wm.tracy_widom(float(s), "F1", grid)) <= 1e-10
 
 
 def test_shooting_is_stable_in_start_point(shooting_value):

@@ -6,6 +6,7 @@ import pytest
 
 import watermelon as wm
 from watermelon.errors import ConvergenceError, CoverageError
+from watermelon import psikernel
 from watermelon.psikernel import kernel_integral_form, psi_table
 
 
@@ -123,3 +124,32 @@ def test_psi_table_rows(grid):
     assert text.startswith("# psi v1 s=1 zeta_max=8")
     assert table.columns == ("zeta", "phi1", "phi2")
     assert len(table.rows) == len(psis.zeta_values)
+
+
+def test_failed_ode_solve_raises(grid, monkeypatch):
+    # every solve after the first reports failure with a partial trajectory,
+    # whose last point would otherwise be read as the endpoint value
+    real = psikernel.solve_ivp
+
+    def failing(*args, **kwargs):
+        failing.calls += 1
+        sol = real(*args, **kwargs)
+        if failing.calls > 1:
+            sol.success = False
+            sol.message = "injected failure"
+        return sol
+
+    for run in (lambda: wm.integrate_psi(1.0, zeta_max=8.0, mesh=2001,
+                                         painleve=grid, validate=True),
+                lambda: wm.compatibility_defect(1.0, 0.02, grid)):
+        failing.calls = 0
+        monkeypatch.setattr(psikernel, "solve_ivp", failing)
+        with pytest.raises(ConvergenceError):
+            run()
+        monkeypatch.undo()
+
+
+def test_kernel_integral_form_rejects_bad_n_xi(grid):
+    for n_xi in (1, 2, 48):
+        with pytest.raises(ValueError):
+            kernel_integral_form(0.4, 0.4, 1.0, grid, n_xi=n_xi)
