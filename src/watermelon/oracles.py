@@ -57,14 +57,14 @@ def fredholm_f2(x: float, m: int = 201, span: float = 24.0) -> float:
     return _nystrom_det(airy_kernel, x, m, span)
 
 
-def fredholm_f1(s: float, m: int = 120, span: float = 24.0) -> float:
+def fredholm_f1(s: float) -> float:
     """GOE edge CDF F1(s) = det(I - B_s) on L^2(0, infinity).
 
     B_s(x, y) = Ai(x + y + s) is the Ferrari-Spohn kernel; truncated to
-    [0, span] and discretized like :func:`fredholm_f2`, so it is independent
-    of the Painleve II solver.
+    [0, 24] and discretized on 120 nodes like :func:`fredholm_f2`, so it is
+    independent of the Painleve II solver.
     """
-    return _nystrom_det(lambda xs: airy(np.add.outer(xs, xs) + s)[0], 0.0, m, span)
+    return _nystrom_det(lambda xs: airy(np.add.outer(xs, xs) + s)[0], 0.0, 120, 24.0)
 
 
 def shooting_q0(s_start: float = 14.0, rtol: float = 1e-13) -> float:

@@ -89,7 +89,8 @@ class PainleveGrid:
         return float(self.spline("R")(s))
 
     def _check(self, s) -> None:
-        if np.any(np.asarray(s) < self.s_min) or np.any(np.asarray(s) > self.s_max):
+        s_arr = np.asarray(s)
+        if not np.all((s_arr >= self.s_min) & (s_arr <= self.s_max)):  # NaN fails too
             raise CoverageError(f"s={s} outside grid [{self.s_min}, {self.s_max}]")
 
 

@@ -98,6 +98,8 @@ def test_coverage_and_precondition_errors(grid):
         wm.integrate_psi(1.0, mesh=100, painleve=grid)
     with pytest.raises(CoverageError):
         wm.integrate_psi(grid.s_max + 1.0, painleve=grid)
+    with pytest.raises(CoverageError):
+        wm.integrate_psi(float("nan"), painleve=grid)
     with pytest.raises(ValueError):
         wm.integrate_psi(1.0)
 
