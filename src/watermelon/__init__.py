@@ -6,11 +6,10 @@ saturation kernel, and harnesses comparing every closed-form asymptotic
 expansion against exact computations.
 """
 
-from .asym import (AsymptoticTerms, EquilibriumData, asymptotic_A, asymptotic_h,
-                   build_equilibrium, build_terms, exact_h_ratios,
-                   free_energy_comparison, free_energy_residual, kernel_table_distance,
-                   kernel_limit_table, ratio_asymptotics, s_of_a,
-                   subcritical_h)
+from .asym import (EquilibriumData, asymptotic_A, asymptotic_h,
+                   build_equilibrium, exact_h_ratios, free_energy_comparison,
+                   kernel_table_distance, kernel_limit_table,
+                   ratio_asymptotics, s_of_a, subcritical_h)
 from .dgop import (GaussianWeight, LatticeSpec, OrthoSystem, build_lattice,
                    build_system, cd_kernel, cd_kernel_matrix, correlation_det,
                    gue_free_energy, partition_and_free_energy, rescale_check,

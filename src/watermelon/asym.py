@@ -77,24 +77,6 @@ def s_of_a(a: float, n: int) -> float:
     return (3.0 * n * bracket) ** (2.0 / 3.0)
 
 
-@dataclass(frozen=True)
-class AsymptoticTerms:
-    """Ingredients of the normalizing-constant expansion at one (n, alpha, a)."""
-
-    n: int
-    alpha: float
-    a: float
-    s: float
-    s_plus: float
-    s_minus: float
-    xi_plus: float
-    xi_minus: float
-    z1: complex
-    T: float
-    U: float
-    theta: float
-
-
 def t_coeff(n: int, alpha: float, s: float, grid: PainleveGrid) -> float:
     """T_n(s) = R(s) - (-1)^n cos(2 pi alpha) q(s)."""
     return grid.R_at(s) - (-1) ** n * math.cos(2 * math.pi * alpha) * grid.q_at(s)
@@ -114,22 +96,6 @@ def t_prime(n: int, alpha: float, s: float, grid: PainleveGrid) -> float:
     """T_n'(s) = -q^2 - (-1)^n cos(2 pi alpha) q', analytic (no differencing)."""
     return -grid.q_at(s) ** 2 \
         - (-1) ** n * math.cos(2 * math.pi * alpha) * grid.q_prime_at(s)
-
-
-def build_terms(n: int, alpha: float, a: float, grid: PainleveGrid) -> AsymptoticTerms:
-    s = s_of_a(a, n)
-    xi_p = 1.0 + 1.0 / n
-    xi_m = 1.0 - 1.0 / n
-    if a >= 1.0:
-        z1 = complex(2.0 / (math.pi * a) * math.sqrt(a - 1.0), 0.0)
-    else:
-        z1 = complex(0.0, 2.0 / (math.pi * a) * math.sqrt(1.0 - a))
-    return AsymptoticTerms(
-        n=n, alpha=alpha, a=a, s=s,
-        s_plus=s_of_a(a * xi_p, n + 1), s_minus=s_of_a(a * xi_m, n - 1),
-        xi_plus=xi_p, xi_minus=xi_m, z1=z1,
-        T=t_coeff(n, alpha, s, grid), U=u_coeff(n, alpha, s, grid),
-        theta=-n * math.pi / 2.0 - math.pi * alpha)
 
 
 def _leading_log_h(n: int, a: float) -> tuple[float, float]:
@@ -239,12 +205,6 @@ def free_energy_comparison(n: int, L: float, grid: PainleveGrid,
                   - math.log(f2_val) / n**2)
     return {"exact": exact, "asymptotic": asymptotic,
             "residual": abs(exact - asymptotic)}
-
-
-def free_energy_residual(n: int, L: float, grid: PainleveGrid,
-                         alpha: float = 0.0) -> float:
-    """Residual of the free-energy comparison (see free_energy_comparison)."""
-    return free_energy_comparison(n, L, grid, alpha)["residual"]
 
 
 def kernel_limit_table(n: int, L: float, u_grid, v_grid,

@@ -27,7 +27,7 @@ EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
 CONFIG_KEYS = ("output", "format")
-COMMANDS = ("tw", "height", "converge", "dgop", "kernel", "free-energy", "validate")
+MAX_GRID_POINTS = 100_000
 
 
 class UsageError(Exception):
@@ -41,8 +41,6 @@ class RunConfig:
     format: str = "csv"
 
     def validate(self):
-        if self.command not in COMMANDS:
-            raise UsageError(f"unknown command {self.command!r}")
         if self.format not in ("csv", "json"):
             raise UsageError("format must be csv or json")
 
@@ -78,8 +76,11 @@ def _grid_spec(text: str) -> np.ndarray:
         lo, hi, step = (float(tok) for tok in text.split(":"))
     except ValueError as exc:
         raise UsageError(f"bad grid spec {text!r}; want MIN:MAX:STEP") from exc
-    if step <= 0 or hi < lo:
+    if not (step > 0 and hi >= lo):  # NaN fails too
         raise UsageError(f"bad grid spec {text!r}")
+    if not (hi + 0.5 * step - lo) / step <= MAX_GRID_POINTS:
+        raise UsageError(f"grid spec {text!r} has more than "
+                         f"{MAX_GRID_POINTS} points")
     return np.arange(lo, hi + 0.5 * step, step)
 
 
@@ -144,17 +145,16 @@ def build_parser() -> _Parser:
 
 
 _GLOBAL_FLAGS = ("--config", "--output", "--format")
-_VALUE_FLAGS = ("--k-grid", "--M-grid", "--N-list", "--n-list", "--L-list",
-                "--grid", "--xmin", "--xmax", "--L", "--alpha", "--a")
 
 
 def _join_negative_values(argv):
-    """Fold values like -6:4:0.1 onto their flag so argparse keeps them."""
+    """Fold a value like -6:4:0.1 onto the --option before it, so argparse
+    does not read the value as an option."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if (tok in _VALUE_FLAGS and i + 1 < len(argv)
+        if (tok.startswith("--") and i + 1 < len(argv)
                 and argv[i + 1].startswith("-") and len(argv[i + 1]) > 1
                 and (argv[i + 1][1].isdigit() or argv[i + 1][1] == ".")):
             out.append(f"{tok}={argv[i + 1]}")
@@ -208,8 +208,8 @@ def _emit(config: RunConfig, table: Table) -> None:
 
 
 def _cmd_tw(config, ns):
-    grid = build_grid()
     xs = _grid_spec(f"{ns.xmin}:{ns.xmax}:{ns.step}")
+    grid = build_grid()
     which = "F1" if ns.which == "f1" else "F2"
     rows = [(float(x), tracy_widom(float(x), which, grid)) for x in xs]
     _emit(config, Table(name="tracy-widom", columns=("x", which),

@@ -10,7 +10,7 @@ Both are evaluated through the mesh-1 engine (n = 1, weight parameter
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .oracles import (gue_log_integral, lue_log_integral,
 from .painleve import PainleveGrid, tracy_widom
 
 WALLS = ("absorbing", "reflecting")
+X_CUT = 8.0  # lattice cutoff of the Riemann sums (weight exp(-64) there)
 
 
 def _parity(wall: str) -> int:
@@ -35,17 +36,17 @@ def _parity(wall: str) -> int:
 class HeightDistribution:
     """Tabulated CDF samples for one wall type.
 
-    ``k_values`` is filled when the table was produced on the rescaled grid
-    k = 2^{11/6} N^{1/6} (M - sqrt(2N)); ``clamped`` flags entries whose
-    log-probability crossed 0 by roundoff before clamping.
+    ``k_values`` is the rescaled grid k = 2^{11/6} N^{1/6} (M - sqrt(2N));
+    ``clamped`` flags entries whose log-probability crossed 0 by roundoff
+    before clamping.
     """
 
     N: int
     wall: str
     M_values: np.ndarray
     cdf: np.ndarray
-    k_values: np.ndarray | None = None
-    clamped: np.ndarray = field(default=None)
+    k_values: np.ndarray
+    clamped: np.ndarray
 
 
 def _log_prefactor(N: int, M: float, p: int) -> float:
@@ -117,8 +118,8 @@ def convergence_study(N_list, k_grid, wall: str, grid: PainleveGrid):
     return out
 
 
-def small_a_check(N: int, a_list, wall: str = "absorbing"):
-    """Ratio (1 - P) / (a^2 / N^2) along a list of small a, M = sqrt(2N/a).
+def small_a_check(N: int, a_list):
+    """Absorbing-wall ratio (1 - P) / (a^2 / N^2) for small a, M = sqrt(2N/a).
 
     When |1 - P| underflows below 1e-15 the entry is flagged as
     indistinguishable from the limit instead of reporting a roundoff-noise
@@ -129,7 +130,7 @@ def small_a_check(N: int, a_list, wall: str = "absorbing"):
     records = []
     for a in a_list:
         M = math.sqrt(2.0 * N / a)
-        log_p = log_height_cdf(N, M, wall)
+        log_p = log_height_cdf(N, M, "absorbing")
         one_minus = -math.expm1(min(log_p, 0.0))
         distinguishable = abs(one_minus) >= 1e-15
         ratio = one_minus / (a * a / N**2) if distinguishable else math.nan
@@ -166,18 +167,18 @@ def deformation_identity_check(N: int, a: float, delta_a: float, wall: str):
     return lhs, rhs, abs(lhs - rhs)
 
 
-def _gue_lattice(eps: float, x_cut: float) -> np.ndarray:
-    half = int(math.ceil(x_cut / eps))
+def _gue_lattice(eps: float) -> np.ndarray:
+    half = int(math.ceil(X_CUT / eps))
     return np.arange(-half, half + 1, dtype=float) * eps
 
 
-def _riemann_sum(N: int, eps: float, ensemble: str, x_cut: float = 8.0) -> float:
-    """eps^N times the Vandermonde sum on the mesh-eps lattice cut at x_cut."""
+def _riemann_sum(N: int, eps: float, ensemble: str) -> float:
+    """eps^N times the Vandermonde sum on the mesh-eps lattice cut at X_CUT."""
     if ensemble == "LUE":
-        x = np.arange(0.0, x_cut, eps)
+        x = np.arange(0.0, X_CUT, eps)
         y, g = x * x, x * x * np.exp(-x * x)
     else:
-        x = _gue_lattice(eps, x_cut)
+        x = _gue_lattice(eps)
         y, g = x, np.exp(-x * x)
     return vandermonde_lattice_sum(y, g, N) * eps**N
 
@@ -215,13 +216,13 @@ def riemann_sum_order(N: int, eps_list, ensemble: str) -> float:
     return slope
 
 
-def gue_shift_sum(N: int, eps: float, x_cut: float = 8.0) -> float:
+def gue_shift_sum(N: int, eps: float) -> float:
     """eps^N sum of A_1 = -2 (sum x_j) f for the GUE integrand.
 
     Telescopes to zero on the symmetric lattice; kept as the sanity check
     that the first Euler-Maclaurin correction really cancels.
     """
-    x = _gue_lattice(eps, x_cut)
+    x = _gue_lattice(eps)
     w = np.exp(-x * x)
     if N == 1:
         return float(np.sum(-2.0 * x * w)) * eps

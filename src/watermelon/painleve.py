@@ -33,6 +33,7 @@ DEFAULT_S_MIN = -12.0
 DEFAULT_S_MAX = 12.0
 DEFAULT_MESH = 4096
 DEFAULT_TOL = 1e-10
+MAX_NEWTON_ITER = 60
 
 
 def airy_ai(s: float) -> tuple[float, float]:
@@ -97,8 +98,7 @@ class PainleveGrid:
 def solve_hastings_mcleod(s_min: float = DEFAULT_S_MIN,
                           s_max: float = DEFAULT_S_MAX,
                           mesh: int = DEFAULT_MESH,
-                          tol: float = DEFAULT_TOL,
-                          max_iter: int = 60) -> PainleveGrid:
+                          tol: float = DEFAULT_TOL) -> PainleveGrid:
     """Solve the Painleve II boundary value problem on [s_min, s_max].
 
     Initial guess is the patched asymptote (Ai on the right, sqrt(-s/2) on
@@ -136,7 +136,7 @@ def solve_hastings_mcleod(s_min: float = DEFAULT_S_MIN,
     # residual stalls at the roundoff floor eps/h^2 long before the
     # exponentially small right tail (q ~ 1e-8 at s = 8) has converged in
     # relative terms, so a residual test alone stops too early.
-    for _ in range(max_iter):
+    for _ in range(MAX_NEWTON_ITER):
         res = defect(q)
         jac = s + 6.0 * q**2
         ab = np.zeros((3, mesh - 1))
@@ -212,10 +212,10 @@ def accumulate_tails(grid: PainleveGrid) -> PainleveGrid:
     return grid
 
 
-def build_grid(s_min: float = DEFAULT_S_MIN, s_max: float = DEFAULT_S_MAX,
-               mesh: int = DEFAULT_MESH, tol: float = DEFAULT_TOL) -> PainleveGrid:
-    """Solve + accumulate: the grid every Tracy-Widom evaluation reads."""
-    return accumulate_tails(solve_hastings_mcleod(s_min, s_max, mesh, tol))
+def build_grid() -> PainleveGrid:
+    """Solve + accumulate at the default settings: the grid every
+    Tracy-Widom evaluation reads."""
+    return accumulate_tails(solve_hastings_mcleod())
 
 
 def tracy_widom(x: float, which: str, grid: PainleveGrid) -> float:
@@ -230,7 +230,7 @@ def tracy_widom(x: float, which: str, grid: PainleveGrid) -> float:
     key = which.lower()
     if key not in ("f1", "f2"):
         raise ValueError("which must be 'F1' or 'F2'")
-    if x < grid.s_min:
+    if not x >= grid.s_min:  # NaN fails too
         raise CoverageError(f"x={x} below tabulated s_min={grid.s_min}")
     xe = min(x, grid.s_max)
     val = float(grid.spline(key)(xe))

@@ -48,7 +48,6 @@ class PsiSolution:
     zeta_max: float
     q_s: float
     qp_s: float
-    R_s: float
     match_defect: float | None = None
     _splines: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -58,7 +57,7 @@ class PsiSolution:
         return self._splines[name]
 
     def phi_at(self, zeta: float) -> tuple[float, float]:
-        if abs(zeta) > self.zeta_max:
+        if not abs(zeta) <= self.zeta_max:  # NaN fails too
             raise CoverageError(f"zeta={zeta} outside [{-self.zeta_max}, {self.zeta_max}]")
         return float(self._spline("phi1")(zeta)), float(self._spline("phi2")(zeta))
 
@@ -116,19 +115,17 @@ def integrate_psi(s: float, zeta_max: float = DEFAULT_ZETA_MAX,
     normalizes the asymptotic mean c0 to 1, removing the bias at first
     order (used by the integral-form cross-check).
     """
-    if zeta_max < 8.0:
+    if not zeta_max >= 8.0:  # NaN fails too
         raise ValueError("zeta_max must be >= 8")
     if mesh < 40 * zeta_max:
         raise ValueError("mesh too coarse for the requested zeta_max")
     if coeffs is not None:
         q, r = coeffs
-        R_s = math.nan
     else:
         if painleve is None:
             raise ValueError("need a PainleveGrid unless coeffs are injected")
         q = painleve.q_at(s)
         r = painleve.q_prime_at(s)
-        R_s = painleve.R_at(s)
 
     rhs = _zeta_rhs(s, q, r)
     half = np.linspace(0.0, zeta_max, mesh)
@@ -147,7 +144,7 @@ def integrate_psi(s: float, zeta_max: float = DEFAULT_ZETA_MAX,
     phi1 = np.concatenate([p1[:0:-1], p1])
     phi2 = np.concatenate([-p2[:0:-1], p2])
     out = PsiSolution(s=s, zeta_values=zeta, phi1=phi1, phi2=phi2,
-                      zeta_max=zeta_max, q_s=q, qp_s=r, R_s=R_s)
+                      zeta_max=zeta_max, q_s=q, qp_s=r)
 
     if validate:
         theta = _theta(zeta_max, s)
@@ -198,29 +195,25 @@ def critical_kernel(u: float, v: float, psis: PsiSolution) -> float:
 
 def kernel_integral_form(u: float, v: float, s: float,
                          painleve: PainleveGrid,
-                         xi_min: float | None = None,
                          n_xi: int = 49,
-                         zeta_max: float = 8.0,
-                         rtol: float = 1e-10) -> float:
+                         zeta_max: float = 8.0) -> float:
     """Second kernel expression: (1/pi) int_{-inf}^s (F1F1 + F2F2) d xi.
 
     The psi pair is rebuilt on a coarse xi-grid (composite Simpson); the
-    integrand decays like exp(-(2 sqrt2 / 3)|xi|^{3/2}) so the default
-    lower cutoff max(painleve.s_min, -8) truncates below 1e-8.  Simpson's
+    integrand decays like exp(-(2 sqrt2 / 3)|xi|^{3/2}) so the lower cutoff
+    max(painleve.s_min, -8) truncates below 1e-8.  Simpson's
     rule needs an odd ``n_xi`` >= 3; anything else raises ValueError.
     """
     if n_xi < 3 or n_xi % 2 == 0:
         raise ValueError(f"n_xi must be odd and >= 3, got {n_xi}")
-    if xi_min is None:
-        xi_min = max(painleve.s_min, -8.0)
-    xis = np.linspace(xi_min, s, n_xi)
+    xis = np.linspace(max(painleve.s_min, -8.0), s, n_xi)
     vals = np.empty(n_xi)
     # outer-half sampling must resolve the 2 theta oscillation for the
     # mean normalization: keep the output spacing at 0.002
     mesh = int(500 * zeta_max) + 1
     for i, xi in enumerate(xis):
         psis = integrate_psi(xi, zeta_max=zeta_max, mesh=mesh,
-                             painleve=painleve, rtol=rtol,
+                             painleve=painleve, rtol=1e-10,
                              normalization="mean")
         u1, u2 = psis.phi_at(u)
         v1, v2 = psis.phi_at(v)
@@ -232,18 +225,17 @@ def kernel_integral_form(u: float, v: float, s: float,
 
 
 def compatibility_defect(s_center: float, delta: float,
-                         painleve: PainleveGrid,
-                         zeta_spots=(0.3, 0.9, 1.7),
-                         zeta_max: float = DEFAULT_ZETA_MAX,
-                         rtol: float = 1e-12) -> float:
+                         painleve: PainleveGrid) -> float:
     """Cross-derivative check of the two Lax equations.
 
-    Builds a family whose edge data at zeta_max is evolved along the
-    s-equation (so the family is exactly compatible when q solves Painleve
-    II), finite-differences d/ds Phi across s_center +- delta, and returns
-    the max defect against the s-equation right side (q F1 + z F2,
-    -z F1 - q F2).  The defect is pure O(delta^2) differencing bias.
+    Builds a family whose edge data at zeta_max = DEFAULT_ZETA_MAX is
+    evolved along the s-equation (so the family is exactly compatible when
+    q solves Painleve II), finite-differences d/ds Phi across s_center +-
+    delta, and returns the max defect against the s-equation right side
+    (q F1 + z F2, -z F1 - q F2) at zeta = 1.7, 0.9, 0.3.  The defect is
+    pure O(delta^2) differencing bias.
     """
+    zeta_max = DEFAULT_ZETA_MAX
     qc = painleve.q_at(s_center)
 
     def edge_data(s_target):
@@ -260,11 +252,11 @@ def compatibility_defect(s_center: float, delta: float,
         return [sol.y[0, -1], sol.y[1, -1]]
 
     # the inward sweep needs distinct output points in decreasing order
-    spots = sorted(set(zeta_spots), reverse=True)
+    spots = (1.7, 0.9, 0.3)
 
     def sweep(s_val, data):
         rhs = _zeta_rhs(s_val, painleve.q_at(s_val), painleve.q_prime_at(s_val))
-        return _solve(rhs, (zeta_max, 0.0), data, rtol=rtol, atol=rtol,
+        return _solve(rhs, (zeta_max, 0.0), data, rtol=1e-12, atol=1e-12,
                       t_eval=spots).y
 
     up = sweep(s_center + delta, edge_data(s_center + delta))
@@ -278,13 +270,3 @@ def compatibility_defect(s_center: float, delta: float,
         rhs2 = -z * mid[0, i] - qc * mid[1, i]
         worst = max(worst, abs(fd1 - rhs1), abs(fd2 - rhs2))
     return worst
-
-
-def psi_table(psis: PsiSolution):
-    """Optional CSV dump ``zeta,phi1,phi2`` with an ``# psi v1 ...`` header."""
-    from .tableio import Table
-
-    rows = [(float(z), float(p1), float(p2)) for z, p1, p2
-            in zip(psis.zeta_values, psis.phi1, psis.phi2)]
-    return Table(name="psi", params={"s": psis.s, "zeta_max": psis.zeta_max},
-                 columns=("zeta", "phi1", "phi2"), rows=rows)

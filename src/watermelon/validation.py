@@ -191,8 +191,8 @@ def _c11_free_energy(ctx):
     ok = True
     parts = []
     for L in (-1.0, 0.0, 1.0):
-        r32 = asym.free_energy_residual(32, L, ctx.grid)
-        r64 = asym.free_energy_residual(64, L, ctx.grid)
+        r32 = asym.free_energy_comparison(32, L, ctx.grid)["residual"]
+        r64 = asym.free_energy_comparison(64, L, ctx.grid)["residual"]
         if not (r64 < r32 and max(r32, r64) <= 1e-2):
             ok = False
         parts.append(f"L={L:+.0f}: {r32:.1e}->{r64:.1e}")

@@ -105,14 +105,6 @@ class TestExpansionCoefficients:
             assert math.isclose(t_prime(n, 0.0, 0.0, grid), want, rel_tol=1e-14)
             assert math.isfinite(want)
 
-    def test_terms_bundle(self, grid):
-        terms = wm.build_terms(24, 0.25, 0.98, grid)
-        assert terms.s > 0.0 and terms.z1.imag > 0.0
-        assert terms.xi_plus == 1.0 + 1.0 / 24
-        assert abs(terms.theta + 24 * math.pi / 2 + math.pi * 0.25) < 1e-13
-        sup = wm.build_terms(24, 0.25, 1.02, grid)
-        assert sup.s < 0.0 and sup.z1.real > 0.0 and sup.z1.imag == 0.0
-
 
 class TestNormAsymptotics:
     def test_h_nn_error_halves(self, grid):
@@ -202,12 +194,12 @@ class TestSubcritical:
 
 class TestFreeEnergyTheorem:
     def test_critical_point_residual_small(self, grid):
-        assert wm.free_energy_residual(32, 0.0, grid) < 1e-2
+        assert wm.free_energy_comparison(32, 0.0, grid)["residual"] < 1e-2
 
     @pytest.mark.parametrize("L", [-1.0, 1.0])
     def test_residual_decreases(self, grid, L):
-        r32 = wm.free_energy_residual(32, L, grid)
-        r64 = wm.free_energy_residual(64, L, grid)
+        r32 = wm.free_energy_comparison(32, L, grid)["residual"]
+        r64 = wm.free_energy_comparison(64, L, grid)["residual"]
         assert r64 < r32 < 1e-2
 
 

@@ -67,6 +67,8 @@ def test_usage_errors_exit_1(run_cli):
         ["height", "--N", "8", "--wall", "absorbing", "--k-grid", "-100:-99:1"],
         ["free-energy", "--n-list", "8", "--L-list", "9"],
         ["converge", "--N-list", "0", "--wall", "absorbing"],
+        ["tw", "--which", "f1", "--xmin", "-6", "--xmax", "4",
+         "--step", "1e-12"],                                                # 1e13 points
     ]
     for args in cases:
         proc = run_cli(args)
@@ -177,3 +179,11 @@ def test_parse_args_in_process():
     assert config.command == "tw" and config.format == "csv"
     with pytest.raises(cli.UsageError):
         cli.parse_args([])
+
+
+def test_grid_spec_point_limit():
+    cap = cli.MAX_GRID_POINTS
+    assert len(cli._grid_spec(f"0:{cap - 1}:1")) == cap
+    for spec in (f"0:{cap}:1", "0:inf:1", "nan:1:0.1", "0:1:nan"):
+        with pytest.raises(cli.UsageError):
+            cli._grid_spec(spec)

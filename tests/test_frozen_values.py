@@ -35,3 +35,19 @@ def test_folded_formulas_frozen_values(grid, psis_critical):
                          (-3.4545976030732306, 0.09798195684258079)):
         close(got, want, 1e-12)
     close(wm.compatibility_defect(1.0, 0.02, grid), 0.00032415543117791934, 1e-12)
+
+
+def test_constant_settings_frozen_values(grid):
+    """Values of the functions whose settings became module constants."""
+    from watermelon import heights
+
+    def close(got, want, rel):
+        assert math.isclose(got, want, rel_tol=rel), (got, want)
+
+    close(wm.kernel_integral_form(0.4, -0.3, 0.5, grid, n_xi=9),
+          0.27168326854681596, 1e-12)
+    close(wm.compatibility_defect(-1.5, 0.03, grid),
+          0.0003944516367437867, 1e-12)
+    close(wm.small_a_check(2, [0.5])[0]["one_minus_p"],
+          0.0009118359664525735, 1e-13)
+    close(heights._riemann_sum(2, 0.2, "LUE"), 0.5890486225480864, 1e-15)

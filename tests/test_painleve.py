@@ -152,6 +152,12 @@ def test_f2_against_fredholm_oracle(grid):
 def test_build_grid_writes_no_files(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("WATERMELON_CACHE", raising=False)
-    g = wm.build_grid(mesh=1024)
+    g = wm.build_grid()
     assert g.f2.size > 0
     assert list(tmp_path.iterdir()) == []
+
+
+def test_tracy_widom_rejects_nan(grid):
+    for which in ("F1", "F2"):
+        with pytest.raises(CoverageError):
+            wm.tracy_widom(float("nan"), which, grid)

@@ -7,7 +7,7 @@ import pytest
 import watermelon as wm
 from watermelon.errors import ConvergenceError, CoverageError
 from watermelon import psikernel
-from watermelon.psikernel import kernel_integral_form, psi_table
+from watermelon.psikernel import kernel_integral_form
 
 
 def theta(z, s):
@@ -117,17 +117,6 @@ def test_parallel_construction_matches_serial(grid):
         assert np.array_equal(a.phi2, b.phi2)
 
 
-def test_psi_table_rows(grid):
-    from watermelon.tableio import to_csv
-
-    psis = wm.integrate_psi(1.0, zeta_max=8.0, mesh=2001, painleve=grid)
-    table = psi_table(psis)
-    text = to_csv(table)
-    assert text.startswith("# psi v1 s=1 zeta_max=8")
-    assert table.columns == ("zeta", "phi1", "phi2")
-    assert len(table.rows) == len(psis.zeta_values)
-
-
 def test_failed_ode_solve_raises(grid, monkeypatch):
     # every solve after the first reports failure with a partial trajectory,
     # whose last point would otherwise be read as the endpoint value
@@ -155,3 +144,13 @@ def test_kernel_integral_form_rejects_bad_n_xi(grid):
     for n_xi in (1, 2, 48):
         with pytest.raises(ValueError):
             kernel_integral_form(0.4, 0.4, 1.0, grid, n_xi=n_xi)
+
+
+def test_nan_arguments_raise(grid, psis_critical):
+    nan = float("nan")
+    with pytest.raises(CoverageError):
+        psis_critical.phi_at(nan)
+    with pytest.raises(CoverageError):
+        wm.critical_kernel(nan, 0.3, psis_critical)
+    with pytest.raises(ValueError):
+        wm.integrate_psi(1.0, zeta_max=nan, painleve=grid)
