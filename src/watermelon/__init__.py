@@ -10,9 +10,9 @@ from .asym import (EquilibriumData, asymptotic_A, asymptotic_h,
                    build_equilibrium, exact_h_ratios, free_energy_comparison,
                    kernel_table_distance, kernel_limit_table,
                    ratio_asymptotics, s_of_a, subcritical_h)
-from .dgop import (GaussianWeight, LatticeSpec, OrthoSystem, build_lattice,
-                   build_system, cd_kernel, cd_kernel_matrix, correlation_det,
-                   gue_free_energy, partition_and_free_energy, rescale_check,
+from .dgop import (OrthoSystem, build_lattice, build_system, cd_kernel,
+                   cd_kernel_matrix, correlation_det, gue_free_energy,
+                   lattice_nodes, partition_and_free_energy, rescale_check,
                    stieltjes, toda_residual)
 from .errors import (ConvergenceError, CoverageError, OrderFitError,
                      PrecisionError, TailClosureError, WatermelonError,
@@ -25,5 +25,4 @@ from .painleve import (PainleveGrid, accumulate_tails, airy_ai, build_grid,
                        solve_hastings_mcleod, tracy_widom)
 from .psikernel import (PsiSolution, compatibility_defect, critical_kernel,
                         integrate_psi, kernel_integral_form)
-
-__version__ = "0.1.0"
+from .tableio import TOOL_VERSION as __version__

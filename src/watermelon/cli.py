@@ -1,18 +1,15 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 usage (also a ``ValueError`` from the library),
-2 numerical failure, 3 I/O.  Options are
-resolved as flags > config file (plain ``key = value`` lines, default
-./watermelon.conf) > built-in defaults.  All tables go through the
-deterministic emitter; the only varying header line is the wall clock.
+2 numerical failure, 3 I/O.  The global flags ``--output`` and ``--format``
+go before the command.  All tables go through the deterministic emitter;
+the only varying header line is the wall clock.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +23,6 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
-CONFIG_KEYS = ("output", "format")
 MAX_GRID_POINTS = 100_000
 
 
@@ -34,41 +30,9 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    output: str = "-"
-    format: str = "csv"
-
-    def validate(self):
-        if self.format not in ("csv", "json"):
-            raise UsageError("format must be csv or json")
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _read_config(path: str, required: bool) -> dict:
-    if not os.path.exists(path):
-        if required:
-            raise UsageError(f"config file {path} not found")
-        return {}
-    values = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = value.strip()
-    return values
 
 
 def _grid_spec(text: str) -> np.ndarray:
@@ -84,25 +48,20 @@ def _grid_spec(text: str) -> np.ndarray:
     return np.arange(lo, hi + 0.5 * step, step)
 
 
-def _float_list(text: str) -> list[float]:
+def _parse_list(text: str, kind) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok]
+        values = [kind(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
         raise UsageError(f"bad list {text!r}") from exc
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok]
-    except ValueError as exc:
-        raise UsageError(f"bad list {text!r}") from exc
+    if not values:
+        raise UsageError(f"empty list {text!r}")
+    return values
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="watermelon", description=__doc__)
-    parser.add_argument("--config", default=None, help="config file path")
-    parser.add_argument("--output", default=None, help="output path or - for stdout")
-    parser.add_argument("--format", default=None, choices=("csv", "json"))
+    parser.add_argument("--output", default="-", help="output path or - for stdout")
+    parser.add_argument("--format", default="csv", choices=("csv", "json"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tw", help="Tracy-Widom CDF table")
@@ -144,7 +103,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-_GLOBAL_FLAGS = ("--config", "--output", "--format")
+_GLOBAL_FLAGS = ("--output", "--format")
 
 
 def _join_negative_values(argv):
@@ -180,44 +139,28 @@ def _check_global_flags(argv):
         i += 1 if sep else 2
 
 
-def parse_args(argv) -> tuple[RunConfig, argparse.Namespace]:
+def parse_args(argv) -> argparse.Namespace:
     if not argv:
         raise UsageError("no command given")
     _check_global_flags(argv)
-    parser = build_parser()
-    ns = parser.parse_args(_join_negative_values(list(argv)))
-    cfg_path = ns.config if ns.config else "watermelon.conf"
-    file_values = _read_config(cfg_path, required=ns.config is not None)
-    merged = {"output": "-", "format": "csv"}
-    for key, value in file_values.items():
-        merged[key] = value
-    for key in CONFIG_KEYS:
-        flag = getattr(ns, key, None)
-        if flag is not None:
-            merged[key] = flag
-    config = RunConfig(command=ns.command, **merged)
-    config.validate()
-    return config, ns
+    return build_parser().parse_args(_join_negative_values(list(argv)))
 
 
-def _emit(config: RunConfig, table: Table) -> None:
-    if config.output == "-":
-        emit(table, config.format, sys.stdout)
-    else:
-        emit(table, config.format, config.output)
+def _emit(ns: argparse.Namespace, table: Table) -> None:
+    emit(table, ns.format, sys.stdout if ns.output == "-" else ns.output)
 
 
-def _cmd_tw(config, ns):
+def _cmd_tw(ns):
     xs = _grid_spec(f"{ns.xmin}:{ns.xmax}:{ns.step}")
     grid = build_grid()
     which = "F1" if ns.which == "f1" else "F2"
     rows = [(float(x), tracy_widom(float(x), which, grid)) for x in xs]
-    _emit(config, Table(name="tracy-widom", columns=("x", which),
-                        params={"which": which, "xmin": ns.xmin,
-                                "xmax": ns.xmax, "step": ns.step}, rows=rows))
+    _emit(ns, Table(name="tracy-widom", columns=("x", which),
+                    params={"which": which, "xmin": ns.xmin,
+                            "xmax": ns.xmax, "step": ns.step}, rows=rows))
 
 
-def _cmd_height(config, ns):
+def _cmd_height(ns):
     if (ns.m_grid is None) == (ns.k_grid is None):
         raise UsageError("give exactly one of --M-grid or --k-grid")
     params = {"N": ns.N, "wall": ns.wall}
@@ -235,71 +178,74 @@ def _cmd_height(config, ns):
             rows.append((float(k), cdf, f1, cdf - f1))
         table = Table(name="watermelon", params=params,
                       columns=("k", "cdf", "F1", "diff"), rows=rows)
-    _emit(config, table)
+    _emit(ns, table)
 
 
-def _cmd_converge(config, ns):
+def _cmd_converge(ns):
+    N_values = _parse_list(ns.n_list, int)
     grid = build_grid()
     walls = heights.WALLS if ns.wall == "both" else (ns.wall,)
     ks = _grid_spec(ns.k_grid)
     rows = []
     for wall in walls:
-        for N, d in heights.convergence_study(_int_list(ns.n_list), ks, wall, grid):
+        for N, d in heights.convergence_study(N_values, ks, wall, grid):
             rows.append((wall, N, d))
-    _emit(config, Table(name="watermelon-convergence",
-                        params={"k_grid": ns.k_grid},
-                        columns=("wall", "N", "sup_diff"), rows=rows))
+    _emit(ns, Table(name="watermelon-convergence",
+                    params={"k_grid": ns.k_grid},
+                    columns=("wall", "N", "sup_diff"), rows=rows))
 
 
-def _cmd_dgop(config, ns):
+def _cmd_dgop(ns):
     system = dgop.build_system(ns.n, ns.alpha, ns.a, ns.kmax)
     rows = [(k, float(system.A[k]), float(system.B[k]), float(system.log_h[k]))
             for k in range(system.k_max + 1)]
-    _emit(config, Table(name="dgop",
-                        params={"n": ns.n, "alpha": ns.alpha, "a": ns.a,
-                                "kmax": ns.kmax, "nodes": len(system.nodes)},
-                        columns=("k", "A", "B", "log_h"), rows=rows))
+    _emit(ns, Table(name="dgop",
+                    params={"n": ns.n, "alpha": ns.alpha, "a": ns.a,
+                            "kmax": ns.kmax, "nodes": len(system.nodes)},
+                    columns=("k", "A", "B", "log_h"), rows=rows))
 
 
-def _cmd_kernel(config, ns):
+def _cmd_kernel(ns):
+    pts = _parse_list(ns.grid, float)
     grid = build_grid()
     psis = psikernel.integrate_psi(2.0 ** (2.0 / 3.0) * ns.L, painleve=grid)
-    pts = _float_list(ns.grid)
     rows_raw, skipped = asym.kernel_limit_table(ns.n, ns.L, pts, pts,
                                                   grid, psis)
     rows = [(ns.n, f"K({r['u']:.6g};{r['v']:.6g})", r["exact"], r["limit"],
              r["rel_diff"]) for r in rows_raw]
     if not rows:
         raise WatermelonError("all kernel pairs collided on the lattice")
-    _emit(config, Table(name="kernel",
-                        params={"n": ns.n, "L": ns.L, "skipped": len(skipped)},
-                        columns=("n", "quantity", "exact", "asymptotic", "rel_err"),
-                        rows=rows))
+    _emit(ns, Table(name="kernel",
+                    params={"n": ns.n, "L": ns.L, "skipped": len(skipped)},
+                    columns=("n", "quantity", "exact", "asymptotic", "rel_err"),
+                    rows=rows))
 
 
-def _cmd_free_energy(config, ns):
+def _cmd_free_energy(ns):
+    n_values = _parse_list(ns.n_list, int)
+    L_values = _parse_list(ns.l_list, float)
     grid = build_grid()
     rows = []
-    for n in _int_list(ns.n_list):
-        for L in _float_list(ns.l_list):
+    for n in n_values:
+        for L in L_values:
             cmp_ = asym.free_energy_comparison(n, L, grid)
             rel = abs(cmp_["residual"] / cmp_["asymptotic"])
             rows.append((n, f"free-energy(L={L:g})", cmp_["exact"],
                          cmp_["asymptotic"], rel))
-    _emit(config, Table(name="free-energy", params={},
-                        columns=("n", "quantity", "exact", "asymptotic", "rel_err"),
-                        rows=rows))
+    _emit(ns, Table(name="free-energy", params={},
+                    columns=("n", "quantity", "exact", "asymptotic", "rel_err"),
+                    rows=rows))
 
 
-def _cmd_validate(config, ns):
+def _cmd_validate(ns):
     ctx = validation.ValidationContext()
     results = validation.run_suite(ns.suite, ctx, report=print)
-    if config.output != "-":
+    if ns.output != "-":
         table = Table(name="validation", params={"suite": ns.suite},
                       columns=("criterion", "name", "passed", "seconds"),
                       rows=[(r.criterion, r.name, r.passed, r.seconds)
                             for r in results])
-        emit(table, config.format, config.output)
+        _emit(ns, table)
     if not all(r.passed for r in results):
         raise WatermelonError(
             f"{sum(not r.passed for r in results)} criterion(s) failed")
@@ -319,14 +265,14 @@ _DISPATCH = {
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        config, ns = parse_args(argv)
+        ns = parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     try:
-        _DISPATCH[config.command](config, ns)
+        _DISPATCH[ns.command](ns)
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -43,41 +43,12 @@ _UNDERFLOW_EXPONENT = -math.log(np.finfo(float).smallest_subnormal)
 MAX_DEGREE = 672
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
-    """Shifted regular lattice of mesh 1/n: nodes (k - alpha)/n, k integer."""
-
-    n: int
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("lattice mesh parameter n must be >= 1")
-        if not -0.5 <= self.alpha <= 0.5:
-            raise ValueError("alpha must lie in [-1/2, 1/2]")
-
-    def nodes_in(self, half_width: float) -> np.ndarray:
-        k = np.arange(math.floor(-half_width * self.n + self.alpha),
-                      math.ceil(half_width * self.n + self.alpha) + 1)
-        x = (k - self.alpha) / self.n
-        return x[np.abs(x) <= half_width]
-
-
-@dataclass(frozen=True)
-class GaussianWeight:
-    """w(x) = exp(-n pi^2 a x^2 / 2) with a > 0."""
-
-    a: float
-    n: int
-
-    def __post_init__(self):
-        if self.a <= 0.0:
-            raise ValueError("weight parameter a must be positive")
-
-    def amplitude(self, x: np.ndarray) -> np.ndarray:
-        """Folded amplitude sqrt(w(x)/n), evaluated as one exponential."""
-        return (np.exp(-self.n * math.pi**2 * self.a * x * x / 4.0)
-                / math.sqrt(self.n))
+def lattice_nodes(n: int, alpha: float, half_width: float) -> np.ndarray:
+    """Nodes (k - alpha)/n, k integer, with |x| <= half_width."""
+    k = np.arange(math.floor(-half_width * n + alpha),
+                  math.ceil(half_width * n + alpha) + 1)
+    x = (k - alpha) / n
+    return x[np.abs(x) <= half_width]
 
 
 @dataclass
@@ -90,8 +61,9 @@ class OrthoSystem:
     read reruns the Stieltjes pass on the same nodes, so it is bit-identical.
     """
 
-    spec: LatticeSpec
-    weight: GaussianWeight
+    n: int
+    alpha: float
+    a: float
     k_max: int
     log_h: np.ndarray
     A: np.ndarray
@@ -102,22 +74,6 @@ class OrthoSystem:
     @cached_property
     def phi(self) -> np.ndarray:
         return stieltjes(self.nodes, self.amplitudes, self.k_max)[3]
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
-
-    @property
-    def alpha(self) -> float:
-        return self.spec.alpha
-
-    @property
-    def a(self) -> float:
-        return self.weight.a
-
-    @property
-    def node_weights(self) -> np.ndarray:
-        return self.amplitudes * self.amplitudes
 
     @property
     def span(self) -> float:
@@ -178,18 +134,24 @@ def stieltjes(nodes: np.ndarray, amplitudes: np.ndarray, k_max: int,
     return A, B, log_h, phi
 
 
-def build_lattice(spec: LatticeSpec, weight: GaussianWeight, k_max: int):
-    """Retained nodes and folded amplitudes sqrt(w(x)/n).
+def build_lattice(n: int, alpha: float, a: float, k_max: int):
+    """Retained nodes and folded amplitudes sqrt(w(x)/n) of one family.
 
     The window is every node whose amplitude is nonzero in double precision.
     """
+    if n < 1:
+        raise ValueError("lattice mesh parameter n must be >= 1")
+    if not -0.5 <= alpha <= 0.5:
+        raise ValueError("alpha must lie in [-1/2, 1/2]")
+    if not 0.0 < a < math.inf:  # NaN fails too
+        raise ValueError("weight parameter a must be positive and finite")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     if k_max > MAX_DEGREE:
         raise PrecisionError(f"k_max={k_max} > {MAX_DEGREE}, the double-range cap")
-    x = spec.nodes_in((2.0 / math.pi) * math.sqrt(
-        _UNDERFLOW_EXPONENT / (spec.n * weight.a)))
-    amplitudes = weight.amplitude(x)
+    x = lattice_nodes(n, alpha, (2.0 / math.pi) * math.sqrt(
+        _UNDERFLOW_EXPONENT / (n * a)))
+    amplitudes = np.exp(-n * math.pi**2 * a * x * x / 4.0) / math.sqrt(n)
     keep = amplitudes > 0.0
     return x[keep], amplitudes[keep]
 
@@ -204,17 +166,15 @@ def build_system(n: int, alpha: float, a: float, k_max: int) -> OrthoSystem:
             _memo.popitem(last=False)
     _memo.move_to_end(key)
     m = k_max + 1
-    return OrthoSystem(spec=entry.spec, weight=entry.weight, k_max=k_max,
+    return OrthoSystem(n=n, alpha=alpha, a=a, k_max=k_max,
                        log_h=entry.log_h[:m], A=entry.A[:m], B=entry.B[:m],
                        nodes=entry.nodes, amplitudes=entry.amplitudes)
 
 
 def _build(n, alpha, a, k_max):
-    spec = LatticeSpec(n=n, alpha=alpha)
-    weight = GaussianWeight(a=a, n=n)
-    nodes, amplitudes = build_lattice(spec, weight, k_max)
+    nodes, amplitudes = build_lattice(n, alpha, a, k_max)
     A, B, log_h, _ = stieltjes(nodes, amplitudes, k_max, keep_phi=False)
-    return OrthoSystem(spec=spec, weight=weight, k_max=k_max, log_h=log_h,
+    return OrthoSystem(n=n, alpha=alpha, a=a, k_max=k_max, log_h=log_h,
                        A=A, B=B, nodes=nodes, amplitudes=amplitudes)
 
 

@@ -61,7 +61,7 @@ def log_height_cdf(N: int, M: float, wall: str) -> float:
     """log P(max height < M), assembled entirely in log domain."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    if M <= 0.0:
+    if not M > 0.0:  # NaN fails too
         raise ValueError("M must be positive")
     p = _parity(wall)
     system = dgop.build_system(1, (1 - p) / 2, 1.0 / (M * M), 2 * N - 2 + p)

@@ -10,13 +10,10 @@ from watermelon.tableio import parse_csv, to_csv
 
 @pytest.fixture
 def run_cli(cli_env, tmp_path):
-    """Run `python -m watermelon.cli ARGS` in `tmp_path`, optionally with a
-    `watermelon.conf` there holding `config_text`."""
-    def run(args, config_text=None):
-        if config_text is not None:
-            (tmp_path / "watermelon.conf").write_text(config_text)
+    """Run `python -m watermelon.cli ARGS` in `cwd` (default `tmp_path`)."""
+    def run(args, cwd=tmp_path):
         return subprocess.run([sys.executable, "-m", "watermelon.cli", *args],
-                              capture_output=True, text=True, cwd=tmp_path,
+                              capture_output=True, text=True, cwd=cwd,
                               env=cli_env)
     return run
 
@@ -69,6 +66,10 @@ def test_usage_errors_exit_1(run_cli):
         ["converge", "--N-list", "0", "--wall", "absorbing"],
         ["tw", "--which", "f1", "--xmin", "-6", "--xmax", "4",
          "--step", "1e-12"],                                                # 1e13 points
+        ["dgop", "--n", "4", "--a", "inf", "--kmax", "2"],                  # non-finite a
+        ["converge", "--N-list", ","],                                      # empty lists
+        ["free-energy", "--L-list", ","],
+        ["kernel", "--n", "32", "--grid", ","],
     ]
     for args in cases:
         proc = run_cli(args)
@@ -76,6 +77,7 @@ def test_usage_errors_exit_1(run_cli):
         assert "Traceback" not in proc.stderr, proc.stderr
     # removed global flags are named, not mistaken for a command
     for args in (["--cache-dir", "x", "tw", "--which", "f2"],
+                 ["--config", "x", "tw", "--which", "f2"],
                  ["--precision-mode", "extended", "dgop", "--n", "8",
                   "--a", "0.9", "--kmax", "8"]):
         proc = run_cli(args)
@@ -90,26 +92,23 @@ def test_io_error_exit_3(run_cli, tmp_path):
     assert_exit(proc, 3)
 
 
-def test_config_file_and_flag_precedence(run_cli, tmp_path):
-    out_from_conf = tmp_path / "from_conf.csv"
-    proc = run_cli(["dgop", "--n", "4", "--a", "0.8", "--kmax", "2"],
-                   config_text=f"output = {out_from_conf}\n")
-    assert_exit(proc, 0)
-    assert out_from_conf.exists()
-    out_flag = tmp_path / "flag.json"
-    proc = run_cli(["--output", str(out_flag), "--format", "json",
-                    "dgop", "--n", "4", "--a", "0.8", "--kmax", "2"],
-                   config_text=f"output = {out_from_conf}\nformat = csv\n")
-    assert_exit(proc, 0)
-    payload = json.loads(out_flag.read_text())
-    assert payload["columns"] == ["k", "A", "B", "log_h"]
-    assert len(payload["rows"]) == 3
-
-
-def test_unknown_config_key_rejected(run_cli):
-    for text in ("no_such_key = 7\n", "cache_dir = x\n",
-                 "precision_mode = extended\n", "tail_tol = 1e-30\n"):
-        assert_usage_error(run_cli(["tw", "--which", "f2"], config_text=text))
+def test_stray_config_file_is_ignored(run_cli, tmp_path):
+    # options come from flags alone: a `watermelon.conf` in the working
+    # directory, whatever it holds, changes nothing
+    args = ["dgop", "--n", "4", "--a", "0.8", "--kmax", "2"]
+    strip = lambda text: [l for l in text.splitlines()
+                          if not l.startswith("# generated")]
+    plain = run_cli(args)
+    assert_exit(plain, 0)
+    for i, make in enumerate((lambda p: p.write_text("format = json\n"),
+                              lambda p: p.write_bytes(b"output = \xff\n"),
+                              lambda p: p.mkdir())):
+        cwd = tmp_path / f"stray{i}"
+        cwd.mkdir()
+        make(cwd / "watermelon.conf")
+        proc = run_cli(args, cwd=cwd)
+        assert_exit(proc, 0)
+        assert strip(proc.stdout) == strip(plain.stdout)
 
 
 def test_bad_tail_tol_rejected(run_cli):
@@ -175,8 +174,8 @@ def test_validate_failing_suite_exits_2(run_cli):
 
 
 def test_parse_args_in_process():
-    config, ns = cli.parse_args(["tw", "--which", "f2"])
-    assert config.command == "tw" and config.format == "csv"
+    ns = cli.parse_args(["tw", "--which", "f2"])
+    assert ns.command == "tw" and ns.format == "csv" and ns.output == "-"
     with pytest.raises(cli.UsageError):
         cli.parse_args([])
 

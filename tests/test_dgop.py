@@ -6,8 +6,7 @@ import pytest
 
 import watermelon as wm
 from watermelon import dgop
-from watermelon.dgop import (MAX_DEGREE, GaussianWeight, LatticeSpec,
-                             build_lattice)
+from watermelon.dgop import MAX_DEGREE, build_lattice, lattice_nodes
 from watermelon.errors import (CoverageError, PrecisionError, WatermelonError,
                                WindowError)
 from watermelon.oracles import (gram_schmidt_log_norms,
@@ -15,8 +14,7 @@ from watermelon.oracles import (gram_schmidt_log_norms,
 
 
 def test_lattice_nodes_alpha_zero():
-    spec = LatticeSpec(n=4, alpha=0.0)
-    nodes, amps = build_lattice(spec, GaussianWeight(a=1.0, n=4), 0)
+    nodes, amps = build_lattice(4, 0.0, 1.0, 0)
     assert np.any(nodes == 0.0)
     assert np.allclose(nodes, -nodes[::-1])
     # folded amplitudes sqrt(w/n): weights w/n in (0, 1/4]
@@ -24,8 +22,7 @@ def test_lattice_nodes_alpha_zero():
 
 
 def test_lattice_nodes_alpha_half():
-    spec = LatticeSpec(n=4, alpha=0.5)
-    nodes, _ = build_lattice(spec, GaussianWeight(a=1.0, n=4), 0)
+    nodes, _ = build_lattice(4, 0.5, 1.0, 0)
     assert not np.any(nodes == 0.0)
     for v in (0.125, 0.375):
         assert np.any(np.isclose(nodes, v)) and np.any(np.isclose(nodes, -v))
@@ -33,10 +30,10 @@ def test_lattice_nodes_alpha_half():
 
 def test_window_doubling_leaves_log_h_fixed():
     sys1 = wm.build_system(6, 0.0, 0.9, 8)
-    spec = LatticeSpec(n=6, alpha=0.0)
-    w = GaussianWeight(a=0.9, n=6)
-    wide = spec.nodes_in(2.0 * np.max(np.abs(sys1.nodes)))
-    log_h2 = wm.stieltjes(wide, w.amplitude(wide), 8, keep_phi=False)[2]
+    wide = lattice_nodes(6, 0.0, 2.0 * np.max(np.abs(sys1.nodes)))
+    amplitudes = (np.exp(-6 * math.pi**2 * 0.9 * wide * wide / 4.0)
+                  / math.sqrt(6))
+    log_h2 = wm.stieltjes(wide, amplitudes, 8, keep_phi=False)[2]
     assert np.max(np.abs(sys1.log_h - log_h2)) < 1e-12
 
 
@@ -49,7 +46,7 @@ def test_degree_unreachable():
 def test_log_h0_is_weight_mass():
     sys1 = wm.build_system(5, 0.25, 1.1, 3)
     assert math.isclose(sys1.log_h[0],
-                        math.log(float(np.sum(sys1.node_weights))),
+                        math.log(float(np.sum(sys1.amplitudes**2))),
                         rel_tol=1e-14)
 
 
@@ -62,7 +59,7 @@ def test_symmetric_lattice_kills_A():
 
 def test_stieltjes_against_gram_schmidt():
     sys1 = wm.build_system(6, 0.0, 0.9, 4)
-    ref = gram_schmidt_log_norms(sys1.nodes, sys1.node_weights, 4)
+    ref = gram_schmidt_log_norms(sys1.nodes, sys1.amplitudes**2, 4)
     assert np.max(np.abs(np.expm1(sys1.log_h - ref))) < 1e-10
 
 
@@ -73,7 +70,7 @@ def test_stieltjes_against_gram_schmidt_high_degree():
 
     sys1 = wm.build_system(20, 0.25, 0.9, 40)
     assert len(sys1.nodes) <= 200
-    ref = gram_schmidt_log_norms_exact(sys1.nodes, sys1.node_weights, 40)
+    ref = gram_schmidt_log_norms_exact(sys1.nodes, sys1.amplitudes**2, 40)
     assert np.max(np.abs(np.expm1(sys1.log_h - ref))) < 1e-10
 
 
@@ -126,7 +123,7 @@ def test_partition_two_particles_direct_sum():
     n, a = 2, 0.8
     log_z, _ = wm.partition_and_free_energy(n, 0.0, a)
     sys1 = wm.build_system(n, 0.0, a, 1)
-    x, w = sys1.nodes, sys1.node_weights
+    x, w = sys1.nodes, sys1.amplitudes**2
     double = float(np.sum((x[:, None] - x[None, :]) ** 2
                           * w[:, None] * w[None, :]))
     assert abs(math.expm1(log_z - math.log(double))) < 1e-10
@@ -223,7 +220,7 @@ def test_double_path_still_accurate_at_saturation():
     # at n = 64 the double path must agree closely with the 120-bit oracle,
     # which sums over 1.5x the retained window, so truncation is checked too
     std = wm.build_system(64, 0.0, 1.0, 64)
-    wide = std.spec.nodes_in(1.5 * np.max(np.abs(std.nodes)))
+    wide = lattice_nodes(64, 0.0, 1.5 * np.max(np.abs(std.nodes)))
     log_h = stieltjes_exact(wide, 64, 1.0, 64)[2]
     assert np.max(np.abs(log_h - std.log_h)) < 1e-11
 
@@ -249,8 +246,7 @@ def test_degree_envelope_edge():
     system = wm.build_system(MAX_DEGREE, 0.0, 1.0, MAX_DEGREE)
     assert np.all(np.isfinite(system.log_h)) and np.all(system.B[1:] > 0.0)
     with pytest.raises(PrecisionError):
-        build_lattice(LatticeSpec(n=1), GaussianWeight(a=1.0, n=1),
-                      MAX_DEGREE + 1)
+        build_lattice(1, 0.0, 1.0, MAX_DEGREE + 1)
 
 
 @pytest.mark.parametrize("family", [(384, 0.0, 1.0, 384),
@@ -360,7 +356,9 @@ def test_past_saturation_build_is_bounded():
 
 
 def test_weight_rejects_nonpositive_a():
-    with pytest.raises(ValueError):
-        GaussianWeight(a=0.0, n=4)
-    with pytest.raises(ValueError):
-        wm.build_system(4, 0.0, -1.0, 3)
+    for n, alpha, a in ((0, 0.0, 1.0), (4, 0.7, 1.0), (4, 0.0, 0.0)):
+        with pytest.raises(ValueError):
+            build_lattice(n, alpha, a, 3)
+    for a in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            wm.build_system(4, 0.0, a, 3)

@@ -207,6 +207,12 @@ def test_fourth_order_mechanism_on_boundary_degenerate_integrand():
     assert 3.5 <= slope <= 4.5
 
 
+def test_height_cdf_rejects_nonpositive_M():
+    for M in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="M must be positive"):
+            wm.height_cdf(2, M, "absorbing")
+
+
 def test_riemann_order_input_validation():
     with pytest.raises(ValueError):
         wm.riemann_sum_order(4, [0.2, 0.1, 0.05], "GUE")
