@@ -16,7 +16,6 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.hermite import hermgauss
-from scipy.integrate import solve_ivp
 from scipy.special import airy, gammaln
 
 from .errors import ConvergenceError, PrecisionError
@@ -74,7 +73,11 @@ def shooting_q0(s_start: float = 14.0, rtol: float = 1e-13) -> float:
     lam * (Ai, Ai') and bisects on the amplitude ``lam``.  Trials above the
     separatrix blow up, trials below cross zero; both are caught by events
     well before s = -8, so the bisection never consults a reference value.
+    It stops once the bracket is within ``rtol`` of the amplitude: no
+    classification at that tolerance resolves a finer one.
     """
+    from scipy.integrate import solve_ivp
+
     ai0, aip0, _, _ = airy(s_start)
 
     def rhs(s, y):
@@ -108,7 +111,7 @@ def shooting_q0(s_start: float = 14.0, rtol: float = 1e-13) -> float:
             hi = mid
         else:
             lo = mid
-        if hi - lo <= 4e-17:
+        if hi - lo <= rtol * hi:
             break
     lam = 0.5 * (lo + hi)
     sol = solve_ivp(rhs, (s_start, 0.0), [lam * ai0, lam * aip0],

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 from scipy.special import airy as _scipy_airy
 
@@ -42,6 +41,59 @@ def airy_ai(s: float) -> tuple[float, float]:
         raise CoverageError("airy argument out of supported range |s| <= 30")
     ai, aip, _, _ = _scipy_airy(s)
     return ai, aip
+
+
+class NotAKnotSpline:
+    """Not-a-knot cubic spline through (x, y), x strictly increasing.
+
+    Each step repeats the arithmetic of ``scipy.interpolate.CubicSpline``
+    (its banded slope system, ``find_interval`` and the power sums of
+    ``evaluate_poly1``) and the knot integrals repeat those of
+    ``PPoly.antiderivative``, so every value agrees with scipy bit for bit
+    without loading ``scipy.interpolate``.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if not np.all(np.isfinite(y)):
+            raise ValueError("spline data must be finite")
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        ab = np.zeros((3, x.size))
+        b = np.empty(x.size)
+        ab[0, 2:] = dx[:-1]
+        ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        ab[2, :-2] = dx[1:]
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        d = x[2] - x[0]
+        ab[1, 0], ab[0, 1] = dx[1], d
+        b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        ab[1, -1], ab[2, -2] = dx[-2], d
+        b[-1] = (dx[-1]**2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        m = solve_banded((1, 1), ab, b, check_finite=False)
+        t = (m[:-1] + m[1:] - 2 * slope) / dx
+        self.x, self.dx = x, dx
+        # power-basis coefficients of (x - x_i)^3, ^2, ^1, ^0 per interval
+        self.c = (t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1])
+
+    def __call__(self, xv: float) -> float:
+        i = min(max(int(np.searchsorted(self.x, xv, side="right")) - 1, 0),
+                self.dx.size - 1)
+        t = xv - self.x[i]
+        c0, c1, c2, c3 = (c[i] for c in self.c)
+        return float(((c3 + c2 * t) + c1 * (t * t)) + c0 * (t * t * t))
+
+    def tail_integrals(self) -> np.ndarray:
+        """int_{x_j}^{x[-1]} of the spline at every knot x_j."""
+        cols = [(c / f).tolist() for c, f in zip(self.c, (4.0, 3.0, 2.0, 1.0))]
+        anti = [0.0]
+        for a0, a1, a2, a3, t in zip(*cols, self.dx.tolist()):
+            anti.append((((anti[-1] + a3 * t) + a2 * (t * t))
+                         + a1 * (t * t * t)) + a0 * (t * t * t * t))
+        anti = np.array(anti)
+        return anti[-1] - anti
 
 
 @dataclass
@@ -72,22 +124,22 @@ class PainleveGrid:
     def s_max(self) -> float:
         return float(self.s_values[-1])
 
-    def spline(self, name: str) -> CubicSpline:
+    def spline(self, name: str) -> NotAKnotSpline:
         if name not in self._splines:
-            self._splines[name] = CubicSpline(self.s_values, getattr(self, name))
+            self._splines[name] = NotAKnotSpline(self.s_values, getattr(self, name))
         return self._splines[name]
 
     def q_at(self, s: float) -> float:
         self._check(s)
-        return float(self.spline("q")(s))
+        return self.spline("q")(s)
 
     def q_prime_at(self, s: float) -> float:
         self._check(s)
-        return float(self.spline("q_prime")(s))
+        return self.spline("q_prime")(s)
 
     def R_at(self, s: float) -> float:
         self._check(s)
-        return float(self.spline("R")(s))
+        return self.spline("R")(s)
 
     def _check(self, s) -> None:
         s_arr = np.asarray(s)
@@ -161,11 +213,11 @@ def solve_hastings_mcleod(s_min: float = DEFAULT_S_MIN,
 
     # q' by integrating the ODE from the right edge: smoother than a spline
     # derivative and fourth-order accurate through the antiderivative.
-    anti = CubicSpline(s, s * q + 2.0 * q**3).antiderivative()
-    q_prime = _scipy_airy(s_max)[1] - (anti(s_max) - anti(s))
+    q_prime = (_scipy_airy(s_max)[1]
+               - NotAKnotSpline(s, s * q + 2.0 * q**3).tail_integrals())
 
     empty = np.array([])
-    return PainleveGrid(s_values=s, q=q, q_prime=np.asarray(q_prime),
+    return PainleveGrid(s_values=s, q=q, q_prime=q_prime,
                         R=empty, E=empty, F=empty, f1=empty, f2=empty,
                         residual_norm=residual)
 
@@ -188,22 +240,19 @@ def accumulate_tails(grid: PainleveGrid) -> PainleveGrid:
                + (2.0 / 3.0) * s_max**2 * ai_m**2
                - (1.0 / 3.0) * ai_m * aip_m)
 
-    anti_q2 = CubicSpline(s, q * q).antiderivative()
-    R = (anti_q2(s_max) - anti_q2(s)) + r_tail
+    R = NotAKnotSpline(s, q * q).tail_integrals() + r_tail
     if r_tail > 1e-10 * max(R[0], r_tail):
         raise TailClosureError(f"q^2 tail closure {r_tail:.3e} too large; extend s_max")
 
-    anti_q = CubicSpline(s, q).antiderivative()
-    int_q = (anti_q(s_max) - anti_q(s)) + iq_tail
+    int_q = NotAKnotSpline(s, q).tail_integrals() + iq_tail
     if iq_tail > 1e-10 * max(int_q[0], iq_tail):
         raise TailClosureError(f"q tail closure {iq_tail:.3e} too large; extend s_max")
 
-    anti_r = CubicSpline(s, R).antiderivative()
-    int_r = (anti_r(s_max) - anti_r(s)) + ir_tail
+    int_r = NotAKnotSpline(s, R).tail_integrals() + ir_tail
     if ir_tail > 1e-10 * max(int_r[0], ir_tail):
         raise TailClosureError(f"R tail closure {ir_tail:.3e} too large; extend s_max")
 
-    grid.R = np.asarray(R)
+    grid.R = R
     grid.E = np.exp(-0.5 * int_q)
     grid.F = np.exp(-0.5 * int_r)
     grid.f1 = grid.F * grid.E
@@ -233,5 +282,5 @@ def tracy_widom(x: float, which: str, grid: PainleveGrid) -> float:
     if not x >= grid.s_min:  # NaN fails too
         raise CoverageError(f"x={x} below tabulated s_min={grid.s_min}")
     xe = min(x, grid.s_max)
-    val = float(grid.spline(key)(xe))
+    val = grid.spline(key)(xe)
     return min(1.0, max(0.0, val))

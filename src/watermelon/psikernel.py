@@ -22,11 +22,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .errors import ConvergenceError, CoverageError
-from .painleve import PainleveGrid
+from .painleve import NotAKnotSpline, PainleveGrid
 
 DEFAULT_ZETA_MAX = 10.0
 DEFAULT_MESH = 4001
@@ -53,13 +51,14 @@ class PsiSolution:
 
     def _spline(self, name):
         if name not in self._splines:
-            self._splines[name] = CubicSpline(self.zeta_values, getattr(self, name))
+            self._splines[name] = NotAKnotSpline(self.zeta_values,
+                                                 getattr(self, name))
         return self._splines[name]
 
     def phi_at(self, zeta: float) -> tuple[float, float]:
         if not abs(zeta) <= self.zeta_max:  # NaN fails too
             raise CoverageError(f"zeta={zeta} outside [{-self.zeta_max}, {self.zeta_max}]")
-        return float(self._spline("phi1")(zeta)), float(self._spline("phi2")(zeta))
+        return self._spline("phi1")(zeta), self._spline("phi2")(zeta)
 
     def phi_prime_at(self, zeta: float) -> tuple[float, float]:
         """Derivatives straight from the ODE right-hand side."""
@@ -71,6 +70,13 @@ class PsiSolution:
 
 def _theta(zeta, s):
     return 4.0 * zeta**3 / 3.0 + s * zeta
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first ODE solve, so a
+    process that solves none never loads ``scipy.integrate``."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _solve(rhs, t_span, y0, **options):

@@ -173,6 +173,18 @@ def test_validate_failing_suite_exits_2(run_cli):
     assert "criterion 04 PASS" in proc.stdout
 
 
+def test_import_loads_no_ode_or_interpolation_stack(cli_env):
+    # a command that solves no ODE starts on numpy, scipy.special and
+    # scipy.linalg alone
+    code = ("import sys, watermelon.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=cli_env)
+    assert_exit(proc, 0)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_parse_args_in_process():
     ns = cli.parse_args(["tw", "--which", "f2"])
     assert ns.command == "tw" and ns.format == "csv" and ns.output == "-"

@@ -35,6 +35,23 @@ def test_shooting_is_stable_in_start_point(shooting_value):
     assert abs(other - shooting_value) < 1e-8
 
 
+def test_shooting_stops_at_its_tolerance(monkeypatch):
+    # bisection ends once the bracket is within rtol of the amplitude: two
+    # bracket checks, 44 halvings of [0.5, 2] and the final solve
+    import scipy.integrate
+
+    real = scipy.integrate.solve_ivp
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
+    assert abs(oracles.shooting_q0() - 0.3670615533321304) <= 1e-14
+    assert len(calls) <= 48
+
+
 def test_gram_schmidt_tiny_hand_case():
     nodes = np.array([-1.0, 0.0, 1.0])
     weights = np.ones(3)

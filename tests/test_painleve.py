@@ -49,6 +49,27 @@ def test_solver_preconditions():
         wm.solve_hastings_mcleod(tol=1e-13)
 
 
+def test_spline_matches_scipy_bit_for_bit(grid, psis_critical):
+    # the in-package spline reproduces scipy's CubicSpline and its
+    # antiderivative exactly, so replacing it moved no tabulated number
+    from scipy.interpolate import CubicSpline
+
+    from watermelon.painleve import NotAKnotSpline
+
+    rng = np.random.default_rng(11)
+    cases = [(grid.s_values, grid.q), (grid.s_values, grid.R),
+             (grid.s_values, grid.f1),
+             (psis_critical.zeta_values, psis_critical.phi1)]
+    for x, y in cases:
+        ours, ref = NotAKnotSpline(x, y), CubicSpline(x, y)
+        points = np.concatenate([rng.uniform(x[0], x[-1], 2000), x,
+                                 [x[0], x[-1]]])
+        got = np.array([ours(float(p)) for p in points])
+        assert np.array_equal(got, ref(points))
+        anti = ref.antiderivative()
+        assert np.array_equal(ours.tail_integrals(), anti(x[-1]) - anti(x))
+
+
 def test_residual_and_positivity(grid):
     assert grid.residual_norm <= 1e-10
     assert np.all(grid.q > 0.0)
