@@ -85,8 +85,19 @@ class NotAKnotSpline:
         c0, c1, c2, c3 = (c[i] for c in self.c)
         return float(((c3 + c2 * t) + c1 * (t * t)) + c0 * (t * t * t))
 
-    def tail_integrals(self) -> np.ndarray:
-        """int_{x_j}^{x[-1]} of the spline at every knot x_j."""
+    def tail_integrals(self, downward: bool = False) -> np.ndarray:
+        """int_{x_j}^{x[-1]} of the spline at every knot x_j.
+
+        By default the antiderivative is built in ``PPoly.antiderivative``'s
+        order and differenced, as scipy does.  ``downward`` instead sums the
+        interval integrals from x[-1] down, which keeps full relative
+        accuracy where the tail is tiny next to the whole integral.
+        """
+        if downward:
+            c0, c1, c2, c3 = self.c
+            t = self.dx
+            pieces = t * (c3 + t * (c2 / 2 + t * (c1 / 3 + t * (c0 / 4))))
+            return np.append(np.cumsum(pieces[::-1])[::-1], 0.0)
         cols = [(c / f).tolist() for c, f in zip(self.c, (4.0, 3.0, 2.0, 1.0))]
         anti = [0.0]
         for a0, a1, a2, a3, t in zip(*cols, self.dx.tolist()):
@@ -240,15 +251,15 @@ def accumulate_tails(grid: PainleveGrid) -> PainleveGrid:
                + (2.0 / 3.0) * s_max**2 * ai_m**2
                - (1.0 / 3.0) * ai_m * aip_m)
 
-    R = NotAKnotSpline(s, q * q).tail_integrals() + r_tail
+    R = NotAKnotSpline(s, q * q).tail_integrals(downward=True) + r_tail
     if r_tail > 1e-10 * max(R[0], r_tail):
         raise TailClosureError(f"q^2 tail closure {r_tail:.3e} too large; extend s_max")
 
-    int_q = NotAKnotSpline(s, q).tail_integrals() + iq_tail
+    int_q = NotAKnotSpline(s, q).tail_integrals(downward=True) + iq_tail
     if iq_tail > 1e-10 * max(int_q[0], iq_tail):
         raise TailClosureError(f"q tail closure {iq_tail:.3e} too large; extend s_max")
 
-    int_r = NotAKnotSpline(s, R).tail_integrals() + ir_tail
+    int_r = NotAKnotSpline(s, R).tail_integrals(downward=True) + ir_tail
     if ir_tail > 1e-10 * max(int_r[0], ir_tail):
         raise TailClosureError(f"R tail closure {ir_tail:.3e} too large; extend s_max")
 

@@ -49,6 +49,15 @@ def test_solver_preconditions():
         wm.solve_hastings_mcleod(tol=1e-13)
 
 
+def test_R_right_tail_matches_airy_identity(grid):
+    # R(s) = int_s^inf q^2 with q ~ Ai, and int_s^inf Ai^2 = Ai'^2 - s Ai^2;
+    # differencing the full antiderivative cancelled to noise from s ~ 6 on
+    for s in (6.0, 8.0, 10.0):
+        ai, aip = wm.airy_ai(s)
+        want = aip**2 - s * ai**2
+        assert abs(grid.R_at(s) / want - 1.0) <= 1e-6, (s, grid.R_at(s), want)
+
+
 def test_spline_matches_scipy_bit_for_bit(grid, psis_critical):
     # the in-package spline reproduces scipy's CubicSpline and its
     # antiderivative exactly, so replacing it moved no tabulated number
