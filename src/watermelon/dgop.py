@@ -41,12 +41,22 @@ _UNDERFLOW_EXPONENT = -math.log(np.finfo(float).smallest_subnormal)
 # n and a, so double range ends at a fixed degree: log_h matches the 120-bit
 # oracle to 2e-15 relative up to k_max = 672; by 704 edge amplitudes underflow.
 MAX_DEGREE = 672
+# The window holds about (4/pi) sqrt(744.4 n / a) nodes, so a small a asks
+# for an unbounded one; no test, example or benchmark family exceeds 2,000.
+MAX_NODES = 100_000
 
 
 def lattice_nodes(n: int, alpha: float, half_width: float) -> np.ndarray:
-    """Nodes (k - alpha)/n, k integer, with |x| <= half_width."""
-    k = np.arange(math.floor(-half_width * n + alpha),
-                  math.ceil(half_width * n + alpha) + 1)
+    """Nodes (k - alpha)/n, k integer, with |x| <= half_width.
+
+    Raises ``WindowError`` before allocating more than ``MAX_NODES``.
+    """
+    lo = math.floor(-half_width * n + alpha)
+    hi = math.ceil(half_width * n + alpha)
+    if hi - lo + 1 > MAX_NODES:
+        raise WindowError(f"window of {hi - lo + 1} nodes exceeds the "
+                          f"{MAX_NODES}-node bound; raise a or lower n")
+    k = np.arange(lo, hi + 1)
     x = (k - alpha) / n
     return x[np.abs(x) <= half_width]
 

@@ -14,7 +14,7 @@ class ConvergenceError(WatermelonError):
 
 
 class WindowError(WatermelonError):
-    """A lattice truncation window holds too few nodes."""
+    """A lattice window holds too few nodes, or more than the node bound."""
 
 
 class CoverageError(WatermelonError):

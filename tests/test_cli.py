@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -49,7 +50,7 @@ def test_height_k_grid_dispatch(run_cli):
     assert table.params["N"] == "8" and table.params["wall"] == "absorbing"
 
 
-def test_usage_errors_exit_1(run_cli):
+def test_usage_errors_exit_1(run_cli, capsys):
     cases = [
         ["height", "--N", "2", "--wall", "absorbing"],                      # missing grid
         ["height", "--N", "2", "--wall", "absorbing",
@@ -71,18 +72,35 @@ def test_usage_errors_exit_1(run_cli):
         ["free-energy", "--L-list", ","],
         ["kernel", "--n", "32", "--grid", ","],
     ]
+    # in-process: an exception escaping main fails the test, so no case
+    # can end in a traceback
     for args in cases:
-        proc = run_cli(args)
-        assert_usage_error(proc)
-        assert "Traceback" not in proc.stderr, proc.stderr
+        assert cli.main(args) == cli.EXIT_USAGE, args
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:"), (args, err)
     # removed global flags are named, not mistaken for a command
     for args in (["--cache-dir", "x", "tw", "--which", "f2"],
                  ["--config", "x", "tw", "--which", "f2"],
                  ["--precision-mode", "extended", "dgop", "--n", "8",
                   "--a", "0.9", "--kmax", "8"]):
-        proc = run_cli(args)
-        assert_usage_error(proc)
-        assert f"unknown option {args[0]}" in proc.stderr, proc.stderr
+        assert cli.main(args) == cli.EXIT_USAGE, args
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:"), (args, err)
+        assert f"unknown option {args[0]}" in err, err
+    # the `python -m watermelon.cli` entry point exits the same way
+    proc = run_cli(["nosuchcommand"])
+    assert_usage_error(proc)
+    assert "Traceback" not in proc.stderr, proc.stderr
+
+
+def test_node_bound_exits_2_before_allocating(capsys):
+    # about 6.9e8 nodes (5.5 GB per array) without the bound
+    start = time.perf_counter()
+    code = cli.main(["dgop", "--n", "4", "--a", "1e-14", "--kmax", "2"])
+    elapsed = time.perf_counter() - start
+    assert code == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure:")
+    assert elapsed < 1.0
 
 
 def test_io_error_exit_3(run_cli, tmp_path):

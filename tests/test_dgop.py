@@ -43,6 +43,19 @@ def test_degree_unreachable():
         wm.build_system(1, 0.0, 1.0, 50)
 
 
+def test_node_bound_edge():
+    # the window holds about (4/pi) sqrt(744.4 n / a) nodes; at the smallest
+    # a inside the bound the family builds, just below it nothing is allocated
+    for n in (1, 4, 64):
+        a_edge = (4 / math.pi) ** 2 * 744.44 * n / dgop.MAX_NODES ** 2
+        nodes, _ = build_lattice(n, 0.0, 1.01 * a_edge, 2)
+        assert 0.9 * dgop.MAX_NODES < nodes.size <= dgop.MAX_NODES
+        with pytest.raises(WindowError):
+            build_lattice(n, 0.0, 0.99 * a_edge, 2)
+    with pytest.raises(WindowError):
+        wm.height_cdf(2, 3000.0, "absorbing")       # n = 1, a = 1/M^2
+
+
 def test_log_h0_is_weight_mass():
     sys1 = wm.build_system(5, 0.25, 1.1, 3)
     assert math.isclose(sys1.log_h[0],
