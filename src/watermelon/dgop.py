@@ -184,6 +184,9 @@ def build_system(n: int, alpha: float, a: float, k_max: int) -> OrthoSystem:
 def _build(n, alpha, a, k_max):
     nodes, amplitudes = build_lattice(n, alpha, a, k_max)
     A, B, log_h, _ = stieltjes(nodes, amplitudes, k_max, keep_phi=False)
+    # every system of the family views these arrays, so none may write them
+    for arr in (nodes, amplitudes, A, B, log_h):
+        arr.setflags(write=False)
     return OrthoSystem(n=n, alpha=alpha, a=a, k_max=k_max, log_h=log_h,
                        A=A, B=B, nodes=nodes, amplitudes=amplitudes)
 
@@ -229,8 +232,8 @@ def gue_free_energy(n: int) -> float:
 
 
 def _check_particles(system: OrthoSystem, n_particles: int) -> None:
-    if n_particles > system.k_max + 1:
-        raise ValueError("n_particles exceeds computed degrees")
+    if not 0 <= n_particles <= system.k_max + 1:
+        raise ValueError("n_particles must lie in [0, k_max + 1]")
 
 
 def cd_kernel(system: OrthoSystem, x: float, y: float, n_particles: int) -> float:
@@ -265,8 +268,8 @@ def toda_residual(n: int, alpha: float, a: float, delta_a: float):
     recurrence, so the identity is exact per measure and the defect is pure
     O(delta_a^2) differencing bias.
     """
-    if a - delta_a <= 0.0:
-        raise ValueError("a - delta_a must stay positive")
+    if not 0.0 < delta_a < a:  # NaN fails too
+        raise ValueError("delta_a must lie in (0, a)")
     lz = [partition_and_free_energy(n, alpha, av)[0]
           for av in (a - delta_a, a, a + delta_a)]
     lhs = (lz[2] - 2.0 * lz[1] + lz[0]) / delta_a**2

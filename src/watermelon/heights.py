@@ -148,8 +148,8 @@ def deformation_identity_check(N: int, a: float, delta_a: float, wall: str):
     (lhs, rhs, defect).
     """
     p = _parity(wall)
-    if a - delta_a <= 0.0:
-        raise ValueError("a - delta_a must stay positive")
+    if not 0.0 < delta_a < a:  # NaN fails too
+        raise ValueError("delta_a must lie in (0, a)")
 
     def log_prod(av):
         M = math.sqrt(2.0 * N / av)

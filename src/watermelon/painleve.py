@@ -12,7 +12,7 @@ modest s_max (default 12) already meets 1e-10 tail accuracy:
                             - (1/3) Ai(s) Ai'(s)
 
 The distribution pieces follow the usual chain R = int q^2, E = exp(-1/2
-int q), F = exp(-1/2 int R), F1 = F*E, F2 = F^2.
+int q), F = exp(-1/2 int R), F1 = F*E, F2 = F^2, all in every grid.
 """
 
 from __future__ import annotations
@@ -107,13 +107,13 @@ class NotAKnotSpline:
         return anti[-1] - anti
 
 
-@dataclass
+@dataclass(frozen=True)
 class PainleveGrid:
     """Tabulated Hastings-McLeod data on a uniform s-grid.
 
-    ``residual_norm`` is the max-norm defect of the Numerov collocation
-    equations at the returned iterate.  R, E, F, f1, f2 stay empty until
-    :func:`accumulate_tails` fills them.
+    Built complete and frozen by :func:`accumulate_tails`: q, q' and the
+    distribution pieces R, E, F, f1 = F*E, f2 = F^2.  ``residual_norm`` is
+    the max-norm defect of the Numerov collocation equations at q.
     """
 
     s_values: np.ndarray
@@ -161,8 +161,10 @@ class PainleveGrid:
 def solve_hastings_mcleod(s_min: float = DEFAULT_S_MIN,
                           s_max: float = DEFAULT_S_MAX,
                           mesh: int = DEFAULT_MESH,
-                          tol: float = DEFAULT_TOL) -> PainleveGrid:
+                          tol: float = DEFAULT_TOL):
     """Solve the Painleve II boundary value problem on [s_min, s_max].
+
+    Returns (s, q, q', residual), the arguments of :func:`accumulate_tails`.
 
     Initial guess is the patched asymptote (Ai on the right, sqrt(-s/2) on
     the left, smoothly blended over [-1, 1]).  Newton iterates until the
@@ -227,22 +229,17 @@ def solve_hastings_mcleod(s_min: float = DEFAULT_S_MIN,
     q_prime = (_scipy_airy(s_max)[1]
                - NotAKnotSpline(s, s * q + 2.0 * q**3).tail_integrals())
 
-    empty = np.array([])
-    return PainleveGrid(s_values=s, q=q, q_prime=q_prime,
-                        R=empty, E=empty, F=empty, f1=empty, f2=empty,
-                        residual_norm=residual)
+    return s, q, q_prime, residual
 
 
-def accumulate_tails(grid: PainleveGrid) -> PainleveGrid:
-    """Fill R, E, F, F1, F2 by spline quadrature plus Airy tail closures."""
-    if grid.q.size == 0:
-        raise ValueError("grid has no q data")
-    if grid.residual_norm > 1e-8:
+def accumulate_tails(s: np.ndarray, q: np.ndarray, q_prime: np.ndarray,
+                     residual_norm: float) -> PainleveGrid:
+    """The grid of a solve: R, E, F, F1, F2 by spline quadrature plus Airy
+    tail closures."""
+    if residual_norm > 1e-8:
         raise ConvergenceError("residual too large for tail accumulation",
-                               residual=grid.residual_norm)
-    s = grid.s_values
-    q = grid.q
-    s_max = grid.s_max
+                               residual=residual_norm)
+    s_max = float(s[-1])
     ai_m, aip_m = airy_ai(s_max)
 
     r_tail = aip_m**2 - s_max * ai_m**2
@@ -251,31 +248,26 @@ def accumulate_tails(grid: PainleveGrid) -> PainleveGrid:
                + (2.0 / 3.0) * s_max**2 * ai_m**2
                - (1.0 / 3.0) * ai_m * aip_m)
 
-    R = NotAKnotSpline(s, q * q).tail_integrals(downward=True) + r_tail
-    if r_tail > 1e-10 * max(R[0], r_tail):
-        raise TailClosureError(f"q^2 tail closure {r_tail:.3e} too large; extend s_max")
+    def closed(name, values, tail):
+        """int_s^inf values by quadrature plus a negligible Airy closure."""
+        total = NotAKnotSpline(s, values).tail_integrals(downward=True) + tail
+        if tail > 1e-10 * max(total[0], tail):
+            raise TailClosureError(f"{name} tail closure {tail:.3e} too large; extend s_max")
+        return total
 
-    int_q = NotAKnotSpline(s, q).tail_integrals(downward=True) + iq_tail
-    if iq_tail > 1e-10 * max(int_q[0], iq_tail):
-        raise TailClosureError(f"q tail closure {iq_tail:.3e} too large; extend s_max")
-
-    int_r = NotAKnotSpline(s, R).tail_integrals(downward=True) + ir_tail
-    if ir_tail > 1e-10 * max(int_r[0], ir_tail):
-        raise TailClosureError(f"R tail closure {ir_tail:.3e} too large; extend s_max")
-
-    grid.R = R
-    grid.E = np.exp(-0.5 * int_q)
-    grid.F = np.exp(-0.5 * int_r)
-    grid.f1 = grid.F * grid.E
-    grid.f2 = grid.F * grid.F
-    grid._splines.clear()
-    return grid
+    R = closed("q^2", q * q, r_tail)
+    int_q = closed("q", q, iq_tail)
+    int_r = closed("R", R, ir_tail)
+    E = np.exp(-0.5 * int_q)
+    F = np.exp(-0.5 * int_r)
+    return PainleveGrid(s_values=s, q=q, q_prime=q_prime, R=R, E=E, F=F,
+                        f1=F * E, f2=F * F, residual_norm=residual_norm)
 
 
 def build_grid() -> PainleveGrid:
     """Solve + accumulate at the default settings: the grid every
     Tracy-Widom evaluation reads."""
-    return accumulate_tails(solve_hastings_mcleod())
+    return accumulate_tails(*solve_hastings_mcleod())
 
 
 def tracy_widom(x: float, which: str, grid: PainleveGrid) -> float:
@@ -285,8 +277,6 @@ def tracy_widom(x: float, which: str, grid: PainleveGrid) -> float:
     already vanished there); values below s_min raise rather than
     extrapolate.
     """
-    if grid.f2.size == 0:
-        raise ValueError("grid lacks distribution data; run accumulate_tails")
     key = which.lower()
     if key not in ("f1", "f2"):
         raise ValueError("which must be 'F1' or 'F2'")

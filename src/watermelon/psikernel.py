@@ -30,9 +30,9 @@ DEFAULT_ZETA_MAX = 10.0
 DEFAULT_MESH = 4001
 
 
-@dataclass
+@dataclass(frozen=True)
 class PsiSolution:
-    """Psi-function pair on a symmetric zeta-grid at one fixed s.
+    """Psi-function pair on a symmetric zeta-grid at one fixed s, frozen.
 
     ``match_defect`` is the distance at zeta = 0 between the inward
     validation sweep (leading-order data at +zeta_max) and the parity
@@ -46,7 +46,7 @@ class PsiSolution:
     zeta_max: float
     q_s: float
     qp_s: float
-    match_defect: float | None = None
+    match_defect: float | None
     _splines: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _spline(self, name):
@@ -96,22 +96,18 @@ def _zeta_rhs(s: float, q: float, r: float):
     return rhs
 
 
-def integrate_psi(s: float, zeta_max: float = DEFAULT_ZETA_MAX,
+def integrate_psi(s: float, painleve: PainleveGrid,
+                  zeta_max: float = DEFAULT_ZETA_MAX,
                   mesh: int = DEFAULT_MESH,
-                  painleve: PainleveGrid | None = None,
-                  coeffs: tuple[float, float] | None = None,
                   validate: bool = False,
-                  match_tol: float | None = None,
                   rtol: float = 1e-12,
                   normalization: str = "edge") -> PsiSolution:
-    """Build the psi-function pair at parameter s.
+    """Build the psi-function pair at parameter s, with q(s) and q'(s) read
+    from the Painleve grid.
 
-    ``coeffs`` injects (q, q') directly (test hook, e.g. the free-phase
-    case q = r = 0); otherwise both come from the Painleve grid.  With
-    ``validate`` the inward sweep from leading-order data at +zeta_max is
-    run and its defect at 0 recorded; ``match_tol`` (when given) turns an
-    excessive defect into an error.  Leading-order data makes that defect
-    O(1/zeta_max) by construction, so meaningful tolerances are coarse.
+    With ``validate`` the inward sweep from leading-order data at +zeta_max
+    is run and its defect at 0 recorded as ``match_defect``.  Leading-order
+    data makes that defect O(1/zeta_max) by construction.
 
     ``normalization``: "edge" pins the amplitude to exactly 1 at zeta_max
     (the leading-order convention; note the true pair's edge amplitude
@@ -125,13 +121,10 @@ def integrate_psi(s: float, zeta_max: float = DEFAULT_ZETA_MAX,
         raise ValueError("zeta_max must be >= 8")
     if mesh < 40 * zeta_max:
         raise ValueError("mesh too coarse for the requested zeta_max")
-    if coeffs is not None:
-        q, r = coeffs
-    else:
-        if painleve is None:
-            raise ValueError("need a PainleveGrid unless coeffs are injected")
-        q = painleve.q_at(s)
-        r = painleve.q_prime_at(s)
+    if normalization not in ("edge", "mean"):
+        raise ValueError("normalization must be 'edge' or 'mean'")
+    q = painleve.q_at(s)
+    r = painleve.q_prime_at(s)
 
     rhs = _zeta_rhs(s, q, r)
     half = np.linspace(0.0, zeta_max, mesh)
@@ -139,30 +132,23 @@ def integrate_psi(s: float, zeta_max: float = DEFAULT_ZETA_MAX,
                  t_eval=half)
     if normalization == "edge":
         amp = math.hypot(sol.y[0, -1], sol.y[1, -1])
-    elif normalization == "mean":
-        amp = math.sqrt(_asymptotic_mean_square(half, sol.y[0], sol.y[1], s))
     else:
-        raise ValueError("normalization must be 'edge' or 'mean'")
+        amp = math.sqrt(_asymptotic_mean_square(half, sol.y[0], sol.y[1], s))
     p1 = sol.y[0] / amp
     p2 = sol.y[1] / amp
 
     zeta = np.concatenate([-half[:0:-1], half])
     phi1 = np.concatenate([p1[:0:-1], p1])
     phi2 = np.concatenate([-p2[:0:-1], p2])
-    out = PsiSolution(s=s, zeta_values=zeta, phi1=phi1, phi2=phi2,
-                      zeta_max=zeta_max, q_s=q, qp_s=r)
 
+    defect = None
     if validate:
         theta = _theta(zeta_max, s)
         sweep = _solve(rhs, (zeta_max, 0.0), [math.cos(theta), -math.sin(theta)],
                        rtol=rtol, atol=rtol)
         defect = math.hypot(sweep.y[0, -1] - p1[0], sweep.y[1, -1] - p2[0])
-        out.match_defect = defect
-        if match_tol is not None and defect > match_tol:
-            raise ConvergenceError(
-                f"matching defect {defect:.3e} exceeds {match_tol:.1e}",
-                residual=defect)
-    return out
+    return PsiSolution(s=s, zeta_values=zeta, phi1=phi1, phi2=phi2,
+                       zeta_max=zeta_max, q_s=q, qp_s=r, match_defect=defect)
 
 
 def _asymptotic_mean_square(zeta, y1, y2, s):

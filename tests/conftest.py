@@ -10,7 +10,7 @@ import watermelon as wm
 @pytest.fixture(scope="session")
 def grid():
     """Default Painleve grid, solved once per session."""
-    return wm.accumulate_tails(wm.solve_hastings_mcleod())
+    return wm.build_grid()
 
 
 @pytest.fixture(scope="session")

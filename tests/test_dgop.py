@@ -375,3 +375,33 @@ def test_weight_rejects_nonpositive_a():
     for a in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="positive and finite"):
             wm.build_system(4, 0.0, a, 3)
+
+
+def test_memo_arrays_are_read_only():
+    n, alpha, a = 8, 0.0, 1.0
+    before = wm.partition_and_free_energy(n, alpha, a)
+    system = wm.build_system(n, alpha, a, 8)
+    for name in ("A", "B", "log_h", "nodes", "amplitudes"):
+        with pytest.raises(ValueError):
+            getattr(system, name)[3] = 0.0
+    _assert_same_as_fresh(wm.build_system(n, alpha, a, 8))
+    assert wm.partition_and_free_energy(n, alpha, a) == before
+
+
+@pytest.mark.parametrize("fn", [
+    lambda system, x: wm.cd_kernel(system, x, x, -1),
+    lambda system, x: wm.cd_kernel_matrix(system, -1),
+    lambda system, x: wm.correlation_det(system, [x], -1),
+], ids=["cd_kernel", "cd_kernel_matrix", "correlation_det"])
+def test_negative_particle_count_raises(fn):
+    system = wm.build_system(12, 0.0, 0.9, 12)
+    with pytest.raises(ValueError):
+        fn(system, system.nodes[len(system.nodes) // 2])
+
+
+@pytest.mark.parametrize("delta_a", [0.0, -1e-3, float("nan"), 0.9])
+def test_identity_checks_reject_bad_delta_a(delta_a):
+    with pytest.raises(ValueError):
+        wm.toda_residual(24, 0.0, 0.9, delta_a)
+    with pytest.raises(ValueError):
+        wm.deformation_identity_check(6, 0.9, delta_a, "absorbing")

@@ -1,6 +1,8 @@
-"""Source hygiene checks that need no linter: every import is used."""
+"""Source hygiene checks that need no linter: every import is used, and
+the public settings are the listed ones."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -34,3 +36,24 @@ def test_modules_found():
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+# Every parameter with a default on a public function: a new setting fails
+# here until the same change lists it.
+PUBLIC_SETTINGS = {
+    "build_equilibrium.j_max", "free_energy_comparison.alpha",
+    "integrate_psi.mesh", "integrate_psi.normalization", "integrate_psi.rtol",
+    "integrate_psi.validate", "integrate_psi.zeta_max",
+    "kernel_integral_form.n_xi", "kernel_integral_form.zeta_max",
+    "kernel_limit_table.alpha", "solve_hastings_mcleod.mesh",
+    "solve_hastings_mcleod.s_max", "solve_hastings_mcleod.s_min",
+    "solve_hastings_mcleod.tol", "stieltjes.keep_phi",
+}
+
+
+def test_public_settings_inventory():
+    found = {f"{name}.{param.name}"
+             for name, obj in vars(wm).items() if inspect.isfunction(obj)
+             for param in inspect.signature(obj).parameters.values()
+             if param.default is not inspect.Parameter.empty}
+    assert found == PUBLIC_SETTINGS

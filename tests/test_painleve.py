@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -106,12 +107,12 @@ def test_collocation_matches_shooting(grid, shooting_value):
 
 
 def test_mesh_refinement_order():
-    ref = wm.solve_hastings_mcleod(mesh=8192)
+    ref_q = wm.solve_hastings_mcleod(mesh=8192)[1]
     errs = []
     for mesh in (1024, 2048):
-        sol = wm.solve_hastings_mcleod(mesh=mesh)
+        q = wm.solve_hastings_mcleod(mesh=mesh)[1]
         stride = 8192 // mesh
-        errs.append(np.max(np.abs(sol.q - ref.q[::stride])))
+        errs.append(np.max(np.abs(q - ref_q[::stride])))
     assert errs[1] <= errs[0] / 3.0
 
 
@@ -140,16 +141,15 @@ def test_derivative_relations(grid):
 
 
 def test_accumulate_requires_converged_q(grid):
-    bad = wm.solve_hastings_mcleod()
-    bad.residual_norm = 1e-6
+    s, q, q_prime, _ = wm.solve_hastings_mcleod()
     with pytest.raises(ConvergenceError):
-        wm.accumulate_tails(bad)
+        wm.accumulate_tails(s, q, q_prime, 1e-6)
 
 
 def test_short_grid_tail_closure_error():
     sol = wm.solve_hastings_mcleod(s_max=8.0, mesh=2048)
     with pytest.raises(TailClosureError):
-        wm.accumulate_tails(sol)
+        wm.accumulate_tails(*sol)
 
 
 def test_tracy_widom_values(grid):
@@ -191,3 +191,10 @@ def test_tracy_widom_rejects_nan(grid):
     for which in ("F1", "F2"):
         with pytest.raises(CoverageError):
             wm.tracy_widom(float("nan"), which, grid)
+
+
+def test_grid_and_psi_solution_are_frozen(grid, psis_critical):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.R = grid.q
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        psis_critical.match_defect = 0.0

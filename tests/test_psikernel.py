@@ -14,9 +14,19 @@ def theta(z, s):
     return 4.0 * z**3 / 3.0 + s * z
 
 
+class FreePhase:
+    """Stand-in grid with q = q' = 0: the zeta-system has the exact free
+    solution (cos theta, -sin theta)."""
+
+    def q_at(self, s):
+        return 0.0
+
+    q_prime_at = q_at
+
+
 def test_free_phase_exact():
     s = 1.3
-    psis = wm.integrate_psi(s, coeffs=(0.0, 0.0), rtol=1e-13)
+    psis = wm.integrate_psi(s, FreePhase(), rtol=1e-13)
     z = psis.zeta_values
     assert np.max(np.abs(psis.phi1 - np.cos(theta(z, s)))) < 1e-9
     assert np.max(np.abs(psis.phi2 + np.sin(theta(z, s)))) < 1e-9
@@ -24,7 +34,7 @@ def test_free_phase_exact():
 
 def test_free_phase_kernel_is_sine_kernel():
     s = 0.7
-    psis = wm.integrate_psi(s, coeffs=(0.0, 0.0), rtol=1e-13)
+    psis = wm.integrate_psi(s, FreePhase(), rtol=1e-13)
     for u, v in ((0.3, -0.7), (0.5, 0.25), (-1.0, 0.1)):
         want = math.sin(theta(u, s) - theta(v, s)) / (math.pi * (u - v))
         assert abs(wm.critical_kernel(u, v, psis) - want) < 1e-10
@@ -59,8 +69,6 @@ def test_validation_sweep_defect_scales_like_inverse_zeta_max(grid):
     # leading-order edge data leaves an O(1/zeta_max) defect
     assert 1e-5 < d10 < 2e-2
     assert d20 < 0.7 * d10
-    with pytest.raises(ConvergenceError):
-        wm.integrate_psi(s, painleve=grid, validate=True, match_tol=1e-9)
 
 
 def test_zeta_max_truncation_effect_on_kernel(grid, psis_critical):
@@ -88,7 +96,7 @@ def test_cross_derivative_compatibility(grid):
     assert 0.8 * 4.0 <= d_02 / d_01 <= 1.2 * 4.0
 
 
-def test_coverage_and_precondition_errors(grid):
+def test_coverage_and_precondition_errors(grid, monkeypatch):
     psis = wm.integrate_psi(1.0, painleve=grid)
     with pytest.raises(CoverageError):
         psis.phi_at(11.0)
@@ -100,8 +108,10 @@ def test_coverage_and_precondition_errors(grid):
         wm.integrate_psi(grid.s_max + 1.0, painleve=grid)
     with pytest.raises(CoverageError):
         wm.integrate_psi(float("nan"), painleve=grid)
+    # a bad normalization is rejected before any ODE solve
+    monkeypatch.setattr(psikernel, "solve_ivp", None)
     with pytest.raises(ValueError):
-        wm.integrate_psi(1.0)
+        wm.integrate_psi(1.0, painleve=grid, normalization="median")
 
 
 def test_parallel_construction_matches_serial(grid):
