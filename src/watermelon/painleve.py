@@ -112,8 +112,9 @@ class PainleveGrid:
     """Tabulated Hastings-McLeod data on a uniform s-grid.
 
     Built complete and frozen by :func:`accumulate_tails`: q, q' and the
-    distribution pieces R, E, F, f1 = F*E, f2 = F^2.  ``residual_norm`` is
-    the max-norm defect of the Numerov collocation equations at q.
+    distribution pieces R, E, F, f1 = F*E, f2 = F^2, all read-only.
+    ``residual_norm`` is the max-norm defect of the Numerov collocation
+    equations at q.
     """
 
     s_values: np.ndarray
@@ -260,8 +261,12 @@ def accumulate_tails(s: np.ndarray, q: np.ndarray, q_prime: np.ndarray,
     int_r = closed("R", R, ir_tail)
     E = np.exp(-0.5 * int_q)
     F = np.exp(-0.5 * int_r)
+    f1, f2 = F * E, F * F
+    # the grid's splines view these arrays, so none may write them
+    for arr in (s, q, q_prime, R, E, F, f1, f2):
+        arr.setflags(write=False)
     return PainleveGrid(s_values=s, q=q, q_prime=q_prime, R=R, E=E, F=F,
-                        f1=F * E, f2=F * F, residual_norm=residual_norm)
+                        f1=f1, f2=f2, residual_norm=residual_norm)
 
 
 def build_grid() -> PainleveGrid:

@@ -12,8 +12,11 @@ therefore integrate outward from (1, 0) at zeta = 0, which pins the parity
 exactly and follows the dominant direction through any trapped zone (the
 inward sweep from leading-order asymptotic data picks up an O(1/zeta_max)
 parity-violating admixture that is amplified for s < 0), then rescale so
-the amplitude at zeta_max is 1.  The inward sweep is retained purely as a
-validation path; its defect against the parity solution at 0 is reported.
+the amplitude at zeta_max is 1.
+
+Along s at fixed zeta the pair obeys the s-equation of the Lax pair
+(``_s_rhs``; Flaschka & Newell, Commun. Math. Phys. 76 (1980) 65-116),
+which the integral form of the kernel and the compatibility check integrate.
 """
 
 from __future__ import annotations
@@ -32,12 +35,8 @@ DEFAULT_MESH = 4001
 
 @dataclass(frozen=True)
 class PsiSolution:
-    """Psi-function pair on a symmetric zeta-grid at one fixed s, frozen.
-
-    ``match_defect`` is the distance at zeta = 0 between the inward
-    validation sweep (leading-order data at +zeta_max) and the parity
-    solution; it is None unless the validation sweep was requested.
-    """
+    """Psi-function pair on a symmetric zeta-grid at one fixed s, frozen;
+    its arrays are read-only."""
 
     s: float
     zeta_values: np.ndarray
@@ -46,7 +45,6 @@ class PsiSolution:
     zeta_max: float
     q_s: float
     qp_s: float
-    match_defect: float | None
     _splines: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _spline(self, name):
@@ -96,18 +94,18 @@ def _zeta_rhs(s: float, q: float, r: float):
     return rhs
 
 
+def _s_rhs(q, zeta, f1, f2):
+    """d/ds (F1, F2) at fixed zeta: the s-equation of the Lax pair."""
+    return q * f1 + zeta * f2, -zeta * f1 - q * f2
+
+
 def integrate_psi(s: float, painleve: PainleveGrid,
                   zeta_max: float = DEFAULT_ZETA_MAX,
                   mesh: int = DEFAULT_MESH,
-                  validate: bool = False,
                   rtol: float = 1e-12,
                   normalization: str = "edge") -> PsiSolution:
     """Build the psi-function pair at parameter s, with q(s) and q'(s) read
     from the Painleve grid.
-
-    With ``validate`` the inward sweep from leading-order data at +zeta_max
-    is run and its defect at 0 recorded as ``match_defect``.  Leading-order
-    data makes that defect O(1/zeta_max) by construction.
 
     ``normalization``: "edge" pins the amplitude to exactly 1 at zeta_max
     (the leading-order convention; note the true pair's edge amplitude
@@ -140,15 +138,10 @@ def integrate_psi(s: float, painleve: PainleveGrid,
     zeta = np.concatenate([-half[:0:-1], half])
     phi1 = np.concatenate([p1[:0:-1], p1])
     phi2 = np.concatenate([-p2[:0:-1], p2])
-
-    defect = None
-    if validate:
-        theta = _theta(zeta_max, s)
-        sweep = _solve(rhs, (zeta_max, 0.0), [math.cos(theta), -math.sin(theta)],
-                       rtol=rtol, atol=rtol)
-        defect = math.hypot(sweep.y[0, -1] - p1[0], sweep.y[1, -1] - p2[0])
+    for arr in (zeta, phi1, phi2):
+        arr.setflags(write=False)
     return PsiSolution(s=s, zeta_values=zeta, phi1=phi1, phi2=phi2,
-                       zeta_max=zeta_max, q_s=q, qp_s=r, match_defect=defect)
+                       zeta_max=zeta_max, q_s=q, qp_s=r)
 
 
 def _asymptotic_mean_square(zeta, y1, y2, s):
@@ -187,33 +180,32 @@ def critical_kernel(u: float, v: float, psis: PsiSolution) -> float:
 
 def kernel_integral_form(u: float, v: float, s: float,
                          painleve: PainleveGrid,
-                         n_xi: int = 49,
                          zeta_max: float = 8.0) -> float:
     """Second kernel expression: (1/pi) int_{-inf}^s (F1F1 + F2F2) d xi.
 
-    The psi pair is rebuilt on a coarse xi-grid (composite Simpson); the
-    integrand decays like exp(-(2 sqrt2 / 3)|xi|^{3/2}) so the lower cutoff
-    max(painleve.s_min, -8) truncates below 1e-8.  Simpson's
-    rule needs an odd ``n_xi`` >= 3; anything else raises ValueError.
+    One zeta-solve at s gives psi(u) and psi(v); one flow of the
+    s-equation from s downward carries them and the running integral to
+    the lower cutoff min(max(painleve.s_min, -8), s).  The integrand decays
+    like exp(-(2 sqrt2 / 3)|xi|^{3/2}), so the cutoff truncates below 1e-8.
+    The flow starts at s because the "mean" normalization is fitted there;
+    at xi = -8 the fit is poor.
     """
-    if n_xi < 3 or n_xi % 2 == 0:
-        raise ValueError(f"n_xi must be odd and >= 3, got {n_xi}")
-    xis = np.linspace(max(painleve.s_min, -8.0), s, n_xi)
-    vals = np.empty(n_xi)
     # outer-half sampling must resolve the 2 theta oscillation for the
     # mean normalization: keep the output spacing at 0.002
-    mesh = int(500 * zeta_max) + 1
-    for i, xi in enumerate(xis):
-        psis = integrate_psi(xi, zeta_max=zeta_max, mesh=mesh,
-                             painleve=painleve, rtol=1e-10,
-                             normalization="mean")
-        u1, u2 = psis.phi_at(u)
-        v1, v2 = psis.phi_at(v)
-        vals[i] = u1 * v1 + u2 * v2
-    h = xis[1] - xis[0]
-    simpson = (h / 3.0) * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum()
-                           + 2.0 * vals[2:-1:2].sum())
-    return simpson / math.pi
+    psis = integrate_psi(s, painleve, zeta_max=zeta_max,
+                         mesh=int(500 * zeta_max) + 1, rtol=1e-10,
+                         normalization="mean")
+
+    def rhs(xi, y):
+        # y[4] = int_xi^s (F1(u) F1(v) + F2(u) F2(v)), zero at xi = s
+        q = painleve.q_at(xi)
+        return (*_s_rhs(q, u, y[0], y[1]), *_s_rhs(q, v, y[2], y[3]),
+                -(y[0] * y[2] + y[1] * y[3]))
+
+    lower = min(max(painleve.s_min, -8.0), s)
+    sol = _solve(rhs, (s, lower), [*psis.phi_at(u), *psis.phi_at(v), 0.0],
+                 rtol=1e-10, atol=1e-12)
+    return sol.y[4, -1] / math.pi
 
 
 def compatibility_defect(s_center: float, delta: float,
@@ -237,8 +229,7 @@ def compatibility_defect(s_center: float, delta: float,
             return v0
 
         def rhs(s, y):
-            q = painleve.q_at(s)
-            return (q * y[0] + zeta_max * y[1], -zeta_max * y[0] - q * y[1])
+            return _s_rhs(painleve.q_at(s), zeta_max, y[0], y[1])
 
         sol = _solve(rhs, (s_center, s_target), v0, rtol=1e-13, atol=1e-13)
         return [sol.y[0, -1], sol.y[1, -1]]

@@ -197,4 +197,11 @@ def test_grid_and_psi_solution_are_frozen(grid, psis_critical):
     with pytest.raises(dataclasses.FrozenInstanceError):
         grid.R = grid.q
     with pytest.raises(dataclasses.FrozenInstanceError):
-        psis_critical.match_defect = 0.0
+        psis_critical.q_s = 0.0
+
+
+def test_grid_and_psi_arrays_are_read_only(grid, psis_critical):
+    # splines view these arrays: a write would change later evaluations
+    for arr in (grid.f2, grid.q, psis_critical.phi1):
+        with pytest.raises(ValueError):
+            arr[:] = 0.5

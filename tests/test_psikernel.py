@@ -62,10 +62,23 @@ def test_kernel_symmetry_and_diagonal_positivity(psis_critical):
 
 
 def test_validation_sweep_defect_scales_like_inverse_zeta_max(grid):
+    # the inward sweep from leading-order data (cos theta, -sin theta) at
+    # +zeta_max, against the parity solution at zeta = 0
     s = 2.0 ** (2.0 / 3.0)
-    d10 = wm.integrate_psi(s, painleve=grid, validate=True).match_defect
-    d20 = wm.integrate_psi(s, zeta_max=20.0, mesh=8001, painleve=grid,
-                           validate=True).match_defect
+
+    def defect(zeta_max, mesh):
+        psis = wm.integrate_psi(s, zeta_max=zeta_max, mesh=mesh, painleve=grid)
+        theta = psikernel._theta(zeta_max, s)
+        sweep = psikernel._solve(psikernel._zeta_rhs(s, psis.q_s, psis.qp_s),
+                                 (zeta_max, 0.0),
+                                 [math.cos(theta), -math.sin(theta)],
+                                 rtol=1e-12, atol=1e-12)
+        mid = len(psis.zeta_values) // 2
+        return math.hypot(sweep.y[0, -1] - psis.phi1[mid],
+                          sweep.y[1, -1] - psis.phi2[mid])
+
+    d10 = defect(10.0, 4001)
+    d20 = defect(20.0, 8001)
     # leading-order edge data leaves an O(1/zeta_max) defect
     assert 1e-5 < d10 < 2e-2
     assert d20 < 0.7 * d10
@@ -88,6 +101,31 @@ def test_lhospital_matches_integral_form(grid):
     direct = wm.critical_kernel(u, u, psis)
     integral = kernel_integral_form(u, u, s, grid, zeta_max=12.0)
     assert abs(direct - integral) < 1e-3
+
+
+def test_integral_form_agrees_with_closed_form(grid):
+    for u, v, s in ((0.4, -0.3, 0.5), (0.4, 0.4, 1.0), (0.3, -0.2, 0.5),
+                    (1.0, 0.5, -1.0), (-0.7, 0.9, 2.0)):
+        psis = wm.integrate_psi(s, grid, zeta_max=8, mesh=4001, rtol=1e-10,
+                                normalization="mean")
+        integral = kernel_integral_form(u, v, s, grid)
+        assert abs(integral - wm.critical_kernel(u, v, psis)) <= 1e-7
+    # at or below the -8 cutoff the integral is empty: K is ~1e-12 there
+    assert 0.0 <= kernel_integral_form(0.4, 0.4, -9.0, grid) <= 1e-8
+
+
+def test_integral_form_makes_two_ode_solves(grid, monkeypatch):
+    # one zeta-solve at s and one s-flow, not one zeta-solve per xi-node
+    real = psikernel.solve_ivp
+
+    def counting(*args, **kwargs):
+        counting.calls += 1
+        return real(*args, **kwargs)
+
+    counting.calls = 0
+    monkeypatch.setattr(psikernel, "solve_ivp", counting)
+    kernel_integral_form(0.4, 0.4, 1.0, grid)
+    assert counting.calls == 2
 
 
 def test_cross_derivative_compatibility(grid):
@@ -140,20 +178,13 @@ def test_failed_ode_solve_raises(grid, monkeypatch):
             sol.message = "injected failure"
         return sol
 
-    for run in (lambda: wm.integrate_psi(1.0, zeta_max=8.0, mesh=2001,
-                                         painleve=grid, validate=True),
+    for run in (lambda: kernel_integral_form(0.4, 0.4, 1.0, grid),
                 lambda: wm.compatibility_defect(1.0, 0.02, grid)):
         failing.calls = 0
         monkeypatch.setattr(psikernel, "solve_ivp", failing)
         with pytest.raises(ConvergenceError):
             run()
         monkeypatch.undo()
-
-
-def test_kernel_integral_form_rejects_bad_n_xi(grid):
-    for n_xi in (1, 2, 48):
-        with pytest.raises(ValueError):
-            kernel_integral_form(0.4, 0.4, 1.0, grid, n_xi=n_xi)
 
 
 def test_nan_arguments_raise(grid, psis_critical):
