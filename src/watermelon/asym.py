@@ -62,8 +62,14 @@ def build_equilibrium(a: float, j_max: int = 6) -> EquilibriumData:
                            g_moments=g)
 
 
+def _check_n(n: int) -> None:
+    if not n >= 1:
+        raise ValueError("n must be >= 1")
+
+
 def s_of_a(a: float, n: int) -> float:
     """Double-scaling variable s(a; n); positive iff a < 1."""
+    _check_n(n)
     if not 0.0 < a <= 2.0:
         raise CoverageError("a must lie in (0, 2]")
     d = 1.0 - a
@@ -194,6 +200,7 @@ def free_energy_comparison(n: int, L: float, grid: PainleveGrid,
                  - n^{-2} log F2(2^{2/3} n^{2/3} (1-a))
     residual   = |exact - asymptotic|
     """
+    _check_n(n)
     a = 1.0 - L * n ** (-2.0 / 3.0)
     if a <= 0.0:
         raise ValueError("L too large; a nonpositive")
@@ -218,6 +225,7 @@ def kernel_limit_table(n: int, L: float, u_grid, v_grid,
     (u, v, k_n, m_n, scaled exact, limit, abs diff, rel diff); pairs whose
     distinct u, v collapse onto one node are reported in ``skipped``.
     """
+    _check_n(n)
     a = 1.0 - L * n ** (-2.0 / 3.0)
     system = dgop.build_system(n, alpha, a, n)
     scale = n ** (2.0 / 3.0) / KERNEL_SCALE_C

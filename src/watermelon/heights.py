@@ -15,13 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dgop
-from .errors import OrderFitError
+from .errors import OrderFitError, WindowError
 from .oracles import (gue_log_integral, lue_log_integral,
                       vandermonde_lattice_sum)
 from .painleve import PainleveGrid, tracy_widom
 
 WALLS = ("absorbing", "reflecting")
 X_CUT = 8.0  # lattice cutoff of the Riemann sums (weight exp(-64) there)
+# The sums hold len^2 arrays: 2,001 nodes is 32 MB each, eps >= 0.008 for GUE.
+MAX_LATTICE_NODES = 2001
 
 
 def _parity(wall: str) -> int:
@@ -167,18 +169,32 @@ def deformation_identity_check(N: int, a: float, delta_a: float, wall: str):
     return lhs, rhs, abs(lhs - rhs)
 
 
-def _gue_lattice(eps: float) -> np.ndarray:
-    half = int(math.ceil(X_CUT / eps))
+def _lattice(eps: float, ensemble: str) -> np.ndarray:
+    """Mesh-eps nodes cut at X_CUT: [0, X_CUT) for LUE, symmetric for GUE.
+
+    Raises ``ValueError`` unless eps is finite and positive and
+    ``WindowError`` before allocating more than ``MAX_LATTICE_NODES``.
+    """
+    if not 0.0 < eps < math.inf:  # NaN fails too
+        raise ValueError("eps must be finite and positive")
+    # nodes per half-line before rounding up (inf for a subnormal eps);
+    # rounding up cannot carry a count across the integer bound
+    span = X_CUT / eps
+    if (span if ensemble == "LUE" else 2 * span + 1) > MAX_LATTICE_NODES:
+        raise WindowError(f"eps={eps} needs more than {MAX_LATTICE_NODES} "
+                          f"lattice nodes; raise eps")
+    if ensemble == "LUE":
+        return np.arange(0.0, X_CUT, eps)
+    half = math.ceil(span)
     return np.arange(-half, half + 1, dtype=float) * eps
 
 
 def _riemann_sum(N: int, eps: float, ensemble: str) -> float:
     """eps^N times the Vandermonde sum on the mesh-eps lattice cut at X_CUT."""
+    x = _lattice(eps, ensemble)
     if ensemble == "LUE":
-        x = np.arange(0.0, X_CUT, eps)
         y, g = x * x, x * x * np.exp(-x * x)
     else:
-        x = _gue_lattice(eps)
         y, g = x, np.exp(-x * x)
     return vandermonde_lattice_sum(y, g, N) * eps**N
 
@@ -222,7 +238,7 @@ def gue_shift_sum(N: int, eps: float) -> float:
     Telescopes to zero on the symmetric lattice; kept as the sanity check
     that the first Euler-Maclaurin correction really cancels.
     """
-    x = _gue_lattice(eps)
+    x = _lattice(eps, "GUE")
     w = np.exp(-x * x)
     if N == 1:
         return float(np.sum(-2.0 * x * w)) * eps

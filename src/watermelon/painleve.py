@@ -48,8 +48,7 @@ class NotAKnotSpline:
 
     Each step repeats the arithmetic of ``scipy.interpolate.CubicSpline``
     (its banded slope system, ``find_interval`` and the power sums of
-    ``evaluate_poly1``) and the knot integrals repeat those of
-    ``PPoly.antiderivative``, so every value agrees with scipy bit for bit
+    ``evaluate_poly1``), so every spline value agrees with scipy bit for bit
     without loading ``scipy.interpolate``.
     """
 
@@ -85,26 +84,17 @@ class NotAKnotSpline:
         c0, c1, c2, c3 = (c[i] for c in self.c)
         return float(((c3 + c2 * t) + c1 * (t * t)) + c0 * (t * t * t))
 
-    def tail_integrals(self, downward: bool = False) -> np.ndarray:
+    def tail_integrals(self) -> np.ndarray:
         """int_{x_j}^{x[-1]} of the spline at every knot x_j.
 
-        By default the antiderivative is built in ``PPoly.antiderivative``'s
-        order and differenced, as scipy does.  ``downward`` instead sums the
-        interval integrals from x[-1] down, which keeps full relative
-        accuracy where the tail is tiny next to the whole integral.
+        The interval integrals are summed from x[-1] down, which keeps full
+        relative accuracy where the tail is tiny next to the whole integral
+        (differencing an antiderivative, as scipy does, cancels there).
         """
-        if downward:
-            c0, c1, c2, c3 = self.c
-            t = self.dx
-            pieces = t * (c3 + t * (c2 / 2 + t * (c1 / 3 + t * (c0 / 4))))
-            return np.append(np.cumsum(pieces[::-1])[::-1], 0.0)
-        cols = [(c / f).tolist() for c, f in zip(self.c, (4.0, 3.0, 2.0, 1.0))]
-        anti = [0.0]
-        for a0, a1, a2, a3, t in zip(*cols, self.dx.tolist()):
-            anti.append((((anti[-1] + a3 * t) + a2 * (t * t))
-                         + a1 * (t * t * t)) + a0 * (t * t * t * t))
-        anti = np.array(anti)
-        return anti[-1] - anti
+        c0, c1, c2, c3 = self.c
+        t = self.dx
+        pieces = t * (c3 + t * (c2 / 2 + t * (c1 / 3 + t * (c0 / 4))))
+        return np.append(np.cumsum(pieces[::-1])[::-1], 0.0)
 
 
 @dataclass(frozen=True)
@@ -226,7 +216,8 @@ def solve_hastings_mcleod(s_min: float = DEFAULT_S_MIN,
             residual=residual)
 
     # q' by integrating the ODE from the right edge: smoother than a spline
-    # derivative and fourth-order accurate through the antiderivative.
+    # derivative, fourth-order accurate, and summed downward so the tiny
+    # right tail keeps its relative accuracy.
     q_prime = (_scipy_airy(s_max)[1]
                - NotAKnotSpline(s, s * q + 2.0 * q**3).tail_integrals())
 
@@ -251,7 +242,7 @@ def accumulate_tails(s: np.ndarray, q: np.ndarray, q_prime: np.ndarray,
 
     def closed(name, values, tail):
         """int_s^inf values by quadrature plus a negligible Airy closure."""
-        total = NotAKnotSpline(s, values).tail_integrals(downward=True) + tail
+        total = NotAKnotSpline(s, values).tail_integrals() + tail
         if tail > 1e-10 * max(total[0], tail):
             raise TailClosureError(f"{name} tail closure {tail:.3e} too large; extend s_max")
         return total

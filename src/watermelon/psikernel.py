@@ -12,7 +12,9 @@ therefore integrate outward from (1, 0) at zeta = 0, which pins the parity
 exactly and follows the dominant direction through any trapped zone (the
 inward sweep from leading-order asymptotic data picks up an O(1/zeta_max)
 parity-violating admixture that is amplified for s < 0), then rescale so
-the amplitude at zeta_max is 1.
+the amplitude's asymptotic mean, fitted over the outer half of the sweep,
+is 1.  Pinning the amplitude at zeta_max instead would keep its
+O(q/(2 zeta_max)) oscillation as a bias in the bulk.
 
 Along s at fixed zeta the pair obeys the s-equation of the Lax pair
 (``_s_rhs``; Flaschka & Newell, Commun. Math. Phys. 76 (1980) 65-116),
@@ -30,7 +32,6 @@ from .errors import ConvergenceError, CoverageError
 from .painleve import NotAKnotSpline, PainleveGrid
 
 DEFAULT_ZETA_MAX = 10.0
-DEFAULT_MESH = 4001
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,6 @@ class PsiSolution:
     def phi_prime_at(self, zeta: float) -> tuple[float, float]:
         """Derivatives straight from the ODE right-hand side."""
         return _zeta_rhs(self.s, self.q_s, self.qp_s)(zeta, self.phi_at(zeta))
-
-    def edge_amplitude(self) -> float:
-        return math.hypot(self.phi1[-1], self.phi2[-1])
 
 
 def _theta(zeta, s):
@@ -101,37 +99,26 @@ def _s_rhs(q, zeta, f1, f2):
 
 def integrate_psi(s: float, painleve: PainleveGrid,
                   zeta_max: float = DEFAULT_ZETA_MAX,
-                  mesh: int = DEFAULT_MESH,
-                  rtol: float = 1e-12,
-                  normalization: str = "edge") -> PsiSolution:
+                  rtol: float = 1e-12) -> PsiSolution:
     """Build the psi-function pair at parameter s, with q(s) and q'(s) read
     from the Painleve grid.
 
-    ``normalization``: "edge" pins the amplitude to exactly 1 at zeta_max
-    (the leading-order convention; note the true pair's edge amplitude
-    oscillates by O(q/(2 zeta_max)) around 1, so this leaves a bias of that
-    size in the bulk).  "mean" instead fits the amplitude oscillation
-    A^2(z) = c0 + (c1 sin 2theta + c2 cos 2theta)/z over the outer half and
-    normalizes the asymptotic mean c0 to 1, removing the bias at first
-    order (used by the integral-form cross-check).
+    The amplitude is normalized at infinity: the oscillation
+    A^2(z) = c0 + (c1 sin 2theta + c2 cos 2theta)/z is fitted over the outer
+    half of the sweep and the asymptotic mean c0 scaled to 1.
     """
     if not zeta_max >= 8.0:  # NaN fails too
         raise ValueError("zeta_max must be >= 8")
-    if mesh < 40 * zeta_max:
-        raise ValueError("mesh too coarse for the requested zeta_max")
-    if normalization not in ("edge", "mean"):
-        raise ValueError("normalization must be 'edge' or 'mean'")
     q = painleve.q_at(s)
     r = painleve.q_prime_at(s)
 
     rhs = _zeta_rhs(s, q, r)
-    half = np.linspace(0.0, zeta_max, mesh)
+    # outer-half sampling must resolve the 2 theta oscillation for the
+    # amplitude fit: keep the output spacing at 0.002
+    half = np.linspace(0.0, zeta_max, int(500 * zeta_max) + 1)
     sol = _solve(rhs, (0.0, zeta_max), [1.0, 0.0], rtol=rtol, atol=rtol,
                  t_eval=half)
-    if normalization == "edge":
-        amp = math.hypot(sol.y[0, -1], sol.y[1, -1])
-    else:
-        amp = math.sqrt(_asymptotic_mean_square(half, sol.y[0], sol.y[1], s))
+    amp = math.sqrt(_asymptotic_mean_square(half, sol.y[0], sol.y[1], s))
     p1 = sol.y[0] / amp
     p2 = sol.y[1] / amp
 
@@ -187,14 +174,10 @@ def kernel_integral_form(u: float, v: float, s: float,
     s-equation from s downward carries them and the running integral to
     the lower cutoff min(max(painleve.s_min, -8), s).  The integrand decays
     like exp(-(2 sqrt2 / 3)|xi|^{3/2}), so the cutoff truncates below 1e-8.
-    The flow starts at s because the "mean" normalization is fitted there;
-    at xi = -8 the fit is poor.
+    The flow starts at s because the amplitude normalization is fitted
+    there; at xi = -8 the fit is poor.
     """
-    # outer-half sampling must resolve the 2 theta oscillation for the
-    # mean normalization: keep the output spacing at 0.002
-    psis = integrate_psi(s, painleve, zeta_max=zeta_max,
-                         mesh=int(500 * zeta_max) + 1, rtol=1e-10,
-                         normalization="mean")
+    psis = integrate_psi(s, painleve, zeta_max=zeta_max, rtol=1e-10)
 
     def rhs(xi, y):
         # y[4] = int_xi^s (F1(u) F1(v) + F2(u) F2(v)), zero at xi = s

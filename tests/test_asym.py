@@ -68,6 +68,16 @@ class TestScalingVariable:
         with pytest.raises(CoverageError):
             wm.s_of_a(2.5, 10)
 
+    def test_nonpositive_n_rejected(self, grid, psis_critical):
+        # n^{2/3} at n = 0 or -8 is 0 or complex: no scaling variable exists
+        for n in (0, -8):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                wm.s_of_a(0.9, n)
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                wm.free_energy_comparison(n, 1.0, grid)
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                wm.kernel_limit_table(n, 1.0, [0.5], [0.5], grid, psis_critical)
+
 
 class TestExpansionCoefficients:
     def test_alpha_zero_even_n(self, grid):

@@ -71,6 +71,9 @@ def test_usage_errors_exit_1(run_cli, capsys):
         ["converge", "--N-list", ","],                                      # empty lists
         ["free-energy", "--L-list", ","],
         ["kernel", "--n", "32", "--grid", ","],
+        ["kernel", "--n", "0"],                                             # n < 1
+        ["free-energy", "--n-list", "0"],
+        ["free-energy", "--n-list", "-8"],
     ]
     # in-process: an exception escaping main fails the test, so no case
     # can end in a traceback

@@ -31,10 +31,12 @@ def test_folded_formulas_frozen_values(grid, psis_critical):
     close(wm.log_height_cdf(8, 5.0, "absorbing"), -2.0931909318733233e-05, 1e-13)
     close(wm.log_height_cdf(8, 5.0, "reflecting"), -4.563299853543867e-06, 1e-13)
 
+    # re-pinned when the psi amplitude became the fitted mean at infinity
+    # and q' started summing its tail integral downward
     for got, want in zip(psis_critical.phi_prime_at(0.7),
-                         (-3.4545976030732306, 0.09798195684258079)):
+                         (-3.457624556223177, 0.09806780961821014)):
         close(got, want, 1e-12)
-    close(wm.compatibility_defect(1.0, 0.02, grid), 0.00032415543117791934, 1e-12)
+    close(wm.compatibility_defect(1.0, 0.02, grid), 0.0003241554311497197, 1e-12)
 
 
 def test_constant_settings_frozen_values(grid):

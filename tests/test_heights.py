@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import watermelon as wm
-from watermelon.errors import OrderFitError, PrecisionError
+from watermelon.errors import OrderFitError, PrecisionError, WindowError
 from watermelon.heights import gue_shift_sum, rescale_M, tabulate_rescaled
 from watermelon.oracles import brute_force_height_cdf
 
@@ -211,6 +211,28 @@ def test_height_cdf_rejects_nonpositive_M():
     for M in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="M must be positive"):
             wm.height_cdf(2, M, "absorbing")
+
+
+def test_riemann_lattice_bounded():
+    # the sums hold arrays of the node count squared: eps = 0.001 would
+    # be 16,001 GUE nodes, 2 GB per array
+    for bad in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            wm.riemann_sum_order(2, [0.2, 0.1, bad], "GUE")
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            gue_shift_sum(2, bad)
+    for tiny in (0.001, 1e-300, 5e-324):
+        for ens in ("LUE", "GUE"):
+            with pytest.raises(WindowError):
+                wm.riemann_sum_order(2, [0.2, 0.1, tiny], ens)
+        with pytest.raises(WindowError):
+            gue_shift_sum(2, tiny)
+    # the edge of the bound: 2,001 GUE and 2,000 LUE nodes pass
+    assert wm.heights._lattice(0.008, "GUE").size == 2001
+    assert wm.heights._lattice(0.004, "LUE").size == 2000
+    for ens, eps in (("GUE", 0.0079), ("LUE", 0.00399)):
+        with pytest.raises(WindowError):
+            wm.heights._lattice(eps, ens)
 
 
 def test_riemann_order_input_validation():

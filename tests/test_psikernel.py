@@ -48,12 +48,6 @@ def test_parity_exact_by_construction(grid):
     assert psis.phi2[mid] == 0.0
 
 
-def test_edge_amplitude_normalized(grid):
-    psis = wm.integrate_psi(1.0, painleve=grid)
-    assert abs(psis.edge_amplitude() - 1.0) < 1e-6
-    assert abs(math.hypot(psis.phi1[0], psis.phi2[0]) - 1.0) < 1e-6
-
-
 def test_kernel_symmetry_and_diagonal_positivity(psis_critical):
     assert (wm.critical_kernel(0.3, -0.7, psis_critical)
             == wm.critical_kernel(-0.7, 0.3, psis_critical))
@@ -66,8 +60,8 @@ def test_validation_sweep_defect_scales_like_inverse_zeta_max(grid):
     # +zeta_max, against the parity solution at zeta = 0
     s = 2.0 ** (2.0 / 3.0)
 
-    def defect(zeta_max, mesh):
-        psis = wm.integrate_psi(s, zeta_max=zeta_max, mesh=mesh, painleve=grid)
+    def defect(zeta_max):
+        psis = wm.integrate_psi(s, zeta_max=zeta_max, painleve=grid)
         theta = psikernel._theta(zeta_max, s)
         sweep = psikernel._solve(psikernel._zeta_rhs(s, psis.q_s, psis.qp_s),
                                  (zeta_max, 0.0),
@@ -77,8 +71,8 @@ def test_validation_sweep_defect_scales_like_inverse_zeta_max(grid):
         return math.hypot(sweep.y[0, -1] - psis.phi1[mid],
                           sweep.y[1, -1] - psis.phi2[mid])
 
-    d10 = defect(10.0, 4001)
-    d20 = defect(20.0, 8001)
+    d10 = defect(10.0)
+    d20 = defect(20.0)
     # leading-order edge data leaves an O(1/zeta_max) defect
     assert 1e-5 < d10 < 2e-2
     assert d20 < 0.7 * d10
@@ -86,18 +80,28 @@ def test_validation_sweep_defect_scales_like_inverse_zeta_max(grid):
 
 def test_zeta_max_truncation_effect_on_kernel(grid, psis_critical):
     s = 2.0 ** (2.0 / 3.0)
-    wide = wm.integrate_psi(s, zeta_max=20.0, mesh=8001, painleve=grid)
+    wide = wm.integrate_psi(s, zeta_max=20.0, painleve=grid)
     worst = max(abs(wm.critical_kernel(u, v, psis_critical)
                     - wm.critical_kernel(u, v, wide))
                 for u in (-1.0, 0.0, 0.5) for v in (-0.5, 0.25, 1.0))
     assert worst < 5e-3
 
 
+def test_amplitude_fit_independent_of_zeta_max(grid, psis_critical):
+    # the amplitude is fitted at infinity, so the truncation point moves the
+    # kernel by far less than the O(q/(2 zeta_max)) oscillation of an
+    # amplitude pinned at zeta_max (5.2e-3 relative over 8, 10, 12)
+    s = 2.0 ** (2.0 / 3.0)
+    others = [wm.integrate_psi(s, zeta_max=z, painleve=grid) for z in (8.0, 12.0)]
+    for u, v in ((0.5, -0.5), (1.0, 1.0), (-1.0, 0.5), (0.3, -0.7)):
+        ref = wm.critical_kernel(u, v, psis_critical)
+        for psis in others:
+            assert abs(wm.critical_kernel(u, v, psis) / ref - 1.0) <= 1e-4
+
+
 def test_lhospital_matches_integral_form(grid):
-    # both sides under the de-biased normalization; the edge-pinned one
-    # carries an O(q/(2 zeta_max)) amplitude bias that exceeds 1e-3 here
     s, u = 1.0, 0.4
-    psis = wm.integrate_psi(s, painleve=grid, normalization="mean")
+    psis = wm.integrate_psi(s, painleve=grid)
     direct = wm.critical_kernel(u, u, psis)
     integral = kernel_integral_form(u, u, s, grid, zeta_max=12.0)
     assert abs(direct - integral) < 1e-3
@@ -106,8 +110,7 @@ def test_lhospital_matches_integral_form(grid):
 def test_integral_form_agrees_with_closed_form(grid):
     for u, v, s in ((0.4, -0.3, 0.5), (0.4, 0.4, 1.0), (0.3, -0.2, 0.5),
                     (1.0, 0.5, -1.0), (-0.7, 0.9, 2.0)):
-        psis = wm.integrate_psi(s, grid, zeta_max=8, mesh=4001, rtol=1e-10,
-                                normalization="mean")
+        psis = wm.integrate_psi(s, grid, zeta_max=8, rtol=1e-10)
         integral = kernel_integral_form(u, v, s, grid)
         assert abs(integral - wm.critical_kernel(u, v, psis)) <= 1e-7
     # at or below the -8 cutoff the integral is empty: K is ~1e-12 there
@@ -134,31 +137,25 @@ def test_cross_derivative_compatibility(grid):
     assert 0.8 * 4.0 <= d_02 / d_01 <= 1.2 * 4.0
 
 
-def test_coverage_and_precondition_errors(grid, monkeypatch):
+def test_coverage_and_precondition_errors(grid):
     psis = wm.integrate_psi(1.0, painleve=grid)
     with pytest.raises(CoverageError):
         psis.phi_at(11.0)
     with pytest.raises(ValueError):
         wm.integrate_psi(1.0, zeta_max=5.0, painleve=grid)
-    with pytest.raises(ValueError):
-        wm.integrate_psi(1.0, mesh=100, painleve=grid)
     with pytest.raises(CoverageError):
         wm.integrate_psi(grid.s_max + 1.0, painleve=grid)
     with pytest.raises(CoverageError):
         wm.integrate_psi(float("nan"), painleve=grid)
-    # a bad normalization is rejected before any ODE solve
-    monkeypatch.setattr(psikernel, "solve_ivp", None)
-    with pytest.raises(ValueError):
-        wm.integrate_psi(1.0, painleve=grid, normalization="median")
 
 
 def test_parallel_construction_matches_serial(grid):
     svals = (0.5, 1.5)
-    serial = [wm.integrate_psi(s, zeta_max=8.0, mesh=2001, painleve=grid)
+    serial = [wm.integrate_psi(s, zeta_max=8.0, painleve=grid)
               for s in svals]
     with ThreadPoolExecutor(max_workers=2) as pool:
         parallel = list(pool.map(
-            lambda s: wm.integrate_psi(s, zeta_max=8.0, mesh=2001, painleve=grid),
+            lambda s: wm.integrate_psi(s, zeta_max=8.0, painleve=grid),
             svals))
     for a, b in zip(serial, parallel):
         assert np.array_equal(a.phi1, b.phi1)
