@@ -8,13 +8,15 @@ The zeta-system
 with q = q(s), r = q'(s) held fixed, has a one-dimensional space of
 solutions with the parity (F1 even, F2 odd); that space contains the
 psi-function pair normalized to unit amplitude cos/-sin at infinity.  We
-therefore integrate outward from (1, 0) at zeta = 0, which pins the parity
+therefore propagate outward from (1, 0) at zeta = 0, which pins the parity
 exactly and follows the dominant direction through any trapped zone (the
 inward sweep from leading-order asymptotic data picks up an O(1/zeta_max)
 parity-violating admixture that is amplified for s < 0), then rescale so
 the amplitude's asymptotic mean, fitted over the outer half of the sweep,
 is 1.  Pinning the amplitude at zeta_max instead would keep its
-O(q/(2 zeta_max)) oscillation as a bias in the bulk.
+O(q/(2 zeta_max)) oscillation as a bias in the bulk.  Each outward step
+is a closed-form sixth-order Magnus exponential (Iserles & Norsett, Phil.
+Trans. R. Soc. A 357 (1999) 983-1019).
 
 Along s at fixed zeta the pair obeys the s-equation of the Lax pair
 (``_s_rhs``; Flaschka & Newell, Commun. Math. Phys. 76 (1980) 65-116),
@@ -32,6 +34,7 @@ from .errors import ConvergenceError, CoverageError
 from .painleve import NotAKnotSpline, PainleveGrid
 
 DEFAULT_ZETA_MAX = 10.0
+_SUBSTEPS = 4  # Magnus steps per 0.002 output interval
 
 
 @dataclass(frozen=True)
@@ -69,8 +72,8 @@ def _theta(zeta, s):
 
 
 def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on the first ODE solve, so a
-    process that solves none never loads ``scipy.integrate``."""
+    """``scipy.integrate.solve_ivp``, imported on the first DOP853 solve (the
+    psi zeta-solve makes none), so a process without one never loads it."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
     return scipy_solve_ivp(*args, **kwargs)
 
@@ -84,12 +87,42 @@ def _solve(rhs, t_span, y0, **options):
     return sol
 
 
+def _zeta_matrix(z, s, q, r):
+    """Entries (a, b, c) of the zeta-matrix [[a, b], [c, -a]] at z (array)."""
+    beta = 4.0 * z * z + s + 2.0 * q * q
+    return 4.0 * z * q, beta + 2.0 * r, -(beta - 2.0 * r)
+
+
 def _zeta_rhs(s: float, q: float, r: float):
     def rhs(z, y):
-        beta = 4.0 * z * z + s + 2.0 * q * q
-        return (4.0 * z * q * y[0] + (beta + 2.0 * r) * y[1],
-                -(beta - 2.0 * r) * y[0] - 4.0 * z * q * y[1])
+        a, b, c = _zeta_matrix(z, s, q, r)
+        return a * y[0] + b * y[1], c * y[0] - a * y[1]
     return rhs
+
+
+def _bracket(x, y):
+    """Commutator of traceless 2x2 matrices held as (a, b, c) rows."""
+    return np.array([x[1] * y[2] - y[1] * x[2], 2.0 * (x[0] * y[1] - x[1] * y[0]),
+                     2.0 * (x[2] * y[0] - x[0] * y[2])])
+
+
+def _magnus_steps(s, q, r, left, h):
+    """Rows (e11, e12, e21, e22) of exp(Omega) on [t, t + h] for each t in
+    ``left``, Omega the sixth-order Magnus expansion at the three Gauss
+    points (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151-238, s. 5)."""
+    m1, m2, m3 = (np.array(_zeta_matrix(left + c * h, s, q, r)) for c in
+                  (0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)))
+    a1 = h * m2
+    a2 = (math.sqrt(15.0) * h / 3.0) * (m3 - m1)
+    a3 = (10.0 * h / 3.0) * (m3 - 2.0 * m2 + m1)
+    c1 = _bracket(a1, a2)
+    c2 = -_bracket(a1, 2.0 * a3 + c1) / 60.0
+    om = a1 + a3 / 12.0 + _bracket(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+    # Omega^2 = -w^2 I, so exp(Omega) = cos(w) I + (sin(w)/w) Omega
+    w = np.sqrt(-(om[0] ** 2 + om[1] * om[2]) + 0j)
+    cosine, sine = np.cos(w).real, np.sinc(w / np.pi).real
+    return np.array([cosine + sine * om[0], sine * om[1], sine * om[2],
+                     cosine - sine * om[0]])
 
 
 def _s_rhs(q, zeta, f1, f2):
@@ -98,12 +131,12 @@ def _s_rhs(q, zeta, f1, f2):
 
 
 def integrate_psi(s: float, painleve: PainleveGrid,
-                  zeta_max: float = DEFAULT_ZETA_MAX,
-                  rtol: float = 1e-12) -> PsiSolution:
+                  zeta_max: float = DEFAULT_ZETA_MAX) -> PsiSolution:
     """Build the psi-function pair at parameter s, with q(s) and q'(s) read
     from the Painleve grid.
 
-    The amplitude is normalized at infinity: the oscillation
+    Magnus steps of ``_SUBSTEPS`` per output interval carry (1, 0) out from
+    zeta = 0.  The amplitude is normalized at infinity: the oscillation
     A^2(z) = c0 + (c1 sin 2theta + c2 cos 2theta)/z is fitted over the outer
     half of the sweep and the asymptotic mean c0 scaled to 1.
     """
@@ -112,15 +145,22 @@ def integrate_psi(s: float, painleve: PainleveGrid,
     q = painleve.q_at(s)
     r = painleve.q_prime_at(s)
 
-    rhs = _zeta_rhs(s, q, r)
     # outer-half sampling must resolve the 2 theta oscillation for the
     # amplitude fit: keep the output spacing at 0.002
     half = np.linspace(0.0, zeta_max, int(500 * zeta_max) + 1)
-    sol = _solve(rhs, (0.0, zeta_max), [1.0, 0.0], rtol=rtol, atol=rtol,
-                 t_eval=half)
-    amp = math.sqrt(_asymptotic_mean_square(half, sol.y[0], sol.y[1], s))
-    p1 = sol.y[0] / amp
-    p2 = sol.y[1] / amp
+    fine = np.linspace(0.0, zeta_max, _SUBSTEPS * (len(half) - 1) + 1)
+    with np.errstate(all="ignore"):
+        steps = _magnus_steps(s, q, r, fine[:-1], fine[1] - fine[0])
+    path = [(1.0, 0.0)]
+    for e11, e12, e21, e22 in steps.T.tolist():
+        f1, f2 = path[-1]
+        path.append((e11 * f1 + e12 * f2, e21 * f1 + e22 * f2))
+    # a non-finite step coefficient leaves every later state non-finite
+    kept = np.array(path[::_SUBSTEPS])
+    if not np.isfinite(kept).all():
+        raise ConvergenceError(f"zeta-solve at s={s} is not finite")
+    amp = math.sqrt(_asymptotic_mean_square(half, *kept.T, s))
+    p1, p2 = kept.T / amp
 
     zeta = np.concatenate([-half[:0:-1], half])
     phi1 = np.concatenate([p1[:0:-1], p1])
@@ -177,7 +217,7 @@ def kernel_integral_form(u: float, v: float, s: float,
     The flow starts at s because the amplitude normalization is fitted
     there; at xi = -8 the fit is poor.
     """
-    psis = integrate_psi(s, painleve, zeta_max=zeta_max, rtol=1e-10)
+    psis = integrate_psi(s, painleve, zeta_max=zeta_max)
 
     def rhs(xi, y):
         # y[4] = int_xi^s (F1(u) F1(v) + F2(u) F2(v)), zero at xi = s

@@ -1,4 +1,5 @@
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -26,7 +27,7 @@ class FreePhase:
 
 def test_free_phase_exact():
     s = 1.3
-    psis = wm.integrate_psi(s, FreePhase(), rtol=1e-13)
+    psis = wm.integrate_psi(s, FreePhase())
     z = psis.zeta_values
     assert np.max(np.abs(psis.phi1 - np.cos(theta(z, s)))) < 1e-9
     assert np.max(np.abs(psis.phi2 + np.sin(theta(z, s)))) < 1e-9
@@ -34,7 +35,7 @@ def test_free_phase_exact():
 
 def test_free_phase_kernel_is_sine_kernel():
     s = 0.7
-    psis = wm.integrate_psi(s, FreePhase(), rtol=1e-13)
+    psis = wm.integrate_psi(s, FreePhase())
     for u, v in ((0.3, -0.7), (0.5, 0.25), (-1.0, 0.1)):
         want = math.sin(theta(u, s) - theta(v, s)) / (math.pi * (u - v))
         assert abs(wm.critical_kernel(u, v, psis) - want) < 1e-10
@@ -110,25 +111,57 @@ def test_lhospital_matches_integral_form(grid):
 def test_integral_form_agrees_with_closed_form(grid):
     for u, v, s in ((0.4, -0.3, 0.5), (0.4, 0.4, 1.0), (0.3, -0.2, 0.5),
                     (1.0, 0.5, -1.0), (-0.7, 0.9, 2.0)):
-        psis = wm.integrate_psi(s, grid, zeta_max=8, rtol=1e-10)
+        psis = wm.integrate_psi(s, grid, zeta_max=8)
         integral = kernel_integral_form(u, v, s, grid)
         assert abs(integral - wm.critical_kernel(u, v, psis)) <= 1e-7
     # at or below the -8 cutoff the integral is empty: K is ~1e-12 there
     assert 0.0 <= kernel_integral_form(0.4, 0.4, -9.0, grid) <= 1e-8
 
 
-def test_integral_form_makes_two_ode_solves(grid, monkeypatch):
-    # one zeta-solve at s and one s-flow, not one zeta-solve per xi-node
+def test_ode_solve_counts(grid, monkeypatch):
+    # the zeta-solve is the Magnus propagator, so the integral form's one
+    # DOP853 solve is its s-flow, not one zeta-solve per xi-node
     real = psikernel.solve_ivp
 
     def counting(*args, **kwargs):
         counting.calls += 1
         return real(*args, **kwargs)
 
-    counting.calls = 0
     monkeypatch.setattr(psikernel, "solve_ivp", counting)
-    kernel_integral_form(0.4, 0.4, 1.0, grid)
-    assert counting.calls == 2
+    for run, calls in ((lambda: wm.integrate_psi(1.0, grid), 0),
+                       (lambda: kernel_integral_form(0.4, 0.4, 1.0, grid), 1)):
+        counting.calls = 0
+        run()
+        assert counting.calls == calls
+
+
+def test_magnus_matches_tight_dop853(grid):
+    # both pairs scaled by their own fitted amplitude, on the half-mesh
+    for s in (2.0 ** (2.0 / 3.0), -1.5):
+        psis = wm.integrate_psi(s, grid, zeta_max=8)
+        half = psis.zeta_values[len(psis.zeta_values) // 2:]
+        sol = psikernel._solve(psikernel._zeta_rhs(s, psis.q_s, psis.qp_s),
+                               (0.0, 8.0), [1.0, 0.0], rtol=1e-13,
+                               atol=1e-13, t_eval=half)
+        amp = math.sqrt(psikernel._asymptotic_mean_square(half, *sol.y, s))
+        mid = len(half) - 1
+        assert np.max(np.abs(psis.phi1[mid:] - sol.y[0] / amp)) <= 3e-11
+        assert np.max(np.abs(psis.phi2[mid:] - sol.y[1] / amp)) <= 3e-11
+
+
+def test_non_finite_zeta_matrix_raises():
+    class Huge:
+        """Stand-in grid whose q = q' = 1e200 overflows the zeta-matrix."""
+
+        def q_at(self, s):
+            return 1e200
+
+        q_prime_at = q_at
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError):
+            wm.integrate_psi(1.0, Huge())
 
 
 def test_cross_derivative_compatibility(grid):
@@ -163,21 +196,24 @@ def test_parallel_construction_matches_serial(grid):
 
 
 def test_failed_ode_solve_raises(grid, monkeypatch):
-    # every solve after the first reports failure with a partial trajectory,
-    # whose last point would otherwise be read as the endpoint value
+    # a failed solve returns a partial trajectory, whose last point would
+    # otherwise be read as the endpoint value; the integral form's s-flow is
+    # its only solve, so it fails from the first call, the compatibility
+    # check from the second
     real = psikernel.solve_ivp
 
     def failing(*args, **kwargs):
         failing.calls += 1
         sol = real(*args, **kwargs)
-        if failing.calls > 1:
+        if failing.calls > failing.good:
             sol.success = False
             sol.message = "injected failure"
         return sol
 
-    for run in (lambda: kernel_integral_form(0.4, 0.4, 1.0, grid),
-                lambda: wm.compatibility_defect(1.0, 0.02, grid)):
+    for good, run in ((0, lambda: kernel_integral_form(0.4, 0.4, 1.0, grid)),
+                      (1, lambda: wm.compatibility_defect(1.0, 0.02, grid))):
         failing.calls = 0
+        failing.good = good
         monkeypatch.setattr(psikernel, "solve_ivp", failing)
         with pytest.raises(ConvergenceError):
             run()
