@@ -135,7 +135,7 @@ def integrate_psi(s: float, painleve: PainleveGrid,
     """Build the psi-function pair at parameter s, with q(s) and q'(s) read
     from the Painleve grid.
 
-    Magnus steps of ``_SUBSTEPS`` per output interval carry (1, 0) out from
+    ``_SUBSTEPS`` Magnus steps per output interval carry (1, 0) out from
     zeta = 0.  The amplitude is normalized at infinity: the oscillation
     A^2(z) = c0 + (c1 sin 2theta + c2 cos 2theta)/z is fitted over the outer
     half of the sweep and the asymptotic mean c0 scaled to 1.
