@@ -51,7 +51,7 @@ def build_equilibrium(a: float, j_max: int = 6) -> EquilibriumData:
     The density is the radius-b semicircle, so the raw even moments are
     Catalan-weighted powers m_{2j} = C_j (b/2)^{2j} and g_{2j} = m_{2j}/(2j).
     """
-    if a <= 0.0:
+    if not a > 0.0:  # NaN fails too
         raise ValueError("a must be positive")
     b = 2.0 / (math.pi * math.sqrt(a))
     g = np.empty(j_max)
@@ -174,6 +174,9 @@ def subcritical_h(n: int, a: float):
     values: the two predicted lines and the exact continuous norms
     h_n^(c) = n! sqrt(2 pi) / (sqrt(n a) pi)^{2n+1}.
     """
+    _check_n(n)
+    if not a > 0.0:  # NaN fails too
+        raise ValueError("a must be positive")
     if a >= 1.0:
         raise CoverageError("subcritical expansion needs a < 1")
     series = 1.0 + 1.0 / (12.0 * n) + 1.0 / (288.0 * n * n) \

@@ -131,6 +131,8 @@ def small_a_check(N: int, a_list):
     """
     records = []
     for a in a_list:
+        if not a > 0.0:  # NaN fails too
+            raise ValueError("a must be positive")
         M = math.sqrt(2.0 * N / a)
         log_p = log_height_cdf(N, M, "absorbing")
         one_minus = -math.expm1(min(log_p, 0.0))
@@ -230,18 +232,3 @@ def riemann_sum_order(N: int, eps_list, ensemble: str) -> float:
     slope = float(np.polyfit(np.log(np.asarray(eps_list, dtype=float)),
                              np.log(errs), 1)[0])
     return slope
-
-
-def gue_shift_sum(N: int, eps: float) -> float:
-    """eps^N sum of A_1 = -2 (sum x_j) f for the GUE integrand.
-
-    Telescopes to zero on the symmetric lattice; kept as the sanity check
-    that the first Euler-Maclaurin correction really cancels.
-    """
-    x = _lattice(eps, "GUE")
-    w = np.exp(-x * x)
-    if N == 1:
-        return float(np.sum(-2.0 * x * w)) * eps
-    x1 = x[:, None]; x2 = x[None, :]
-    f = (x1 - x2) ** 2 * w[:, None] * w[None, :]
-    return float(np.sum(-2.0 * (x1 + x2) * f)) * eps**2

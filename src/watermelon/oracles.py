@@ -1,12 +1,14 @@
 """Independent numerical oracles.
 
 Everything in this module is deliberately decoupled from the main solvers:
-these routines use different discretizations (Fredholm determinants, shooting,
-explicit Gram-Schmidt, brute-force lattice sums, tensor quadrature) so that
-agreement with the production path is meaningful evidence of correctness.
+these routines use different discretizations (Fredholm determinants, the
+Airy-kernel resolvent, explicit Gram-Schmidt, brute-force lattice sums,
+tensor quadrature) so that agreement with the production path is meaningful
+evidence of correctness.
 The brute-force height CDF and the tensor quadrature share one N <= 3 sum,
 :func:`vandermonde_lattice_sum`, which never touches the Stieltjes engine;
-the F1 and F2 Fredholm determinants share one Nystrom step.
+the F1 and F2 Fredholm determinants and the resolvent q share one
+Gauss-Legendre Nystrom rule on [s, s + SPAN].
 """
 
 from __future__ import annotations
@@ -18,107 +20,77 @@ from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.hermite import hermgauss
 from scipy.special import airy, gammaln
 
-from .errors import ConvergenceError, PrecisionError
+from .errors import PrecisionError
 
 
-def _nystrom_det(kernel, lo: float, m: int, span: float) -> float:
-    """det(I - K) on L^2(lo, lo + span) by Nystrom discretization.
+SPAN = 24.0  # truncation of (s, infinity): Ai and K_Ai decay superexponentially
+
+
+def _airy_kernel(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """K_Ai(x_i, y_j) = (Ai(x) Ai'(y) - Ai'(x) Ai(y)) / (x - y).
+
+    Where x_i = y_j it takes the diagonal limit Ai'(x)^2 - x Ai(x)^2.
+    """
+    ai_x, aip_x, _, _ = airy(xs)
+    ai_y, aip_y, _, _ = airy(ys)
+    diff = np.subtract.outer(xs, ys)
+    same = diff == 0.0
+    num = np.multiply.outer(ai_x, aip_y) - np.multiply.outer(aip_x, ai_y)
+    return np.where(same, (aip_x**2 - xs * ai_x**2)[:, None],
+                    num / np.where(same, 1.0, diff))
+
+
+def _gauss_nodes(lo: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m Gauss-Legendre nodes and weights on [lo, lo + SPAN]."""
+    t, w = leggauss(m)
+    a, b = lo, lo + SPAN
+    return 0.5 * (b - a) * t + 0.5 * (b + a), 0.5 * (b - a) * w
+
+
+def _nystrom_det(kernel, lo: float, m: int) -> float:
+    """det(I - K) on L^2(lo, lo + SPAN) by Nystrom discretization.
 
     ``kernel(xs)`` returns the matrix K(x_i, x_j) on the m Gauss-Legendre
     nodes; the square-root weights symmetrize it before ``slogdet``.
     """
-    t, w = leggauss(m)
-    a, b = lo, lo + span
-    xs = 0.5 * (b - a) * t + 0.5 * (b + a)
-    ws = 0.5 * (b - a) * w
+    xs, ws = _gauss_nodes(lo, m)
     sw = np.sqrt(ws)
     M = np.eye(m) - sw[:, None] * kernel(xs) * sw[None, :]
     sign, logdet = np.linalg.slogdet(M)
     return float(sign * math.exp(logdet))
 
 
-def fredholm_f2(x: float, m: int = 201, span: float = 24.0) -> float:
-    """GUE edge CDF via a Nystrom discretization of the Airy-kernel determinant.
+def fredholm_f2(x: float, m: int = 201) -> float:
+    """GUE edge CDF F2(x) = det(I - K_Ai) on L^2(x, infinity).
 
-    det(I - K_Ai) on L^2(x, infinity), truncated to [x, x + span] (the kernel
-    decays superexponentially) and discretized on an m-point Gauss-Legendre
+    Truncated to [x, x + SPAN] and discretized on an m-point Gauss-Legendre
     grid with square-root weight symmetrization.
     """
-    def airy_kernel(xs):
-        ai, aip, _, _ = airy(xs)
-        diff = np.subtract.outer(xs, xs)
-        num = np.multiply.outer(ai, aip) - np.multiply.outer(aip, ai)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            K = np.where(diff != 0.0, num / np.where(diff == 0.0, 1.0, diff), 0.0)
-        np.fill_diagonal(K, aip**2 - xs * ai**2)
-        return K
-
-    return _nystrom_det(airy_kernel, x, m, span)
+    return _nystrom_det(lambda xs: _airy_kernel(xs, xs), x, m)
 
 
 def fredholm_f1(s: float) -> float:
     """GOE edge CDF F1(s) = det(I - B_s) on L^2(0, infinity).
 
     B_s(x, y) = Ai(x + y + s) is the Ferrari-Spohn kernel; truncated to
-    [0, 24] and discretized on 120 nodes like :func:`fredholm_f2`, so it is
-    independent of the Painleve II solver.
+    [0, SPAN] and discretized on 120 nodes like :func:`fredholm_f2`, so it
+    is independent of the Painleve II solver.
     """
-    return _nystrom_det(lambda xs: airy(np.add.outer(xs, xs) + s)[0], 0.0, 120, 24.0)
+    return _nystrom_det(lambda xs: airy(np.add.outer(xs, xs) + s)[0], 0.0, 120)
 
 
-def shooting_q0(s_start: float = 14.0, rtol: float = 1e-13) -> float:
-    """Hastings-McLeod value at the origin by bisection shooting.
+def resolvent_q(s: float, m: int = 120) -> float:
+    """Hastings-McLeod q(s) = ((I - K_Ai)^{-1} Ai)(s) on L^2(s, infinity).
 
-    Integrates q'' = s q + 2 q^3 from ``s_start`` down to 0 with initial data
-    lam * (Ai, Ai') and bisects on the amplitude ``lam``.  Trials above the
-    separatrix blow up, trials below cross zero; both are caught by events
-    well before s = -8, so the bisection never consults a reference value.
-    It stops once the bracket is within ``rtol`` of the amplitude: no
-    classification at that tolerance resolves a finer one.
+    The Tracy-Widom resolvent formula: solve (I - K_Ai W) Q = Ai on the m
+    Gauss-Legendre nodes x_j, weights w_j, of [s, s + SPAN], then return
+    Ai(s) + sum_j K_Ai(s, x_j) w_j Q_j.  A linear solve, independent of the
+    Painleve II equation the production grid integrates.  m = 120 and 200
+    agree to 1.4e-12 relative at s = -4; further left needs more nodes.
     """
-    from scipy.integrate import solve_ivp
-
-    ai0, aip0, _, _ = airy(s_start)
-
-    def rhs(s, y):
-        return (y[1], s * y[0] + 2.0 * y[0] ** 3)
-
-    def classify(lam):
-        def blow(s, y):
-            return y[0] - 5.0
-
-        def cross(s, y):
-            return y[0]
-
-        blow.terminal = True
-        cross.terminal = True
-        sol = solve_ivp(rhs, (s_start, -8.0), [lam * ai0, lam * aip0],
-                        method="DOP853", rtol=rtol, atol=1e-280,
-                        events=(blow, cross))
-        if sol.t_events[0].size:
-            return +1  # blew up: amplitude too large
-        if sol.t_events[1].size:
-            return -1  # crossed zero: amplitude too small
-        return 0
-
-    lo, hi = 0.5, 2.0
-    if classify(lo) != -1 or classify(hi) != +1:
-        raise ConvergenceError("shooting bracket does not straddle the separatrix")
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        c = classify(mid)
-        if c > 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= rtol * hi:
-            break
-    lam = 0.5 * (lo + hi)
-    sol = solve_ivp(rhs, (s_start, 0.0), [lam * ai0, lam * aip0],
-                    method="DOP853", rtol=rtol, atol=1e-280)
-    if not sol.success:
-        raise ConvergenceError(f"final shooting solve failed: {sol.message}")
-    return float(sol.y[0, -1])
+    xs, ws = _gauss_nodes(s, m)
+    Q = np.linalg.solve(np.eye(m) - _airy_kernel(xs, xs) * ws, airy(xs)[0])
+    return float(airy(s)[0] + _airy_kernel(np.array([s]), xs)[0] @ (ws * Q))
 
 
 def gram_schmidt_log_norms(nodes: np.ndarray, weights: np.ndarray,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import asym, dgop, heights, psikernel
 from .errors import WatermelonError
-from .oracles import fredholm_f2, shooting_q0
+from .oracles import fredholm_f2, resolvent_q
 from .painleve import PainleveGrid, airy_ai, build_grid, tracy_widom
 
 
@@ -63,12 +63,10 @@ def _c01_hastings_mcleod(ctx):
     inside = np.abs(grid.s_values) <= 10.0
     res_ok = grid.residual_norm <= 1e-8
     tail = abs(grid.q_at(8.0) / airy_ai(8.0)[0] - 1.0)
-    q0 = grid.q_at(0.0)
-    q0_shoot = shooting_q0()
-    agree = abs(q0 - q0_shoot)
+    agree = abs(grid.q_at(0.0) - resolvent_q(0.0))
     ok = res_ok and inside.any() and tail <= 1e-5 and agree <= 1e-7
     return ok, (f"residual={grid.residual_norm:.2e}, |q(8)/Ai(8)-1|={tail:.2e}, "
-                f"|q0-shooting|={agree:.2e}")
+                f"|q0-resolvent|={agree:.2e}")
 
 
 def _c02_f2_vs_fredholm(ctx):

@@ -14,13 +14,6 @@ def grid():
 
 
 @pytest.fixture(scope="session")
-def shooting_value():
-    """Hastings-McLeod q(0) from the event-based shooting oracle."""
-    from watermelon.oracles import shooting_q0
-    return shooting_q0()
-
-
-@pytest.fixture(scope="session")
 def psis_critical(grid):
     """Psi solution at the critical-kernel argument s = 2^{2/3}."""
     return wm.integrate_psi(2.0 ** (2.0 / 3.0), painleve=grid)

@@ -33,6 +33,11 @@ class TestEquilibrium:
         assert wm.build_equilibrium(1.0).density(0.0) <= 1.0 + 1e-15
         assert wm.build_equilibrium(1.3).density(0.0) > 1.0
 
+    def test_rejects_nonpositive_a(self):
+        for a in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="a must be positive"):
+                wm.build_equilibrium(a)
+
     def test_lagrange_multiplier(self):
         eq = wm.build_equilibrium(0.9)
         assert abs(math.exp(eq.lagrange_l) - 1.0 / (math.pi**2 * 0.9 * math.e)) < 1e-15
@@ -200,6 +205,11 @@ class TestSubcritical:
     def test_regime_gate(self):
         with pytest.raises(CoverageError):
             wm.subcritical_h(40, 1.0)
+        with pytest.raises(ValueError, match="n must be"):
+            wm.subcritical_h(0, 0.5)
+        for a in (0.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match="a must be positive"):
+                wm.subcritical_h(10, a)
 
 
 class TestFreeEnergyTheorem:

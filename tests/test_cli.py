@@ -206,6 +206,17 @@ def test_import_loads_no_ode_or_interpolation_stack(cli_env):
     assert proc.stdout.strip() == "[]"
 
 
+def test_painleve_suite_loads_no_ode_stack(cli_env):
+    # criteria 1-3 check the grid against linear Nystrom oracles only
+    code = ("import sys; from watermelon import validation; "
+            "print([r.passed for r in validation.run_suite('painleve')], "
+            "'scipy.integrate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=cli_env)
+    assert_exit(proc, 0)
+    assert proc.stdout.strip() == "[True, True, True] False"
+
+
 def test_parse_args_in_process():
     ns = cli.parse_args(["tw", "--which", "f2"])
     assert ns.command == "tw" and ns.format == "csv" and ns.output == "-"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import watermelon as wm
 from watermelon.errors import OrderFitError, PrecisionError, WindowError
-from watermelon.heights import gue_shift_sum, rescale_M, tabulate_rescaled
+from watermelon.heights import _lattice, rescale_M, tabulate_rescaled
 from watermelon.oracles import brute_force_height_cdf
 
 
@@ -149,6 +149,12 @@ def test_small_a_underflows_to_limit():
         assert all(abs(r["one_minus_p"]) < 1e-15 for r in recs)
 
 
+def test_small_a_rejects_nonpositive_a():
+    for a in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="a must be positive"):
+            wm.small_a_check(2, [0.5, a])
+
+
 def test_small_a_single_path_theta_tail():
     # N = 1 closed-form theta sum: same underflow verdict as the general path
     N, a = 1, 0.01
@@ -185,6 +191,21 @@ def test_riemann_sum_errors_below_fit_threshold():
     for ens in ("LUE", "GUE"):
         with pytest.raises(OrderFitError):
             wm.riemann_sum_order(2, [0.2, 0.1, 0.05], ens)
+
+
+def gue_shift_sum(N: int, eps: float) -> float:
+    """eps^N sum of A_1 = -2 (sum x_j) f for the GUE integrand.
+
+    Telescopes to zero on the symmetric lattice: the sanity check that the
+    first Euler-Maclaurin correction really cancels.
+    """
+    x = _lattice(eps, "GUE")
+    w = np.exp(-x * x)
+    if N == 1:
+        return float(np.sum(-2.0 * x * w)) * eps
+    x1 = x[:, None]; x2 = x[None, :]
+    f = (x1 - x2) ** 2 * w[:, None] * w[None, :]
+    return float(np.sum(-2.0 * (x1 + x2) * f)) * eps**2
 
 
 def test_riemann_shift_sum_telescopes():

@@ -29,27 +29,11 @@ def test_fredholm_f1_matches_painleve_f1(grid):
                    - wm.tracy_widom(float(s), "F1", grid)) <= 1e-10
 
 
-def test_shooting_is_stable_in_start_point(shooting_value):
-    assert 0.3 < shooting_value < 0.4
-    other = oracles.shooting_q0(s_start=12.0, rtol=1e-12)
-    assert abs(other - shooting_value) < 1e-8
-
-
-def test_shooting_stops_at_its_tolerance(monkeypatch):
-    # bisection ends once the bracket is within rtol of the amplitude: two
-    # bracket checks, 44 halvings of [0.5, 2] and the final solve
-    import scipy.integrate
-
-    real = scipy.integrate.solve_ivp
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
-    assert abs(oracles.shooting_q0() - 0.3670615533321304) <= 1e-14
-    assert len(calls) <= 48
+def test_resolvent_q_stable_in_m():
+    # measured: 1.4e-12 relative at s = -4, 1e-14 at 0, 0 at 4
+    for s in (-4.0, 0.0, 4.0):
+        assert abs(oracles.resolvent_q(s) / oracles.resolvent_q(s, m=200)
+                   - 1.0) <= 3e-12
 
 
 def test_gram_schmidt_tiny_hand_case():

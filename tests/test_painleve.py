@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import watermelon as wm
+from watermelon import oracles
 from watermelon.errors import ConvergenceError, CoverageError, TailClosureError
 
 
@@ -111,9 +112,11 @@ def test_left_asymptote(grid):
     assert abs(r10 - 1.0) < abs(r8 - 1.0)
 
 
-def test_collocation_matches_shooting(grid, shooting_value):
-    i0 = np.argmin(np.abs(grid.s_values))
-    assert abs(grid.q[i0] - shooting_value) <= 1e-7
+def test_collocation_matches_resolvent(grid):
+    # measured: <= 1.4e-12 relative on [-4, 2], 7.9e-10 at s = 8, the
+    # grid's own tail error (criterion 1's |q(8)/Ai(8)-1|)
+    for s in np.linspace(-4.0, 8.0, 25):
+        assert abs(grid.q_at(s) / oracles.resolvent_q(s) - 1.0) <= 2e-9, s
 
 
 def test_mesh_refinement_order():
