@@ -14,13 +14,14 @@ inward sweep from leading-order asymptotic data picks up an O(1/zeta_max)
 parity-violating admixture that is amplified for s < 0), then rescale so
 the amplitude's asymptotic mean, fitted over the outer half of the sweep,
 is 1.  Pinning the amplitude at zeta_max instead would keep its
-O(q/(2 zeta_max)) oscillation as a bias in the bulk.  Each outward step
-is a closed-form sixth-order Magnus exponential (Iserles & Norsett, Phil.
-Trans. R. Soc. A 357 (1999) 983-1019).
+O(q/(2 zeta_max)) oscillation as a bias in the bulk.  The one
+zeta-integrator, ``_propagate``, takes closed-form sixth-order Magnus steps
+(Iserles & Norsett, Phil. Trans. R. Soc. A 357 (1999) 983-1019): outward
+here, inward in the compatibility check.
 
 Along s at fixed zeta the pair obeys the s-equation of the Lax pair
 (``_s_rhs``; Flaschka & Newell, Commun. Math. Phys. 76 (1980) 65-116),
-which the integral form of the kernel and the compatibility check integrate.
+which DOP853 integrates for the kernel's integral form and the check's edges.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ from .errors import ConvergenceError, CoverageError
 from .painleve import NotAKnotSpline, PainleveGrid
 
 DEFAULT_ZETA_MAX = 10.0
+# A pair takes 2,000 zeta_max Magnus steps, so zeta_max bounds its time and
+# memory (0.3 s and 43 MB at 64); no test, example or benchmark passes 20.
+MAX_ZETA_MAX = 64.0
 _SUBSTEPS = 4  # Magnus steps per 0.002 output interval
 
 
@@ -72,8 +76,8 @@ def _theta(zeta, s):
 
 
 def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on the first DOP853 solve (the
-    psi zeta-solve makes none), so a process without one never loads it."""
+    """``scipy.integrate.solve_ivp``, imported on the first DOP853 solve (no
+    zeta-sweep makes one), so a process without one never loads it."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
     return scipy_solve_ivp(*args, **kwargs)
 
@@ -125,6 +129,24 @@ def _magnus_steps(s, q, r, left, h):
                      cosine - sine * om[0]])
 
 
+def _propagate(s, q, r, z0, z1, n, y0):
+    """States (F1, F2) at the n + 1 equispaced points from z0 to z1 (either
+    way), by n Magnus steps from y0.  The step comes from the span: read off
+    a mesh point rounded at z0, its error would build up over the sweep."""
+    with np.errstate(all="ignore"):
+        steps = _magnus_steps(s, q, r, np.linspace(z0, z1, n + 1)[:-1],
+                              (z1 - z0) / n)
+    f1, f2 = y0
+    path = [(f1, f2)]
+    for e11, e12, e21, e22 in steps.T.tolist():
+        f1, f2 = e11 * f1 + e12 * f2, e21 * f1 + e22 * f2
+        path.append((f1, f2))
+    # a non-finite step coefficient or state makes every later state so
+    if not (math.isfinite(f1) and math.isfinite(f2)):
+        raise ConvergenceError(f"zeta-solve at s={s} is not finite")
+    return path
+
+
 def _s_rhs(q, zeta, f1, f2):
     """d/ds (F1, F2) at fixed zeta: the s-equation of the Lax pair."""
     return q * f1 + zeta * f2, -zeta * f1 - q * f2
@@ -140,25 +162,17 @@ def integrate_psi(s: float, painleve: PainleveGrid,
     A^2(z) = c0 + (c1 sin 2theta + c2 cos 2theta)/z is fitted over the outer
     half of the sweep and the asymptotic mean c0 scaled to 1.
     """
-    if not zeta_max >= 8.0:  # NaN fails too
-        raise ValueError("zeta_max must be >= 8")
+    if not 8.0 <= zeta_max <= MAX_ZETA_MAX:  # NaN fails too
+        raise ValueError(f"zeta_max must lie in [8, {MAX_ZETA_MAX:g}]")
     q = painleve.q_at(s)
     r = painleve.q_prime_at(s)
 
     # outer-half sampling must resolve the 2 theta oscillation for the
     # amplitude fit: keep the output spacing at 0.002
     half = np.linspace(0.0, zeta_max, int(500 * zeta_max) + 1)
-    fine = np.linspace(0.0, zeta_max, _SUBSTEPS * (len(half) - 1) + 1)
-    with np.errstate(all="ignore"):
-        steps = _magnus_steps(s, q, r, fine[:-1], fine[1] - fine[0])
-    path = [(1.0, 0.0)]
-    for e11, e12, e21, e22 in steps.T.tolist():
-        f1, f2 = path[-1]
-        path.append((e11 * f1 + e12 * f2, e21 * f1 + e22 * f2))
-    # a non-finite step coefficient leaves every later state non-finite
+    path = _propagate(s, q, r, 0.0, zeta_max, _SUBSTEPS * (len(half) - 1),
+                      (1.0, 0.0))
     kept = np.array(path[::_SUBSTEPS])
-    if not np.isfinite(kept).all():
-        raise ConvergenceError(f"zeta-solve at s={s} is not finite")
     amp = math.sqrt(_asymptotic_mean_square(half, *kept.T, s))
     p1, p2 = kept.T / amp
 
@@ -237,42 +251,37 @@ def compatibility_defect(s_center: float, delta: float,
 
     Builds a family whose edge data at zeta_max = DEFAULT_ZETA_MAX is
     evolved along the s-equation (so the family is exactly compatible when
-    q solves Painleve II), finite-differences d/ds Phi across s_center +-
-    delta, and returns the max defect against the s-equation right side
-    (q F1 + z F2, -z F1 - q F2) at zeta = 1.7, 0.9, 0.3.  The defect is
-    pure O(delta^2) differencing bias.
+    q solves Painleve II), sweeps each member inward on the Magnus mesh of
+    ``integrate_psi``, finite-differences d/ds Phi across s_center +- delta,
+    and returns the max defect against the s-equation right side
+    (q F1 + z F2, -z F1 - q F2) at the mesh points zeta = 1.7, 0.9, 0.3.
+    The defect is pure O(delta^2) differencing bias.
     """
+    if not delta > 0.0:  # NaN fails too
+        raise ValueError("delta must be > 0")
     zeta_max = DEFAULT_ZETA_MAX
-    qc = painleve.q_at(s_center)
-
-    def edge_data(s_target):
-        theta = _theta(zeta_max, s_center)
-        v0 = [math.cos(theta), -math.sin(theta)]
-        if s_target == s_center:
-            return v0
-
-        def rhs(s, y):
-            return _s_rhs(painleve.q_at(s), zeta_max, y[0], y[1])
-
-        sol = _solve(rhs, (s_center, s_target), v0, rtol=1e-13, atol=1e-13)
-        return [sol.y[0, -1], sol.y[1, -1]]
-
-    # the inward sweep needs distinct output points in decreasing order
+    n = _SUBSTEPS * int(500 * zeta_max)
     spots = (1.7, 0.9, 0.3)
+    qc = painleve.q_at(s_center)
+    theta = _theta(zeta_max, s_center)
 
-    def sweep(s_val, data):
-        rhs = _zeta_rhs(s_val, painleve.q_at(s_val), painleve.q_prime_at(s_val))
-        return _solve(rhs, (zeta_max, 0.0), data, rtol=1e-12, atol=1e-12,
-                      t_eval=spots).y
+    def sweep(s_val):
+        data = (math.cos(theta), -math.sin(theta))
+        if s_val != s_center:
+            data = _solve(lambda s, y: _s_rhs(painleve.q_at(s), zeta_max, *y),
+                          (s_center, s_val), data, rtol=1e-13,
+                          atol=1e-13).y[:, -1].tolist()
+        path = _propagate(s_val, painleve.q_at(s_val),
+                          painleve.q_prime_at(s_val), zeta_max, 0.0, n, data)
+        return [path[round((zeta_max - z) * n / zeta_max)] for z in spots]
 
-    up = sweep(s_center + delta, edge_data(s_center + delta))
-    dn = sweep(s_center - delta, edge_data(s_center - delta))
-    mid = sweep(s_center, edge_data(s_center))
+    up = sweep(s_center + delta)
+    dn = sweep(s_center - delta)
+    mid = sweep(s_center)
     worst = 0.0
-    for i, z in enumerate(spots):
-        fd1 = (up[0, i] - dn[0, i]) / (2.0 * delta)
-        fd2 = (up[1, i] - dn[1, i]) / (2.0 * delta)
-        rhs1 = qc * mid[0, i] + z * mid[1, i]
-        rhs2 = -z * mid[0, i] - qc * mid[1, i]
-        worst = max(worst, abs(fd1 - rhs1), abs(fd2 - rhs2))
-    return worst
+    for z, (u1, u2), (d1, d2), (m1, m2) in zip(spots, up, dn, mid):
+        fd1 = (u1 - d1) / (2.0 * delta)
+        fd2 = (u2 - d2) / (2.0 * delta)
+        worst = max(worst, abs(fd1 - (qc * m1 + z * m2)),
+                    abs(fd2 - (-z * m1 - qc * m2)))
+    return float(worst)

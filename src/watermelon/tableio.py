@@ -4,13 +4,16 @@ Every float is serialized with 17 significant digits (%.17g), which round
 trips binary64 exactly and is idempotent: emit(parse(emit(T))) is byte
 identical to emit(T).  The wall-clock line is part of the header but is
 carried through parses verbatim, so byte stability holds whenever the
-metadata (including the recorded timestamp) is equal.
+metadata (including the recorded timestamp) is equal.  JSON cells that
+are booleans or non-finite floats are written as ``json.dumps`` writes them
+(true/false, NaN, Infinity, -Infinity), which ``json.loads`` reads back.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -20,13 +23,7 @@ TOOL_VERSION = "0.1.0"
 
 
 def fmt17(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 @dataclass
@@ -123,7 +120,8 @@ def to_json(table: Table) -> str:
 
 
 def _json_cell(v) -> str:
-    if isinstance(v, str):
+    if isinstance(v, (str, bool)) or (isinstance(v, float)
+                                      and not math.isfinite(v)):
         return json.dumps(v)
     return fmt17(v)
 

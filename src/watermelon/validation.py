@@ -296,7 +296,7 @@ def run_criterion(number: int, ctx: ValidationContext) -> CheckResult:
     if budget is not None and elapsed > budget:
         passed = False
         detail += f" (runtime {elapsed:.1f}s exceeds budget {budget:.0f}s)"
-    return CheckResult(criterion=number, name=name, passed=passed,
+    return CheckResult(criterion=number, name=name, passed=bool(passed),
                        detail=detail, seconds=elapsed)
 
 

@@ -64,13 +64,11 @@ def test_validation_sweep_defect_scales_like_inverse_zeta_max(grid):
     def defect(zeta_max):
         psis = wm.integrate_psi(s, zeta_max=zeta_max, painleve=grid)
         theta = psikernel._theta(zeta_max, s)
-        sweep = psikernel._solve(psikernel._zeta_rhs(s, psis.q_s, psis.qp_s),
-                                 (zeta_max, 0.0),
-                                 [math.cos(theta), -math.sin(theta)],
-                                 rtol=1e-12, atol=1e-12)
+        n = psikernel._SUBSTEPS * int(500 * zeta_max)
+        f1, f2 = psikernel._propagate(s, psis.q_s, psis.qp_s, zeta_max, 0.0,
+                                      n, (math.cos(theta), -math.sin(theta)))[-1]
         mid = len(psis.zeta_values) // 2
-        return math.hypot(sweep.y[0, -1] - psis.phi1[mid],
-                          sweep.y[1, -1] - psis.phi2[mid])
+        return math.hypot(f1 - psis.phi1[mid], f2 - psis.phi2[mid])
 
     d10 = defect(10.0)
     d20 = defect(20.0)
@@ -120,7 +118,8 @@ def test_integral_form_agrees_with_closed_form(grid):
 
 def test_ode_solve_counts(grid, monkeypatch):
     # the zeta-solve is the Magnus propagator, so the integral form's one
-    # DOP853 solve is its s-flow, not one zeta-solve per xi-node
+    # DOP853 solve is its s-flow, not one zeta-solve per xi-node, and the
+    # compatibility check's two are its edge flows, not its three sweeps
     real = psikernel.solve_ivp
 
     def counting(*args, **kwargs):
@@ -129,24 +128,38 @@ def test_ode_solve_counts(grid, monkeypatch):
 
     monkeypatch.setattr(psikernel, "solve_ivp", counting)
     for run, calls in ((lambda: wm.integrate_psi(1.0, grid), 0),
-                       (lambda: kernel_integral_form(0.4, 0.4, 1.0, grid), 1)):
+                       (lambda: kernel_integral_form(0.4, 0.4, 1.0, grid), 1),
+                       (lambda: wm.compatibility_defect(1.0, 0.02, grid), 2)):
         counting.calls = 0
         run()
         assert counting.calls == calls
 
 
 def test_magnus_matches_tight_dop853(grid):
-    # both pairs scaled by their own fitted amplitude, on the half-mesh
     for s in (2.0 ** (2.0 / 3.0), -1.5):
         psis = wm.integrate_psi(s, grid, zeta_max=8)
+        rhs = psikernel._zeta_rhs(s, psis.q_s, psis.qp_s)
+        # outward from (1, 0): both pairs scaled by their own fitted
+        # amplitude, on the half-mesh
         half = psis.zeta_values[len(psis.zeta_values) // 2:]
-        sol = psikernel._solve(psikernel._zeta_rhs(s, psis.q_s, psis.qp_s),
-                               (0.0, 8.0), [1.0, 0.0], rtol=1e-13,
+        sol = psikernel._solve(rhs, (0.0, 8.0), [1.0, 0.0], rtol=1e-13,
                                atol=1e-13, t_eval=half)
         amp = math.sqrt(psikernel._asymptotic_mean_square(half, *sol.y, s))
         mid = len(half) - 1
         assert np.max(np.abs(psis.phi1[mid:] - sol.y[0] / amp)) <= 3e-11
         assert np.max(np.abs(psis.phi2[mid:] - sol.y[1] / amp)) <= 3e-11
+        # inward from leading-order edge data at zeta = 10, read at the
+        # compatibility check's mesh points: 4.9e-12 and 1.7e-11 off; with
+        # the step read off the mesh instead of the span, 1.6e-9 and 5.1e-9
+        theta = psikernel._theta(10.0, s)
+        edge = (math.cos(theta), -math.sin(theta))
+        spots = (1.7, 0.9, 0.3)
+        path = psikernel._propagate(s, psis.q_s, psis.qp_s, 10.0, 0.0, 20000,
+                                    edge)
+        got = np.array([path[round((10.0 - z) * 2000)] for z in spots])
+        sol = psikernel._solve(rhs, (10.0, 0.0), edge, rtol=2.3e-14,
+                               atol=2.3e-14, t_eval=spots)
+        assert np.max(np.abs(got - sol.y.T)) <= 5e-11
 
 
 def test_non_finite_zeta_matrix_raises():
@@ -158,10 +171,19 @@ def test_non_finite_zeta_matrix_raises():
 
         q_prime_at = q_at
 
+    class HugeSlope(FreePhase):
+        """q = 0 keeps the compatibility check's edge flows finite, and
+        q' = 1e200 overflows its inward sweeps."""
+
+        def q_prime_at(self, s):
+            return 1e200
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConvergenceError):
-            wm.integrate_psi(1.0, Huge())
+        for run in (lambda: wm.integrate_psi(1.0, Huge()),
+                    lambda: wm.compatibility_defect(1.0, 0.02, HugeSlope())):
+            with pytest.raises(ConvergenceError):
+                run()
 
 
 def test_cross_derivative_compatibility(grid):
@@ -174,8 +196,14 @@ def test_coverage_and_precondition_errors(grid):
     psis = wm.integrate_psi(1.0, painleve=grid)
     with pytest.raises(CoverageError):
         psis.phi_at(11.0)
+    for zeta_max in (5.0, 65.0, 1e9, float("inf")):
+        with pytest.raises(ValueError):
+            wm.integrate_psi(1.0, zeta_max=zeta_max, painleve=grid)
     with pytest.raises(ValueError):
-        wm.integrate_psi(1.0, zeta_max=5.0, painleve=grid)
+        kernel_integral_form(0.4, 0.4, 1.0, grid, zeta_max=float("inf"))
+    for delta in (0.0, -0.02, float("nan")):
+        with pytest.raises(ValueError):
+            wm.compatibility_defect(1.0, delta, grid)
     with pytest.raises(CoverageError):
         wm.integrate_psi(grid.s_max + 1.0, painleve=grid)
     with pytest.raises(CoverageError):
@@ -199,7 +227,7 @@ def test_failed_ode_solve_raises(grid, monkeypatch):
     # a failed solve returns a partial trajectory, whose last point would
     # otherwise be read as the endpoint value; the integral form's s-flow is
     # its only solve, so it fails from the first call, the compatibility
-    # check from the second
+    # check from the second, its edge flow down to s_center - delta
     real = psikernel.solve_ivp
 
     def failing(*args, **kwargs):

@@ -88,10 +88,16 @@ def test_csv_float_round_trip_is_exact(rows):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(finite_floats, st.integers(-10**9, 10**9)),
+@given(st.lists(st.tuples(st.floats(width=64), st.integers(-10**9, 10**9),
+                          st.booleans()),
                 min_size=1, max_size=20))
 def test_json_round_trip_is_exact(rows):
-    t = Table(name="t", params={}, columns=("x", "k"), rows=rows, generated="g")
+    # booleans and non-finite floats, as the validate and kernel tables hold
+    rows = rows + [(math.inf, 0, True), (-math.inf, 1, False),
+                   (math.nan, 2, True)]
+    t = Table(name="t", params={}, columns=("x", "k", "ok"), rows=rows,
+              generated="g")
     back = parse_json(to_json(t))
-    for (x0, k0), (x1, k1) in zip(rows, back.rows):
-        assert float(x1) == x0 and k1 == k0
+    for (x0, k0, b0), (x1, k1, b1) in zip(rows, back.rows):
+        assert float(x1) == x0 or (math.isnan(x0) and math.isnan(x1))
+        assert k1 == k0 and b1 is b0
