@@ -13,16 +13,21 @@ modest s_max (default 12) already meets 1e-10 tail accuracy:
 
 The distribution pieces follow the usual chain R = int q^2, E = exp(-1/2
 int q), F = exp(-1/2 int R), F1 = F*E, F2 = F^2, all in every grid.
+
+The module needs numpy only.  Ai and Ai' come from :func:`_airy`: the
+Poincare series in 1/zeta from x = 10 up, and Taylor series of y'' = x y
+about a 0.5-spaced table below, down to x = -30.  Every tridiagonal system
+(the Newton steps and the spline slopes) is one LU sweep without pivoting,
+:func:`_solve_tridiagonal`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.special import airy as _scipy_airy
 
 from .errors import ConvergenceError, CoverageError, TailClosureError
 
@@ -34,22 +39,113 @@ DEFAULT_MESH = 4096
 DEFAULT_TOL = 1e-10
 MAX_NEWTON_ITER = 60
 
+_AIRY_SERIES_X = 10.0
+_AIRY_STEP = 0.5
+_AIRY_LOWEST = -30.0
+_AIRY_TERMS = 32  # the 33rd Taylor term is < 4e-22 of Ai's amplitude over a 0.5 step
+_POINCARE_TERMS = 25  # the 26th is 2.3e-18 of the sum at x = 10
+
+
+def _poincare_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ai and Ai' for x >= 10 from the series in 1/zeta, zeta = (2/3) x^{3/2}
+    (DLMF 9.7.5-6)."""
+    u, v = [1.0], [1.0]
+    for k in range(1, _POINCARE_TERMS):
+        u.append(u[-1] * (6 * k - 5) * (6 * k - 3) * (6 * k - 1)
+                 / (216 * k * (2 * k - 1)))
+        v.append(-(6 * k + 1) / (6 * k - 1) * u[-1])
+    zeta = (2.0 / 3.0) * x**1.5
+    r = -1.0 / zeta
+    su, sv = u[-1], v[-1]
+    for uk, vk in zip(u[-2::-1], v[-2::-1]):
+        su, sv = su * r + uk, sv * r + vk
+    pre = np.exp(-zeta) / (2.0 * math.sqrt(math.pi))
+    quarter = x**0.25
+    return pre / quarter * su, -pre * quarter * sv
+
+
+def _taylor_sum(coef, t):
+    """sum_n coef[n] t^n and its derivative in t, by Horner's rule."""
+    y, yp = coef[-1], 0.0
+    for c in coef[-2::-1]:
+        yp = yp * t + y
+        y = y * t + c
+    return y, yp
+
+
+@cache
+def _airy_table() -> np.ndarray:
+    """Taylor coefficients of Ai about the nodes 10 - 0.5 j, one column per
+    node: (n+2)(n+1) a_{n+2} = x0 a_n + a_{n-1} from y'' = x y.
+
+    Stepped down from the Poincare values at x = 10: Ai dominates Bi in
+    that direction, so the stepping errors do not grow.
+    """
+    y, yp = (float(v) for v in _poincare_sums(np.array(_AIRY_SERIES_X)))
+    columns = []
+    for j in range(round((_AIRY_SERIES_X - _AIRY_LOWEST) / _AIRY_STEP) + 1):
+        x0 = _AIRY_SERIES_X - _AIRY_STEP * j
+        a = [y, yp, 0.5 * x0 * y]
+        for n in range(1, _AIRY_TERMS - 2):
+            a.append((x0 * a[n] + a[n - 1]) / ((n + 2) * (n + 1)))
+        columns.append(a)
+        y, yp = _taylor_sum(a, -_AIRY_STEP)
+    return np.array(columns).T
+
+
+def _airy(x):
+    """(Ai(x), Ai'(x)) elementwise for x >= -30; scalars for a scalar.
+
+    Accurate to 3e-15 of the amplitude on [-30, 10] and to 6e-14 relative
+    above, where the rounding of exp(-zeta) dominates.  x below -30 or NaN
+    raises :class:`CoverageError`.
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.all(x >= _AIRY_LOWEST):  # NaN fails too
+        raise CoverageError("airy argument below the supported range x >= -30")
+    above = x >= _AIRY_SERIES_X
+    # Ai and Ai' underflow to zero from x ~ 105 on; the clip keeps inf finite
+    ai_hi, aip_hi = _poincare_sums(np.clip(x, _AIRY_SERIES_X, 200.0))
+    j = np.rint((_AIRY_SERIES_X - np.minimum(x, _AIRY_SERIES_X)) / _AIRY_STEP)
+    t = np.where(above, 0.0, x - (_AIRY_SERIES_X - _AIRY_STEP * j))
+    ai, aip = _taylor_sum(_airy_table()[:, j.astype(np.intp)], t)
+    return np.where(above, ai_hi, ai)[()], np.where(above, aip_hi, aip)[()]
+
 
 def airy_ai(s: float) -> tuple[float, float]:
     """Airy function and derivative, gated to the supported range |s| <= 30."""
     if not np.all(np.abs(s) <= 30.0):
         raise CoverageError("airy argument out of supported range |s| <= 30")
-    ai, aip, _, _ = _scipy_airy(s)
-    return ai, aip
+    return _airy(s)
+
+
+def _solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
+    """Solve A x = rhs for tridiagonal A by LU without pivoting.
+
+    sub[j] = A[j+1, j], diag[j] = A[j, j], sup[j] = A[j, j+1].  The sweep
+    repeats LAPACK ``dgtsv`` step by step where that swaps no rows (each
+    pivot at least the entry below it, as in the diagonally dominant Newton
+    and spline systems here), so it agrees with
+    ``scipy.linalg.solve_banded((1, 1), ...)`` bit for bit.
+    """
+    lo, u, up, x = sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()
+    for j in range(len(u) - 1):
+        m = lo[j] / u[j]
+        u[j + 1] -= m * up[j]
+        x[j + 1] -= m * x[j]
+    x[-1] /= u[-1]
+    for j in range(len(u) - 2, -1, -1):
+        x[j] = (x[j] - up[j] * x[j + 1]) / u[j]
+    return np.array(x)
 
 
 class NotAKnotSpline:
     """Not-a-knot cubic spline through (x, y), x strictly increasing.
 
     Each step repeats the arithmetic of ``scipy.interpolate.CubicSpline``
-    (its banded slope system, ``find_interval`` and the power sums of
-    ``evaluate_poly1``), so every spline value agrees with scipy bit for bit
-    without loading ``scipy.interpolate``.
+    (its tridiagonal slope system, solved in LAPACK ``gtsv``'s order,
+    ``find_interval`` and the power sums of ``evaluate_poly1``), so every
+    spline value agrees with scipy bit for bit without loading scipy.
     """
 
     def __init__(self, x, y):
@@ -59,19 +155,14 @@ class NotAKnotSpline:
             raise ValueError("spline data must be finite")
         dx = np.diff(x)
         slope = np.diff(y) / dx
-        ab = np.zeros((3, x.size))
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
         b = np.empty(x.size)
-        ab[0, 2:] = dx[:-1]
-        ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-        ab[2, :-2] = dx[1:]
         b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        d = x[2] - x[0]
-        ab[1, 0], ab[0, 1] = dx[1], d
-        b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d
-        d = x[-1] - x[-3]
-        ab[1, -1], ab[2, -2] = dx[-2], d
-        b[-1] = (dx[-1]**2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-        m = solve_banded((1, 1), ab, b, check_finite=False)
+        b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d0
+        b[-1] = (dx[-1]**2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+        m = _solve_tridiagonal(np.append(dx[1:], d1), diag,
+                               np.insert(dx[:-1], 0, d0), b)
         t = (m[:-1] + m[1:] - 2 * slope) / dx
         self.x, self.dx = x, dx
         # power-basis coefficients of (x - x_i)^3, ^2, ^1, ^0 per interval
@@ -173,13 +264,13 @@ def solve_hastings_mcleod(s_min: float = DEFAULT_S_MIN,
 
     s = np.linspace(s_min, s_max, mesh + 1)
     h = s[1] - s[0]
-    ai_grid = _scipy_airy(s)[0]
+    ai_grid = _airy(s)[0]
     neg = np.sqrt(np.maximum(-s, 0.0) / 2.0)
     t = np.clip((s + 1.0) / 2.0, 0.0, 1.0)
     blend = t * t * (3.0 - 2.0 * t)
     q = blend * ai_grid + (1.0 - blend) * neg
     q[0] = math.sqrt(-s_min / 2.0) * (1.0 + 1.0 / (8.0 * s_min**3))
-    q[-1] = _scipy_airy(s_max)[0]
+    q[-1] = _airy(s_max)[0]
 
     floor = _EPS / h**2
 
@@ -195,11 +286,9 @@ def solve_hastings_mcleod(s_min: float = DEFAULT_S_MIN,
     for _ in range(MAX_NEWTON_ITER):
         res = defect(q)
         jac = s + 6.0 * q**2
-        ab = np.zeros((3, mesh - 1))
-        ab[0, 1:] = (1.0 / h**2 - jac[2:] / 12.0)[:-1]
-        ab[1, :] = -2.0 / h**2 - 10.0 * jac[1:-1] / 12.0
-        ab[2, :-1] = (1.0 / h**2 - jac[:-2] / 12.0)[1:]
-        dq = solve_banded((1, 1), ab, -res)
+        off = 1.0 / h**2 - jac / 12.0
+        dq = _solve_tridiagonal(off[1:-2], -2.0 / h**2 - 10.0 * jac[1:-1] / 12.0,
+                                off[2:-1], -res)
         lam = 1.0
         while lam > 1e-4:
             trial = q[1:-1] + lam * dq
@@ -218,7 +307,7 @@ def solve_hastings_mcleod(s_min: float = DEFAULT_S_MIN,
     # q' by integrating the ODE from the right edge: smoother than a spline
     # derivative, fourth-order accurate, and summed downward so the tiny
     # right tail keeps its relative accuracy.
-    q_prime = (_scipy_airy(s_max)[1]
+    q_prime = (_airy(s_max)[1]
                - NotAKnotSpline(s, s * q + 2.0 * q**3).tail_integrals())
 
     return s, q, q_prime, residual

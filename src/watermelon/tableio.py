@@ -6,7 +6,8 @@ identical to emit(T).  The wall-clock line is part of the header but is
 carried through parses verbatim, so byte stability holds whenever the
 metadata (including the recorded timestamp) is equal.  JSON cells that
 are booleans or non-finite floats are written as ``json.dumps`` writes them
-(true/false, NaN, Infinity, -Infinity), which ``json.loads`` reads back.
+(true/false, NaN, Infinity, -Infinity), which ``json.loads`` reads back;
+a negative zero is written ``-0`` and read back as -0.0 by both parsers.
 """
 
 from __future__ import annotations
@@ -126,8 +127,13 @@ def _json_cell(v) -> str:
     return fmt17(v)
 
 
+def _json_int(text: str):
+    # negative zero must stay a float to round trip, as in parse_csv
+    return -0.0 if text == "-0" else int(text)
+
+
 def parse_json(text: str) -> Table:
-    obj = json.loads(text)
+    obj = json.loads(text, parse_int=_json_int)
     meta = obj["meta"]
     return Table(name=meta["name"], params=dict(meta["params"]),
                  columns=tuple(obj["columns"]),

@@ -195,26 +195,56 @@ def test_validate_failing_suite_exits_2(run_cli):
 
 
 def test_import_loads_no_ode_or_interpolation_stack(cli_env):
-    # a command that solves no ODE starts on numpy, scipy.special and
-    # scipy.linalg alone
+    # importing the CLI loads numpy and no scipy module at all
     code = ("import sys, watermelon.cli; "
             "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate') "
-            "if m in sys.modules))")
+            "if m in sys.modules), "
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=cli_env)
     assert_exit(proc, 0)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[] []"
+
+
+# every command that solves no ODE, in one process
+NUMPY_ONLY_COMMANDS = [
+    ["tw", "--which", "f1", "--xmin", "-2", "--xmax", "2", "--step", "0.5"],
+    ["height", "--N", "8", "--wall", "absorbing", "--k-grid", "-2:2:1"],
+    ["height", "--N", "3", "--wall", "reflecting", "--M-grid", "1.5:3:0.5"],
+    ["converge", "--N-list", "8,16", "--wall", "both", "--k-grid", "-3:2:0.5"],
+    ["dgop", "--n", "32", "--a", "1.0", "--kmax", "32"],
+    ["free-energy", "--n-list", "16", "--L-list", "0"],
+    ["kernel", "--n", "32", "--L", "1", "--grid", "0.5,-0.5"],
+    ["validate", "--suite", "painleve"],
+    ["validate", "--suite", "dgop"],
+]
+
+
+def test_commands_load_no_scipy(cli_env):
+    code = """
+import contextlib, io, json, sys
+from watermelon import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
+    proc = subprocess.run([sys.executable, "-c", code,
+                           json.dumps(NUMPY_ONLY_COMMANDS)],
+                          capture_output=True, text=True, env=cli_env)
+    assert_exit(proc, 0)
+    assert proc.stdout.strip() == f"{[0] * len(NUMPY_ONLY_COMMANDS)} []"
 
 
 def test_painleve_suite_loads_no_ode_stack(cli_env):
     # criteria 1-3 check the grid against linear Nystrom oracles only
     code = ("import sys; from watermelon import validation; "
             "print([r.passed for r in validation.run_suite('painleve')], "
-            "'scipy.integrate' in sys.modules)")
+            "'scipy.integrate' in sys.modules, "
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=cli_env)
     assert_exit(proc, 0)
-    assert proc.stdout.strip() == "[True, True, True] False"
+    assert proc.stdout.strip() == "[True, True, True] False []"
 
 
 def test_parse_args_in_process():

@@ -1,5 +1,6 @@
-"""Source hygiene checks that need no linter: every import is used, and
-the public settings are the listed ones."""
+"""Source hygiene checks that need no linter: every import is used, scipy
+is imported only where an ODE is solved, and the public settings are the
+listed ones."""
 
 import ast
 import inspect
@@ -36,6 +37,39 @@ def test_modules_found():
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def _scipy_imports(tree: ast.Module) -> list[str | None]:
+    """The enclosing function of every scipy import, None at module level
+    (class bodies included: they run on import)."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module]
+            else:
+                names = []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(func)
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_scipy_imported_only_inside_the_ode_solve():
+    # scipy costs a fresh CLI process about 0.35 s on top of numpy's import,
+    # so it loads only with the first DOP853 solve, in psikernel.solve_ivp
+    found = [f"{path.name}:{func}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for func in _scipy_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == ["psikernel.py:solve_ivp"]
 
 
 # Every parameter with a default on a public function: a new setting fails

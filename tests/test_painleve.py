@@ -40,6 +40,83 @@ def test_airy_range_gate():
         wm.airy_ai(31.0)
 
 
+def test_airy_matches_mpmath():
+    # error relative to the amplitude envelope: sqrt(Ai^2 + Bi^2) (and the
+    # same for the derivatives) on the oscillatory side, |Ai| (|Ai'|) on the
+    # decaying side.  Measured: 2.2e-15 on [-30, 10], 6.0e-14 on [10, 60],
+    # where the rounding of exp(-zeta) dominates (scipy's airy: 2.4e-14 on
+    # [-30, 10]).
+    import mpmath
+
+    from watermelon.painleve import _airy
+
+    xs = np.linspace(-30.0, 60.0, 361)
+    ai, aip = _airy(xs)
+    with mpmath.workdps(30):
+        for x, got, dgot in zip(xs, ai, aip):
+            want = mpmath.airyai(x)
+            dwant = mpmath.airyai(x, derivative=1)
+            env, denv = abs(want), abs(dwant)
+            if x < 0.0:
+                env = mpmath.hypot(want, mpmath.airybi(x))
+                denv = mpmath.hypot(dwant, mpmath.airybi(x, derivative=1))
+            bound = 5e-15 if x < 10.0 else 1e-13
+            assert abs(got - want) <= bound * env, x
+            assert abs(dgot - dwant) <= bound * denv, x
+
+
+def test_airy_rejects_uncovered_arguments():
+    from watermelon.painleve import _airy
+
+    for bad in (-30.5, float("nan")):
+        with pytest.raises(CoverageError):
+            _airy(np.array([0.0, bad]))
+        with pytest.raises(CoverageError):
+            wm.airy_ai(bad)
+    assert np.all(np.isfinite(_airy(np.array([-30.0, 10.0, 200.0]))))
+
+
+def test_airy_scalar_in_scalars_out():
+    from watermelon.painleve import _airy
+
+    for x in (-7.3, 0.0, 12.0):
+        ai, aip = wm.airy_ai(x)
+        assert np.ndim(ai) == 0 and np.ndim(aip) == 0
+        assert isinstance(ai, float) and isinstance(aip, float)
+        assert (ai, aip) == _airy(x)
+    ai, aip = wm.airy_ai(np.array([-1.0, 1.0]))
+    assert ai.shape == aip.shape == (2,)
+
+
+def test_tridiagonal_solve_matches_lapack(grid, psis_critical, monkeypatch):
+    # every tridiagonal system a grid solve makes (the Newton Jacobians and
+    # the not-a-knot slope system of q'), and the spline systems on the
+    # s-knots and the zeta-knots, agree with LAPACK's gtsv bit for bit
+    from scipy.linalg import solve_banded
+
+    from watermelon import painleve
+
+    systems = []
+    solve = painleve._solve_tridiagonal
+
+    def recording(sub, diag, sup, rhs):
+        x = solve(sub, diag, sup, rhs)
+        systems.append((sub, diag, sup, rhs, x))
+        return x
+
+    monkeypatch.setattr(painleve, "_solve_tridiagonal", recording)
+    wm.solve_hastings_mcleod()
+    newton = len(systems) - 1
+    for x, y in ((grid.s_values, grid.q), (grid.s_values, grid.R),
+                 (psis_critical.zeta_values, psis_critical.phi1)):
+        painleve.NotAKnotSpline(x, y)
+    assert newton >= 3 and len(systems) == newton + 4
+    for sub, diag, sup, rhs, x in systems:
+        ab = np.zeros((3, diag.size))
+        ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
+        assert np.array_equal(x, solve_banded((1, 1), ab, rhs))
+
+
 def test_solver_preconditions():
     with pytest.raises(ValueError):
         wm.solve_hastings_mcleod(s_min=1.0)

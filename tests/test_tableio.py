@@ -40,6 +40,15 @@ def test_json_round_trip_and_row_counts():
     assert len(back.rows) == len(parse_csv(to_csv(t)).rows)
 
 
+def test_json_negative_zero_round_trips_bytes():
+    t = Table(name="x", params={}, columns=("a", "b"), rows=[(-0.0, 0.0)],
+              generated="2026-08-10T00:00:00+00:00")
+    text = to_json(t)
+    back = parse_json(text)
+    assert to_json(back) == text
+    assert [math.copysign(1.0, v) for v in back.rows[0]] == [-1.0, 1.0]
+
+
 def test_empty_table_is_an_error(tmp_path):
     t = Table(name="x", params={}, columns=("a",), rows=[])
     with pytest.raises(WatermelonError):
