@@ -91,7 +91,7 @@ class OrthoSystem:
 
     def node_index(self, x: float) -> int:
         i = int(np.argmin(np.abs(self.nodes - x)))
-        if abs(self.nodes[i] - x) > 1e-9 / self.n:
+        if not abs(self.nodes[i] - x) <= 1e-9 / self.n:  # NaN fails too
             raise CoverageError(f"x={x} is not a retained node")
         return i
 

@@ -168,12 +168,15 @@ class NotAKnotSpline:
         # power-basis coefficients of (x - x_i)^3, ^2, ^1, ^0 per interval
         self.c = (t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1])
 
-    def __call__(self, xv: float) -> float:
-        i = min(max(int(np.searchsorted(self.x, xv, side="right")) - 1, 0),
-                self.dx.size - 1)
+    def __call__(self, xv):
+        """The spline at xv: a float for a scalar, an array for an array.
+        Points past either end read the end interval's cubic."""
+        # searching the interior knots clamps to the two end intervals
+        i = np.searchsorted(self.x[1:-1], xv, side="right")
         t = xv - self.x[i]
         c0, c1, c2, c3 = (c[i] for c in self.c)
-        return float(((c3 + c2 * t) + c1 * (t * t)) + c0 * (t * t * t))
+        y = ((c3 + c2 * t) + c1 * (t * t)) + c0 * (t * t * t)
+        return y if isinstance(y, np.ndarray) else float(y)
 
     def tail_integrals(self) -> np.ndarray:
         """int_{x_j}^{x[-1]} of the spline at every knot x_j.

@@ -14,14 +14,19 @@ inward sweep from leading-order asymptotic data picks up an O(1/zeta_max)
 parity-violating admixture that is amplified for s < 0), then rescale so
 the amplitude's asymptotic mean, fitted over the outer half of the sweep,
 is 1.  Pinning the amplitude at zeta_max instead would keep its
-O(q/(2 zeta_max)) oscillation as a bias in the bulk.  The one
-zeta-integrator, ``_propagate``, takes closed-form sixth-order Magnus steps
-(Iserles & Norsett, Phil. Trans. R. Soc. A 357 (1999) 983-1019): outward
-here, inward in the compatibility check.
+O(q/(2 zeta_max)) oscillation as a bias in the bulk.
 
 Along s at fixed zeta the pair obeys the s-equation of the Lax pair
-(``_s_rhs``; Flaschka & Newell, Commun. Math. Phys. 76 (1980) 65-116),
-which DOP853 integrates for the kernel's integral form and the check's edges.
+(Flaschka & Newell, Commun. Math. Phys. 76 (1980) 65-116),
+
+    d/ds (F1, F2) = [[q(s), zeta], [-zeta, -q(s)]] (F1, F2).
+
+Both equations are traceless 2x2 linear systems, and one integrator,
+``_propagate``, takes closed-form sixth-order Magnus steps on either
+(Iserles & Norsett, Phil. Trans. R. Soc. A 357 (1999) 983-1019): along
+zeta outward here and inward in the compatibility check, and along s for
+the kernel's integral form and the check's edge data.  The module needs
+numpy only.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ DEFAULT_ZETA_MAX = 10.0
 # memory (0.3 s and 43 MB at 64); no test, example or benchmark passes 20.
 MAX_ZETA_MAX = 64.0
 _SUBSTEPS = 4  # Magnus steps per 0.002 output interval
+_S_STEP = 0.002  # spacing of the s-flows' Magnus steps
 
 
 @dataclass(frozen=True)
@@ -75,26 +81,19 @@ def _theta(zeta, s):
     return 4.0 * zeta**3 / 3.0 + s * zeta
 
 
-def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on the first DOP853 solve (no
-    zeta-sweep makes one), so a process without one never loads it."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-    return scipy_solve_ivp(*args, **kwargs)
-
-
-def _solve(rhs, t_span, y0, **options):
-    """DOP853 solve; on failure ``solve_ivp`` returns the partial trajectory,
-    whose last point belongs to the wrong endpoint, so raise instead."""
-    sol = solve_ivp(rhs, t_span, y0, method="DOP853", **options)
-    if not sol.success:
-        raise ConvergenceError(f"integration over {t_span} failed: {sol.message}")
-    return sol
-
-
 def _zeta_matrix(z, s, q, r):
     """Entries (a, b, c) of the zeta-matrix [[a, b], [c, -a]] at z (array)."""
     beta = 4.0 * z * z + s + 2.0 * q * q
     return 4.0 * z * q, beta + 2.0 * r, -(beta - 2.0 * r)
+
+
+def _s_matrix(painleve, zeta):
+    """Entries (q(x), zeta, -zeta) of the s-matrix at fixed zeta, as a
+    function of x (array); a grid returning a scalar q is broadcast."""
+    def matrix(x):
+        q = np.broadcast_to(painleve.q_at(x), np.shape(x))
+        return q, np.full_like(q, zeta), np.full_like(q, -zeta)
+    return matrix
 
 
 def _zeta_rhs(s: float, q: float, r: float):
@@ -110,11 +109,13 @@ def _bracket(x, y):
                      2.0 * (x[2] * y[0] - x[0] * y[2])])
 
 
-def _magnus_steps(s, q, r, left, h):
+def _magnus_steps(matrix, left, h):
     """Rows (e11, e12, e21, e22) of exp(Omega) on [t, t + h] for each t in
-    ``left``, Omega the sixth-order Magnus expansion at the three Gauss
-    points (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151-238, s. 5)."""
-    m1, m2, m3 = (np.array(_zeta_matrix(left + c * h, s, q, r)) for c in
+    ``left``, for d/dt y = M(t) y with M = [[a, b], [c, -a]] and
+    ``matrix(t) -> (a, b, c)``.  Omega is the sixth-order Magnus expansion
+    at the three Gauss points (Blanes, Casas, Oteo & Ros, Phys. Rep. 470
+    (2009) 151-238, s. 5)."""
+    m1, m2, m3 = (np.array(matrix(left + c * h)) for c in
                   (0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)))
     a1 = h * m2
     a2 = (math.sqrt(15.0) * h / 3.0) * (m3 - m1)
@@ -129,13 +130,14 @@ def _magnus_steps(s, q, r, left, h):
                      cosine - sine * om[0]])
 
 
-def _propagate(s, q, r, z0, z1, n, y0):
-    """States (F1, F2) at the n + 1 equispaced points from z0 to z1 (either
-    way), by n Magnus steps from y0.  The step comes from the span: read off
-    a mesh point rounded at z0, its error would build up over the sweep."""
+def _propagate(matrix, t0, t1, n, y0):
+    """States (F1, F2) at the n + 1 equispaced points from t0 to t1 (either
+    way), by n Magnus steps on ``matrix`` from y0.  The step comes from the
+    span: read off a mesh point rounded at t0, its error would build up over
+    the sweep."""
     with np.errstate(all="ignore"):
-        steps = _magnus_steps(s, q, r, np.linspace(z0, z1, n + 1)[:-1],
-                              (z1 - z0) / n)
+        steps = _magnus_steps(matrix, np.linspace(t0, t1, n + 1)[:-1],
+                              (t1 - t0) / n)
     f1, f2 = y0
     path = [(f1, f2)]
     for e11, e12, e21, e22 in steps.T.tolist():
@@ -143,13 +145,8 @@ def _propagate(s, q, r, z0, z1, n, y0):
         path.append((f1, f2))
     # a non-finite step coefficient or state makes every later state so
     if not (math.isfinite(f1) and math.isfinite(f2)):
-        raise ConvergenceError(f"zeta-solve at s={s} is not finite")
+        raise ConvergenceError(f"Magnus solve from {t0} to {t1} is not finite")
     return path
-
-
-def _s_rhs(q, zeta, f1, f2):
-    """d/ds (F1, F2) at fixed zeta: the s-equation of the Lax pair."""
-    return q * f1 + zeta * f2, -zeta * f1 - q * f2
 
 
 def integrate_psi(s: float, painleve: PainleveGrid,
@@ -170,8 +167,8 @@ def integrate_psi(s: float, painleve: PainleveGrid,
     # outer-half sampling must resolve the 2 theta oscillation for the
     # amplitude fit: keep the output spacing at 0.002
     half = np.linspace(0.0, zeta_max, int(500 * zeta_max) + 1)
-    path = _propagate(s, q, r, 0.0, zeta_max, _SUBSTEPS * (len(half) - 1),
-                      (1.0, 0.0))
+    path = _propagate(lambda z: _zeta_matrix(z, s, q, r), 0.0, zeta_max,
+                      _SUBSTEPS * (len(half) - 1), (1.0, 0.0))
     kept = np.array(path[::_SUBSTEPS])
     amp = math.sqrt(_asymptotic_mean_square(half, *kept.T, s))
     p1, p2 = kept.T / amp
@@ -224,25 +221,26 @@ def kernel_integral_form(u: float, v: float, s: float,
                          zeta_max: float = 8.0) -> float:
     """Second kernel expression: (1/pi) int_{-inf}^s (F1F1 + F2F2) d xi.
 
-    One zeta-solve at s gives psi(u) and psi(v); one flow of the
-    s-equation from s downward carries them and the running integral to
-    the lower cutoff min(max(painleve.s_min, -8), s).  The integrand decays
-    like exp(-(2 sqrt2 / 3)|xi|^{3/2}), so the cutoff truncates below 1e-8.
-    The flow starts at s because the amplitude normalization is fitted
-    there; at xi = -8 the fit is poor.
+    One zeta-solve at s gives psi(u) and psi(v); two Magnus flows of the
+    s-equation, on steps about ``_S_STEP`` apart, carry them from s down to
+    the lower cutoff min(max(painleve.s_min, -8), s), and the spline
+    quadrature of the package integrates the product along the mesh.  The
+    integrand decays like exp(-(2 sqrt2 / 3)|xi|^{3/2}), so the cutoff
+    truncates below 1e-8.  The flows start at s because the amplitude
+    normalization is fitted there; at xi = -8 the fit is poor.
     """
     psis = integrate_psi(s, painleve, zeta_max=zeta_max)
-
-    def rhs(xi, y):
-        # y[4] = int_xi^s (F1(u) F1(v) + F2(u) F2(v)), zero at xi = s
-        q = painleve.q_at(xi)
-        return (*_s_rhs(q, u, y[0], y[1]), *_s_rhs(q, v, y[2], y[3]),
-                -(y[0] * y[2] + y[1] * y[3]))
-
     lower = min(max(painleve.s_min, -8.0), s)
-    sol = _solve(rhs, (s, lower), [*psis.phi_at(u), *psis.phi_at(v), 0.0],
-                 rtol=1e-10, atol=1e-12)
-    return sol.y[4, -1] / math.pi
+    if s - lower < _S_STEP:
+        # empty, or under 1% of the truncation below the cutoff (the
+        # integrand falls by e^4 per unit of xi there)
+        return 0.0
+    n = max(3, math.ceil((s - lower) / _S_STEP))  # a spline needs 4 knots
+    fu, fv = (np.array(_propagate(_s_matrix(painleve, z), s, lower, n,
+                                  psis.phi_at(z))[::-1]) for z in (u, v))
+    xi = np.linspace(s, lower, n + 1)[::-1]
+    integrand = fu[:, 0] * fv[:, 0] + fu[:, 1] * fv[:, 1]
+    return float(NotAKnotSpline(xi, integrand).tail_integrals()[0] / math.pi)
 
 
 def compatibility_defect(s_center: float, delta: float,
@@ -250,34 +248,36 @@ def compatibility_defect(s_center: float, delta: float,
     """Cross-derivative check of the two Lax equations.
 
     Builds a family whose edge data at zeta_max = DEFAULT_ZETA_MAX is
-    evolved along the s-equation (so the family is exactly compatible when
-    q solves Painleve II), sweeps each member inward on the Magnus mesh of
-    ``integrate_psi``, finite-differences d/ds Phi across s_center +- delta,
-    and returns the max defect against the s-equation right side
-    (q F1 + z F2, -z F1 - q F2) at the mesh points zeta = 1.7, 0.9, 0.3.
-    The defect is pure O(delta^2) differencing bias.
+    evolved along the s-equation by Magnus steps about ``_S_STEP`` apart
+    (so the family is exactly compatible when q solves Painleve II), sweeps
+    each member inward on the Magnus mesh of ``integrate_psi``,
+    finite-differences d/ds Phi across s_center +- delta, and returns the
+    max defect against the s-equation right side (q F1 + z F2, -z F1 - q F2)
+    at the mesh points zeta = 1.7, 0.9, 0.3.  The defect is pure O(delta^2)
+    differencing bias.  s_center +- delta off the grid raises
+    :class:`CoverageError` before any mesh is built.
     """
     if not delta > 0.0:  # NaN fails too
         raise ValueError("delta must be > 0")
+    # q at all three s first: off the grid q_at raises before any mesh
+    members = [(s_val, painleve.q_at(s_val), painleve.q_prime_at(s_val))
+               for s_val in (s_center + delta, s_center - delta, s_center)]
     zeta_max = DEFAULT_ZETA_MAX
     n = _SUBSTEPS * int(500 * zeta_max)
     spots = (1.7, 0.9, 0.3)
-    qc = painleve.q_at(s_center)
     theta = _theta(zeta_max, s_center)
 
-    def sweep(s_val):
+    def sweep(s_val, q, r):
         data = (math.cos(theta), -math.sin(theta))
         if s_val != s_center:
-            data = _solve(lambda s, y: _s_rhs(painleve.q_at(s), zeta_max, *y),
-                          (s_center, s_val), data, rtol=1e-13,
-                          atol=1e-13).y[:, -1].tolist()
-        path = _propagate(s_val, painleve.q_at(s_val),
-                          painleve.q_prime_at(s_val), zeta_max, 0.0, n, data)
+            data = _propagate(_s_matrix(painleve, zeta_max), s_center, s_val,
+                              math.ceil(delta / _S_STEP), data)[-1]
+        path = _propagate(lambda z: _zeta_matrix(z, s_val, q, r), zeta_max,
+                          0.0, n, data)
         return [path[round((zeta_max - z) * n / zeta_max)] for z in spots]
 
-    up = sweep(s_center + delta)
-    dn = sweep(s_center - delta)
-    mid = sweep(s_center)
+    up, dn, mid = (sweep(*m) for m in members)
+    qc = members[2][1]
     worst = 0.0
     for z, (u1, u2), (d1, d2), (m1, m2) in zip(spots, up, dn, mid):
         fd1 = (u1 - d1) / (2.0 * delta)

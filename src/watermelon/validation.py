@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,22 +41,13 @@ class CheckResult:
 class ValidationContext:
     """Shared lazily-built inputs (Painleve grid, psi solution)."""
 
-    def __init__(self):
-        self._grid = None
-        self._psis = None
-
-    @property
+    @cached_property
     def grid(self) -> PainleveGrid:
-        if self._grid is None:
-            self._grid = build_grid()
-        return self._grid
+        return build_grid()
 
-    @property
+    @cached_property
     def psis(self):
-        if self._psis is None:
-            self._psis = psikernel.integrate_psi(2.0 ** (2.0 / 3.0),
-                                                 painleve=self.grid)
-        return self._psis
+        return psikernel.integrate_psi(2.0 ** (2.0 / 3.0), painleve=self.grid)
 
 
 def _c01_hastings_mcleod(ctx):

@@ -206,7 +206,7 @@ def test_import_loads_no_ode_or_interpolation_stack(cli_env):
     assert proc.stdout.strip() == "[] []"
 
 
-# every command that solves no ODE, in one process
+# every command, in one process: the package needs numpy only
 NUMPY_ONLY_COMMANDS = [
     ["tw", "--which", "f1", "--xmin", "-2", "--xmax", "2", "--step", "0.5"],
     ["height", "--N", "8", "--wall", "absorbing", "--k-grid", "-2:2:1"],
@@ -217,6 +217,7 @@ NUMPY_ONLY_COMMANDS = [
     ["kernel", "--n", "32", "--L", "1", "--grid", "0.5,-0.5"],
     ["validate", "--suite", "painleve"],
     ["validate", "--suite", "dgop"],
+    ["validate", "--suite", "psi"],
 ]
 
 

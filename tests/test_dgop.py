@@ -166,8 +166,11 @@ def test_kernel_point_evaluation_and_errors():
     val = wm.cd_kernel(sys1, x, x, 12)
     assert math.isclose(val, wm.correlation_det(sys1, [x], 12), rel_tol=1e-14)
     assert 0.0 <= val <= 1.0
-    with pytest.raises(CoverageError):
-        wm.cd_kernel(sys1, x + 1e-3, x, 12)
+    for bad in (x + 1e-3, float("nan")):
+        with pytest.raises(CoverageError):
+            wm.cd_kernel(sys1, bad, x, 12)
+        with pytest.raises(CoverageError):
+            wm.correlation_det(sys1, [x, bad], 12)
     with pytest.raises(ValueError):
         wm.correlation_det(sys1, [x], 14)
 

@@ -38,10 +38,10 @@ def test_folded_formulas_frozen_values(grid, psis_critical):
     for got, want in zip(psis_critical.phi_prime_at(0.7),
                          (-3.457624556187918, 0.09806780961588851)):
         close(got, want, 1e-12)
-    # re-pinned when the compatibility check's inward sweeps moved from
-    # DOP853 at rtol 1e-12 to the Magnus mesh (DOP853 at rtol 2.3e-14 is
-    # 4.9e-9 relative away; the old pin 3.1e-8)
-    close(wm.compatibility_defect(1.0, 0.02, grid), 0.0003241554429089799, 1e-12)
+    # re-pinned when the compatibility check's edge flows moved from DOP853
+    # at rtol 1e-13 to Magnus s-steps: the Magnus sweeps from DOP853 edge
+    # data at rtol 2.3e-14 read 1.8e-10 relative away (the old pin 5.4e-10)
+    close(wm.compatibility_defect(1.0, 0.02, grid), 0.00032415544279373876, 1e-12)
 
 
 def test_constant_settings_frozen_values(grid):
@@ -51,13 +51,14 @@ def test_constant_settings_frozen_values(grid):
     def close(got, want, rel):
         assert math.isclose(got, want, rel_tol=rel), (got, want)
 
-    # re-pinned when the Magnus zeta-solve replaced DOP853 at rtol 1e-10
+    # re-pinned when Magnus s-flows replaced the DOP853 flow at rtol 1e-10
+    # (2.6e-13 from DOP853 at rtol 1e-13, atol 1e-15; the old pin 1.1e-12)
     close(wm.kernel_integral_form(0.4, -0.3, 0.5, grid),
-          0.2739853539390257, 1e-12)
-    # re-pinned with the Magnus inward sweeps (3.1e-9 relative from DOP853
-    # at rtol 2.3e-14; the old pin 2.8e-8)
+          0.2739853539398912, 1e-12)
+    # re-pinned with the Magnus edge flows, which land on the value from
+    # DOP853 edge data at rtol 2.3e-14 (the old pin 1.5e-10 relative away)
     close(wm.compatibility_defect(-1.5, 0.03, grid),
-          0.0003944516246756624, 1e-12)
+          0.0003944516247329499, 1e-12)
     close(wm.small_a_check(2, [0.5])[0]["one_minus_p"],
           0.0009118359664525735, 1e-13)
     close(heights._riemann_sum(2, 0.2, "LUE"), 0.5890486225480864, 1e-15)

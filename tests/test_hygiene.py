@@ -1,6 +1,5 @@
-"""Source hygiene checks that need no linter: every import is used, scipy
-is imported only where an ODE is solved, and the public settings are the
-listed ones."""
+"""Source hygiene checks that need no linter: every import is used, no
+module imports scipy, and the public settings are the listed ones."""
 
 import ast
 import inspect
@@ -63,13 +62,13 @@ def _scipy_imports(tree: ast.Module) -> list[str | None]:
     return found
 
 
-def test_scipy_imported_only_inside_the_ode_solve():
-    # scipy costs a fresh CLI process about 0.35 s on top of numpy's import,
-    # so it loads only with the first DOP853 solve, in psikernel.solve_ivp
+def test_no_scipy_import_in_package():
+    # scipy costs a fresh CLI process about 0.35 s on top of numpy's import;
+    # the package needs numpy only, and the tests keep scipy as a reference
     found = [f"{path.name}:{func}"
              for path in sorted(PACKAGE.glob("*.py"))
              for func in _scipy_imports(ast.parse(path.read_text(encoding="utf-8")))]
-    assert found == ["psikernel.py:solve_ivp"]
+    assert found == []
 
 
 # Every parameter with a default on a public function: a new setting fails

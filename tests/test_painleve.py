@@ -151,10 +151,12 @@ def test_spline_matches_scipy_bit_for_bit(grid, psis_critical):
              (psis_critical.zeta_values, psis_critical.phi1)]
     for x, y in cases:
         ours, ref = NotAKnotSpline(x, y), CubicSpline(x, y)
-        points = np.concatenate([rng.uniform(x[0], x[-1], 2000), x,
-                                 [x[0], x[-1]]])
+        span = x[-1] - x[0]
+        points = np.concatenate([rng.uniform(x[0] - 0.1 * span,
+                                             x[-1] + 0.1 * span, 2000), x])
         got = np.array([ours(float(p)) for p in points])
         assert np.array_equal(got, ref(points))
+        assert np.array_equal(ours(points), got)
         anti = ref.antiderivative()
         want = anti(x[-1]) - anti(x)
         assert (np.max(np.abs(ours.tail_integrals() - want))

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -8,7 +10,7 @@ import pytest
 import watermelon as wm
 from watermelon.errors import ConvergenceError, CoverageError
 from watermelon import psikernel
-from watermelon.psikernel import kernel_integral_form
+from watermelon.psikernel import _s_matrix, _zeta_matrix, kernel_integral_form
 
 
 def theta(z, s):
@@ -31,6 +33,17 @@ def test_free_phase_exact():
     z = psis.zeta_values
     assert np.max(np.abs(psis.phi1 - np.cos(theta(z, s)))) < 1e-9
     assert np.max(np.abs(psis.phi2 + np.sin(theta(z, s)))) < 1e-9
+
+
+def test_free_phase_s_flow_is_exact_rotation():
+    # with q = 0 the s-equation turns (cos theta, -sin theta) at d theta/ds
+    # = zeta, so the Magnus s-flow is exact up to rounding
+    for zeta, s0, s1, n in ((10.0, 1.0, 1.02, 10), (0.7, 2.0, -8.0, 5000)):
+        start = (math.cos(theta(zeta, s0)), -math.sin(theta(zeta, s0)))
+        f1, f2 = psikernel._propagate(_s_matrix(FreePhase(), zeta), s0, s1,
+                                      n, start)[-1]
+        assert abs(f1 - math.cos(theta(zeta, s1))) <= 1e-13
+        assert abs(f2 + math.sin(theta(zeta, s1))) <= 1e-13
 
 
 def test_free_phase_kernel_is_sine_kernel():
@@ -65,8 +78,9 @@ def test_validation_sweep_defect_scales_like_inverse_zeta_max(grid):
         psis = wm.integrate_psi(s, zeta_max=zeta_max, painleve=grid)
         theta = psikernel._theta(zeta_max, s)
         n = psikernel._SUBSTEPS * int(500 * zeta_max)
-        f1, f2 = psikernel._propagate(s, psis.q_s, psis.qp_s, zeta_max, 0.0,
-                                      n, (math.cos(theta), -math.sin(theta)))[-1]
+        f1, f2 = psikernel._propagate(
+            lambda z: _zeta_matrix(z, s, psis.q_s, psis.qp_s), zeta_max, 0.0,
+            n, (math.cos(theta), -math.sin(theta)))[-1]
         mid = len(psis.zeta_values) // 2
         return math.hypot(f1 - psis.phi1[mid], f2 - psis.phi2[mid])
 
@@ -112,27 +126,19 @@ def test_integral_form_agrees_with_closed_form(grid):
         psis = wm.integrate_psi(s, grid, zeta_max=8)
         integral = kernel_integral_form(u, v, s, grid)
         assert abs(integral - wm.critical_kernel(u, v, psis)) <= 1e-7
-    # at or below the -8 cutoff the integral is empty: K is ~1e-12 there
-    assert 0.0 <= kernel_integral_form(0.4, 0.4, -9.0, grid) <= 1e-8
+    # at, below or just above the -8 cutoff the integral is (nearly) empty:
+    # K is ~1e-12 there
+    for s in (-9.0, math.nextafter(-8.0, 0.0), -7.99):
+        assert 0.0 <= kernel_integral_form(0.4, 0.4, s, grid) <= 1e-8
 
 
-def test_ode_solve_counts(grid, monkeypatch):
-    # the zeta-solve is the Magnus propagator, so the integral form's one
-    # DOP853 solve is its s-flow, not one zeta-solve per xi-node, and the
-    # compatibility check's two are its edge flows, not its three sweeps
-    real = psikernel.solve_ivp
+def _dop853(rhs, t_span, y0, tol, atol=None, t_eval=None):
+    from scipy.integrate import solve_ivp
 
-    def counting(*args, **kwargs):
-        counting.calls += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(psikernel, "solve_ivp", counting)
-    for run, calls in ((lambda: wm.integrate_psi(1.0, grid), 0),
-                       (lambda: kernel_integral_form(0.4, 0.4, 1.0, grid), 1),
-                       (lambda: wm.compatibility_defect(1.0, 0.02, grid), 2)):
-        counting.calls = 0
-        run()
-        assert counting.calls == calls
+    sol = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=tol,
+                    atol=tol if atol is None else atol, t_eval=t_eval)
+    assert sol.success, sol.message
+    return sol.y
 
 
 def test_magnus_matches_tight_dop853(grid):
@@ -142,24 +148,40 @@ def test_magnus_matches_tight_dop853(grid):
         # outward from (1, 0): both pairs scaled by their own fitted
         # amplitude, on the half-mesh
         half = psis.zeta_values[len(psis.zeta_values) // 2:]
-        sol = psikernel._solve(rhs, (0.0, 8.0), [1.0, 0.0], rtol=1e-13,
-                               atol=1e-13, t_eval=half)
-        amp = math.sqrt(psikernel._asymptotic_mean_square(half, *sol.y, s))
+        y = _dop853(rhs, (0.0, 8.0), [1.0, 0.0], 1e-13, t_eval=half)
+        amp = math.sqrt(psikernel._asymptotic_mean_square(half, *y, s))
         mid = len(half) - 1
-        assert np.max(np.abs(psis.phi1[mid:] - sol.y[0] / amp)) <= 3e-11
-        assert np.max(np.abs(psis.phi2[mid:] - sol.y[1] / amp)) <= 3e-11
+        assert np.max(np.abs(psis.phi1[mid:] - y[0] / amp)) <= 3e-11
+        assert np.max(np.abs(psis.phi2[mid:] - y[1] / amp)) <= 3e-11
         # inward from leading-order edge data at zeta = 10, read at the
         # compatibility check's mesh points: 4.9e-12 and 1.7e-11 off; with
         # the step read off the mesh instead of the span, 1.6e-9 and 5.1e-9
         theta = psikernel._theta(10.0, s)
         edge = (math.cos(theta), -math.sin(theta))
         spots = (1.7, 0.9, 0.3)
-        path = psikernel._propagate(s, psis.q_s, psis.qp_s, 10.0, 0.0, 20000,
-                                    edge)
+        path = psikernel._propagate(
+            lambda z: _zeta_matrix(z, s, psis.q_s, psis.qp_s), 10.0, 0.0,
+            20000, edge)
         got = np.array([path[round((10.0 - z) * 2000)] for z in spots])
-        sol = psikernel._solve(rhs, (10.0, 0.0), edge, rtol=2.3e-14,
-                               atol=2.3e-14, t_eval=spots)
-        assert np.max(np.abs(got - sol.y.T)) <= 5e-11
+        y = _dop853(rhs, (10.0, 0.0), edge, 2.3e-14, t_eval=spots)
+        assert np.max(np.abs(got - y.T)) <= 5e-11
+    # the two Magnus s-flows and the spline quadrature of the integral form
+    # against one DOP853 flow of both pairs and the running integral:
+    # <= 7.2e-13 apart (the former DOP853 flow at rtol 1e-10, 3.0e-12)
+    lower = max(grid.s_min, -8.0)
+    for u, v, s in ((0.4, -0.3, 0.5), (0.4, 0.4, 1.0), (0.3, -0.2, 0.5),
+                    (1.0, 0.5, -1.0), (-0.7, 0.9, 2.0)):
+        psis = wm.integrate_psi(s, grid, zeta_max=8)
+
+        def rhs(xi, y):
+            q = grid.q_at(xi)
+            return (q * y[0] + u * y[1], -u * y[0] - q * y[1],
+                    q * y[2] + v * y[3], -v * y[2] - q * y[3],
+                    -(y[0] * y[2] + y[1] * y[3]))
+
+        y = _dop853(rhs, (s, lower), [*psis.phi_at(u), *psis.phi_at(v), 0.0],
+                    1e-13, atol=1e-15)
+        assert abs(kernel_integral_form(u, v, s, grid) - y[4, -1] / math.pi) <= 2e-12
 
 
 def test_non_finite_zeta_matrix_raises():
@@ -178,11 +200,26 @@ def test_non_finite_zeta_matrix_raises():
         def q_prime_at(self, s):
             return 1e200
 
+    class HugeOffCenter(FreePhase):
+        """q = q' = 0 at s = 1 keeps the zeta-sweep there finite, and
+        q = 1e200 everywhere else overflows the s-flows from s = 1."""
+
+        s_min = -12.0
+
+        def q_at(self, s):
+            return np.where(np.asarray(s) == 1.0, 0.0, 1e200)[()]
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for run in (lambda: wm.integrate_psi(1.0, Huge()),
-                    lambda: wm.compatibility_defect(1.0, 0.02, HugeSlope())):
-            with pytest.raises(ConvergenceError):
+        for run, where in (
+                (lambda: wm.integrate_psi(1.0, Huge()), "0.0 to 10.0"),
+                (lambda: wm.compatibility_defect(1.0, 0.02, HugeSlope()),
+                 "10.0 to 0.0"),
+                (lambda: kernel_integral_form(0.4, 0.4, 1.0, HugeOffCenter()),
+                 "1.0 to -8.0"),
+                (lambda: wm.compatibility_defect(1.0, 0.02, HugeOffCenter()),
+                 "1.0 to 1.02")):
+            with pytest.raises(ConvergenceError, match=f"from {where} is"):
                 run()
 
 
@@ -204,6 +241,10 @@ def test_coverage_and_precondition_errors(grid):
     for delta in (0.0, -0.02, float("nan")):
         with pytest.raises(ValueError):
             wm.compatibility_defect(1.0, delta, grid)
+    # the edge flows' span is checked before any mesh is sized from it
+    for delta in (1e3, 1e12, float("inf")):
+        with pytest.raises(CoverageError, match=r"^s=\S+ outside grid"):
+            wm.compatibility_defect(1.0, delta, grid)
     with pytest.raises(CoverageError):
         wm.integrate_psi(grid.s_max + 1.0, painleve=grid)
     with pytest.raises(CoverageError):
@@ -223,29 +264,15 @@ def test_parallel_construction_matches_serial(grid):
         assert np.array_equal(a.phi2, b.phi2)
 
 
-def test_failed_ode_solve_raises(grid, monkeypatch):
-    # a failed solve returns a partial trajectory, whose last point would
-    # otherwise be read as the endpoint value; the integral form's s-flow is
-    # its only solve, so it fails from the first call, the compatibility
-    # check from the second, its edge flow down to s_center - delta
-    real = psikernel.solve_ivp
-
-    def failing(*args, **kwargs):
-        failing.calls += 1
-        sol = real(*args, **kwargs)
-        if failing.calls > failing.good:
-            sol.success = False
-            sol.message = "injected failure"
-        return sol
-
-    for good, run in ((0, lambda: kernel_integral_form(0.4, 0.4, 1.0, grid)),
-                      (1, lambda: wm.compatibility_defect(1.0, 0.02, grid))):
-        failing.calls = 0
-        failing.good = good
-        monkeypatch.setattr(psikernel, "solve_ivp", failing)
-        with pytest.raises(ConvergenceError):
-            run()
-        monkeypatch.undo()
+def test_s_flows_load_no_scipy(cli_env):
+    code = ("import sys, watermelon as wm; grid = wm.build_grid(); "
+            "wm.kernel_integral_form(0.4, 0.4, 1.0, grid); "
+            "wm.compatibility_defect(1.0, 0.02, grid); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=cli_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_nan_arguments_raise(grid, psis_critical):
