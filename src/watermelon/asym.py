@@ -27,6 +27,7 @@ from .painleve import PainleveGrid, tracy_widom
 from .psikernel import PsiSolution, critical_kernel
 
 SERIES_SWITCH = 1e-3
+J_MAX = 6  # g-moments g_2 ... g_{2 J_MAX}
 KERNEL_SCALE_C = math.pi * 2.0 ** (-5.0 / 3.0)
 
 
@@ -45,17 +46,17 @@ class EquilibriumData:
         return (math.pi * self.a / 2.0) * np.sqrt(inside)
 
 
-def build_equilibrium(a: float, j_max: int = 6) -> EquilibriumData:
+def build_equilibrium(a: float) -> EquilibriumData:
     """Closed-form semicircle data: support edge, multiplier, g-moments.
 
     The density is the radius-b semicircle, so the raw even moments are
     Catalan-weighted powers m_{2j} = C_j (b/2)^{2j} and g_{2j} = m_{2j}/(2j).
     """
-    if not a > 0.0:  # NaN fails too
-        raise ValueError("a must be positive")
+    if not 0.0 < a < math.inf:  # NaN fails too
+        raise ValueError("a must be positive and finite")
     b = 2.0 / (math.pi * math.sqrt(a))
-    g = np.empty(j_max)
-    for j in range(1, j_max + 1):
+    g = np.empty(J_MAX)
+    for j in range(1, J_MAX + 1):
         catalan = math.comb(2 * j, j) / (j + 1)
         g[j - 1] = catalan * (b / 2.0) ** (2 * j) / (2 * j)
     return EquilibriumData(a=a, b=b, lagrange_l=-math.log(math.pi**2 * a * math.e),

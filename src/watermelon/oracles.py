@@ -5,7 +5,7 @@ different discretizations (Fredholm determinants, the Airy-kernel
 resolvent, explicit Gram-Schmidt, brute-force lattice sums, tensor
 quadrature) so that agreement with the production path is meaningful
 evidence of correctness.  The one piece they share with the Painleve
-solver is its Airy function ``painleve._airy`` (checked against mpmath on
+solver is its Airy function ``painleve.airy_ai`` (checked against mpmath on
 its own), so the Airy-kernel oracles cover arguments x >= -30 like it.
 The brute-force height CDF and the tensor quadrature share one N <= 3 sum,
 :func:`vandermonde_lattice_sum`, which never touches the Stieltjes engine;
@@ -22,7 +22,7 @@ from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.hermite import hermgauss
 
 from .errors import PrecisionError
-from .painleve import _airy
+from .painleve import airy_ai
 
 
 SPAN = 24.0  # truncation of (s, infinity): Ai and K_Ai decay superexponentially
@@ -33,8 +33,8 @@ def _airy_kernel(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
     Where x_i = y_j it takes the diagonal limit Ai'(x)^2 - x Ai(x)^2.
     """
-    ai_x, aip_x = _airy(xs)
-    ai_y, aip_y = _airy(ys)
+    ai_x, aip_x = airy_ai(xs)
+    ai_y, aip_y = airy_ai(ys)
     diff = np.subtract.outer(xs, ys)
     same = diff == 0.0
     num = np.multiply.outer(ai_x, aip_y) - np.multiply.outer(aip_x, ai_y)
@@ -78,7 +78,7 @@ def fredholm_f1(s: float) -> float:
     [0, SPAN] and discretized on 120 nodes like :func:`fredholm_f2`, so it
     is independent of the Painleve II solver.
     """
-    return _nystrom_det(lambda xs: _airy(np.add.outer(xs, xs) + s)[0], 0.0, 120)
+    return _nystrom_det(lambda xs: airy_ai(np.add.outer(xs, xs) + s)[0], 0.0, 120)
 
 
 def resolvent_q(s: float, m: int = 120) -> float:
@@ -91,8 +91,8 @@ def resolvent_q(s: float, m: int = 120) -> float:
     agree to 1.4e-12 relative at s = -4; further left needs more nodes.
     """
     xs, ws = _gauss_nodes(s, m)
-    Q = np.linalg.solve(np.eye(m) - _airy_kernel(xs, xs) * ws, _airy(xs)[0])
-    return float(_airy(s)[0] + _airy_kernel(np.array([s]), xs)[0] @ (ws * Q))
+    Q = np.linalg.solve(np.eye(m) - _airy_kernel(xs, xs) * ws, airy_ai(xs)[0])
+    return float(airy_ai(s)[0] + _airy_kernel(np.array([s]), xs)[0] @ (ws * Q))
 
 
 def gram_schmidt_log_norms(nodes: np.ndarray, weights: np.ndarray,

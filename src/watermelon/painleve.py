@@ -4,7 +4,7 @@ The solver is a damped Newton iteration on a Numerov (fourth-order compact)
 collocation of q'' = s q + 2 q^3 with Dirichlet data: Ai(s_max) on the right
 and the standard negative-axis expansion sqrt(-s/2)(1 + 1/(8 s^3)) on the
 left.  Tail integrals beyond s_max close with exact Airy identities, so a
-modest s_max (default 12) already meets 1e-10 tail accuracy:
+modest s_max = 12 already meets 1e-10 tail accuracy:
 
     int_s^inf Ai^2        = Ai'(s)^2 - s Ai(s)^2
     int_s^inf Ai          ~ exp(-(2/3) s^{3/2}) / (2 sqrt(pi) s^{3/4})
@@ -14,7 +14,7 @@ modest s_max (default 12) already meets 1e-10 tail accuracy:
 The distribution pieces follow the usual chain R = int q^2, E = exp(-1/2
 int q), F = exp(-1/2 int R), F1 = F*E, F2 = F^2, all in every grid.
 
-The module needs numpy only.  Ai and Ai' come from :func:`_airy`: the
+The module needs numpy only.  Ai and Ai' come from :func:`airy_ai`: the
 Poincare series in 1/zeta from x = 10 up, and Taylor series of y'' = x y
 about a 0.5-spaced table below, down to x = -30.  Every tridiagonal system
 (the Newton steps and the spline slopes) is one LU sweep without pivoting,
@@ -33,10 +33,10 @@ from .errors import ConvergenceError, CoverageError, TailClosureError
 
 _EPS = np.finfo(float).eps
 
-DEFAULT_S_MIN = -12.0
-DEFAULT_S_MAX = 12.0
+S_MIN = -12.0
+S_MAX = 12.0
 DEFAULT_MESH = 4096
-DEFAULT_TOL = 1e-10
+TOL = 1e-10
 MAX_NEWTON_ITER = 60
 
 _AIRY_SERIES_X = 10.0
@@ -93,7 +93,7 @@ def _airy_table() -> np.ndarray:
     return np.array(columns).T
 
 
-def _airy(x):
+def airy_ai(x):
     """(Ai(x), Ai'(x)) elementwise for x >= -30; scalars for a scalar.
 
     Accurate to 3e-15 of the amplitude on [-30, 10] and to 6e-14 relative
@@ -110,13 +110,6 @@ def _airy(x):
     t = np.where(above, 0.0, x - (_AIRY_SERIES_X - _AIRY_STEP * j))
     ai, aip = _taylor_sum(_airy_table()[:, j.astype(np.intp)], t)
     return np.where(above, ai_hi, ai)[()], np.where(above, aip_hi, aip)[()]
-
-
-def airy_ai(s: float) -> tuple[float, float]:
-    """Airy function and derivative, gated to the supported range |s| <= 30."""
-    if not np.all(np.abs(s) <= 30.0):
-        raise CoverageError("airy argument out of supported range |s| <= 30")
-    return _airy(s)
 
 
 def _solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
@@ -243,37 +236,29 @@ class PainleveGrid:
             raise CoverageError(f"s={s} outside grid [{self.s_min}, {self.s_max}]")
 
 
-def solve_hastings_mcleod(s_min: float = DEFAULT_S_MIN,
-                          s_max: float = DEFAULT_S_MAX,
-                          mesh: int = DEFAULT_MESH,
-                          tol: float = DEFAULT_TOL):
-    """Solve the Painleve II boundary value problem on [s_min, s_max].
+def solve_hastings_mcleod(mesh: int = DEFAULT_MESH):
+    """Solve the Painleve II boundary value problem on [S_MIN, S_MAX] with
+    ``mesh`` intervals.
 
     Returns (s, q, q', residual), the arguments of :func:`accumulate_tails`.
 
     Initial guess is the patched asymptote (Ai on the right, sqrt(-s/2) on
     the left, smoothly blended over [-1, 1]).  Newton iterates until the
-    collocation residual reaches max(tol, roundoff floor); the roundoff
+    collocation residual reaches max(TOL, roundoff floor); the roundoff
     floor for the divided second difference is about eps / h^2.
     """
-    if not (s_min < 0.0 < s_max):
-        raise ValueError("require s_min < 0 < s_max")
-    if s_max < 8.0:
-        raise ValueError("require s_max >= 8")
     if mesh < 512:
         raise ValueError("require mesh >= 512")
-    if tol < 1e-12:
-        raise ValueError("require tol >= 1e-12")
 
-    s = np.linspace(s_min, s_max, mesh + 1)
+    s = np.linspace(S_MIN, S_MAX, mesh + 1)
     h = s[1] - s[0]
-    ai_grid = _airy(s)[0]
+    ai_grid = airy_ai(s)[0]
     neg = np.sqrt(np.maximum(-s, 0.0) / 2.0)
     t = np.clip((s + 1.0) / 2.0, 0.0, 1.0)
     blend = t * t * (3.0 - 2.0 * t)
     q = blend * ai_grid + (1.0 - blend) * neg
-    q[0] = math.sqrt(-s_min / 2.0) * (1.0 + 1.0 / (8.0 * s_min**3))
-    q[-1] = _airy(s_max)[0]
+    q[0] = math.sqrt(-S_MIN / 2.0) * (1.0 + 1.0 / (8.0 * S_MIN**3))
+    q[-1] = airy_ai(S_MAX)[0]
 
     floor = _EPS / h**2
 
@@ -302,15 +287,15 @@ def solve_hastings_mcleod(s_min: float = DEFAULT_S_MIN,
         if lam == 1.0 and float(np.max(np.abs(dq))) < 8.0 * _EPS:
             break
     residual = float(np.max(np.abs(defect(q))))
-    if residual > max(tol, 4.0 * floor):
+    if residual > max(TOL, 4.0 * floor):
         raise ConvergenceError(
-            f"Newton stalled at residual {residual:.3e} (tol {tol:.1e})",
+            f"Newton stalled at residual {residual:.3e} (tol {TOL:.1e})",
             residual=residual)
 
     # q' by integrating the ODE from the right edge: smoother than a spline
     # derivative, fourth-order accurate, and summed downward so the tiny
     # right tail keeps its relative accuracy.
-    q_prime = (_airy(s_max)[1]
+    q_prime = (airy_ai(S_MAX)[1]
                - NotAKnotSpline(s, s * q + 2.0 * q**3).tail_integrals())
 
     return s, q, q_prime, residual

@@ -53,7 +53,8 @@ def test_constant_settings_frozen_values(grid):
 
     # re-pinned when Magnus s-flows replaced the DOP853 flow at rtol 1e-10
     # (2.6e-13 from DOP853 at rtol 1e-13, atol 1e-15; the old pin 1.1e-12)
-    close(wm.kernel_integral_form(0.4, -0.3, 0.5, grid),
+    psis = wm.integrate_psi(0.5, grid, zeta_max=8)
+    close(wm.kernel_integral_form(0.4, -0.3, psis, grid),
           0.2739853539398912, 1e-12)
     # re-pinned with the Magnus edge flows, which land on the value from
     # DOP853 edge data at rtol 2.3e-14 (the old pin 1.5e-10 relative away)

@@ -116,7 +116,7 @@ def test_lhospital_matches_integral_form(grid):
     s, u = 1.0, 0.4
     psis = wm.integrate_psi(s, painleve=grid)
     direct = wm.critical_kernel(u, u, psis)
-    integral = kernel_integral_form(u, u, s, grid, zeta_max=12.0)
+    integral = kernel_integral_form(u, u, psis, grid)
     assert abs(direct - integral) < 1e-3
 
 
@@ -124,12 +124,13 @@ def test_integral_form_agrees_with_closed_form(grid):
     for u, v, s in ((0.4, -0.3, 0.5), (0.4, 0.4, 1.0), (0.3, -0.2, 0.5),
                     (1.0, 0.5, -1.0), (-0.7, 0.9, 2.0)):
         psis = wm.integrate_psi(s, grid, zeta_max=8)
-        integral = kernel_integral_form(u, v, s, grid)
+        integral = kernel_integral_form(u, v, psis, grid)
         assert abs(integral - wm.critical_kernel(u, v, psis)) <= 1e-7
     # at, below or just above the -8 cutoff the integral is (nearly) empty:
     # K is ~1e-12 there
     for s in (-9.0, math.nextafter(-8.0, 0.0), -7.99):
-        assert 0.0 <= kernel_integral_form(0.4, 0.4, s, grid) <= 1e-8
+        psis = wm.integrate_psi(s, grid, zeta_max=8)
+        assert 0.0 <= kernel_integral_form(0.4, 0.4, psis, grid) <= 1e-8
 
 
 def _dop853(rhs, t_span, y0, tol, atol=None, t_eval=None):
@@ -144,7 +145,11 @@ def _dop853(rhs, t_span, y0, tol, atol=None, t_eval=None):
 def test_magnus_matches_tight_dop853(grid):
     for s in (2.0 ** (2.0 / 3.0), -1.5):
         psis = wm.integrate_psi(s, grid, zeta_max=8)
-        rhs = psikernel._zeta_rhs(s, psis.q_s, psis.qp_s)
+
+        def rhs(z, y):
+            a, b, c = _zeta_matrix(z, s, psis.q_s, psis.qp_s)
+            return a * y[0] + b * y[1], c * y[0] - a * y[1]
+
         # outward from (1, 0): both pairs scaled by their own fitted
         # amplitude, on the half-mesh
         half = psis.zeta_values[len(psis.zeta_values) // 2:]
@@ -181,7 +186,7 @@ def test_magnus_matches_tight_dop853(grid):
 
         y = _dop853(rhs, (s, lower), [*psis.phi_at(u), *psis.phi_at(v), 0.0],
                     1e-13, atol=1e-15)
-        assert abs(kernel_integral_form(u, v, s, grid) - y[4, -1] / math.pi) <= 2e-12
+        assert abs(kernel_integral_form(u, v, psis, grid) - y[4, -1] / math.pi) <= 2e-12
 
 
 def test_non_finite_zeta_matrix_raises():
@@ -215,8 +220,9 @@ def test_non_finite_zeta_matrix_raises():
                 (lambda: wm.integrate_psi(1.0, Huge()), "0.0 to 10.0"),
                 (lambda: wm.compatibility_defect(1.0, 0.02, HugeSlope()),
                  "10.0 to 0.0"),
-                (lambda: kernel_integral_form(0.4, 0.4, 1.0, HugeOffCenter()),
-                 "1.0 to -8.0"),
+                (lambda: kernel_integral_form(
+                    0.4, 0.4, wm.integrate_psi(1.0, HugeOffCenter()),
+                    HugeOffCenter()), "1.0 to -8.0"),
                 (lambda: wm.compatibility_defect(1.0, 0.02, HugeOffCenter()),
                  "1.0 to 1.02")):
             with pytest.raises(ConvergenceError, match=f"from {where} is"):
@@ -236,8 +242,6 @@ def test_coverage_and_precondition_errors(grid):
     for zeta_max in (5.0, 65.0, 1e9, float("inf")):
         with pytest.raises(ValueError):
             wm.integrate_psi(1.0, zeta_max=zeta_max, painleve=grid)
-    with pytest.raises(ValueError):
-        kernel_integral_form(0.4, 0.4, 1.0, grid, zeta_max=float("inf"))
     for delta in (0.0, -0.02, float("nan")):
         with pytest.raises(ValueError):
             wm.compatibility_defect(1.0, delta, grid)
@@ -266,7 +270,7 @@ def test_parallel_construction_matches_serial(grid):
 
 def test_s_flows_load_no_scipy(cli_env):
     code = ("import sys, watermelon as wm; grid = wm.build_grid(); "
-            "wm.kernel_integral_form(0.4, 0.4, 1.0, grid); "
+            "wm.kernel_integral_form(0.4, 0.4, wm.integrate_psi(1.0, grid), grid); "
             "wm.compatibility_defect(1.0, 0.02, grid); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
