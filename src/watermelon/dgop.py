@@ -18,15 +18,15 @@ the only window: a node at amplitude 0 stays 0 through the recurrence, so
 identities that difference across a (``toda_residual``) need no shared one.
 
 That window depends on (n, alpha, a) only, and degree k of the pass on lower
-degrees only, so the memo holds one recurrence-only entry per family: a
-request for a lower degree is served as a prefix of the stored arrays, bit
-for bit what a fresh build returns.  ``phi`` is recomputed on first read.
+degrees only, so the memo holds one recurrence-only entry, the family built
+last: a request for it at a lower degree is served as a prefix of the stored
+arrays, bit for bit what a fresh build returns.  ``phi`` is recomputed on
+first read.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -167,14 +167,16 @@ def build_lattice(n: int, alpha: float, a: float, k_max: int):
 
 
 def build_system(n: int, alpha: float, a: float, k_max: int) -> OrthoSystem:
-    """Construct an OrthoSystem, memoized per family (n, alpha, a)."""
-    key = (n, alpha, a)
-    entry = _memo.get(key)
-    if entry is None or not 0 <= k_max <= entry.k_max:
-        entry = _memo[key] = _build(n, alpha, a, k_max)
-        if len(_memo) > _MEMO_SIZE:
-            _memo.popitem(last=False)
-    _memo.move_to_end(key)
+    """Construct an OrthoSystem; the family built last is memoized.
+
+    Any other family, or a higher degree, rebuilds and replaces the entry;
+    a request that raises leaves it in place.
+    """
+    global _memo
+    entry = _memo
+    if (entry is None or (entry.n, entry.alpha, entry.a) != (n, alpha, a)
+            or not 0 <= k_max <= entry.k_max):
+        entry = _memo = _build(n, alpha, a, k_max)
     m = k_max + 1
     return OrthoSystem(n=n, alpha=alpha, a=a, k_max=k_max,
                        log_h=entry.log_h[:m], A=entry.A[:m], B=entry.B[:m],
@@ -191,9 +193,8 @@ def _build(n, alpha, a, k_max):
                        A=A, B=B, nodes=nodes, amplitudes=amplitudes)
 
 
-# Least recently used first; entries are never handed out, so none holds phi.
-_MEMO_SIZE = 128
-_memo: OrderedDict = OrderedDict()
+# The entry is never handed out, so it holds no phi.
+_memo: OrthoSystem | None = None
 
 
 def rescale_check(system: OrthoSystem, direction: int) -> float:
@@ -270,10 +271,11 @@ def toda_residual(n: int, alpha: float, a: float, delta_a: float):
     """
     if not 0.0 < delta_a < a:  # NaN fails too
         raise ValueError("delta_a must lie in (0, a)")
-    lz = [partition_and_free_energy(n, alpha, av)[0]
-          for av in (a - delta_a, a, a + delta_a)]
-    lhs = (lz[2] - 2.0 * lz[1] + lz[0]) / delta_a**2
+    # the degree-(n + 1) family first: the memo serves log Z at a from it
     system = build_system(n, alpha, a, n + 1)
+    lz_mid, lz_lo, lz_hi = (partition_and_free_energy(n, alpha, av)[0]
+                            for av in (a, a - delta_a, a + delta_a))
+    lhs = (lz_hi - 2.0 * lz_mid + lz_lo) / delta_a**2
     A, B = system.A, system.B
     rhs = (n * math.pi**2 / 2.0)**2 * B[n] * (
         B[n - 1] + B[n + 1] + (A[n] + A[n - 1])**2)

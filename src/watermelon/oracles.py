@@ -2,15 +2,18 @@
 
 These routines are deliberately decoupled from the main solvers: they use
 different discretizations (Fredholm determinants, the Airy-kernel
-resolvent, explicit Gram-Schmidt, brute-force lattice sums, tensor
-quadrature) so that agreement with the production path is meaningful
-evidence of correctness.  The one piece they share with the Painleve
-solver is its Airy function ``painleve.airy_ai`` (checked against mpmath on
-its own), so the Airy-kernel oracles cover arguments x >= -30 like it.
-The brute-force height CDF and the tensor quadrature share one N <= 3 sum,
+resolvent, brute-force lattice sums) so that agreement with the production
+path is meaningful evidence of correctness.  The one piece they share with
+the Painleve solver is its Airy function ``painleve.airy_ai`` (checked
+against mpmath on its own), so the Airy-kernel oracles cover arguments
+x >= -30 like it.  The brute-force height CDF and the Riemann sums of
+``heights.riemann_sum_order`` share one N <= 3 sum,
 :func:`vandermonde_lattice_sum`, which never touches the Stieltjes engine;
-the F1 and F2 Fredholm determinants and the resolvent q share one
-Gauss-Legendre Nystrom rule on [s, s + SPAN].
+the F2 Fredholm determinant and the resolvent q share one Gauss-Legendre
+Nystrom rule on [s, s + SPAN], and :func:`nystrom_det` is that rule's
+determinant for any kernel.  References only the tests consult (explicit
+Gram-Schmidt, a software-float Stieltjes pass, the F1 determinant) live
+with the tests, so the package needs numpy only.
 """
 
 from __future__ import annotations
@@ -19,9 +22,7 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from numpy.polynomial.hermite import hermgauss
 
-from .errors import PrecisionError
 from .painleve import airy_ai
 
 
@@ -49,11 +50,13 @@ def _gauss_nodes(lo: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (b - a) * t + 0.5 * (b + a), 0.5 * (b - a) * w
 
 
-def _nystrom_det(kernel, lo: float, m: int) -> float:
+def nystrom_det(kernel, lo: float, m: int) -> float:
     """det(I - K) on L^2(lo, lo + SPAN) by Nystrom discretization.
 
     ``kernel(xs)`` returns the matrix K(x_i, x_j) on the m Gauss-Legendre
-    nodes; the square-root weights symmetrize it before ``slogdet``.
+    nodes x of [lo, lo + SPAN]; the square-root weights symmetrize it
+    before ``slogdet``.  F2 is ``nystrom_det(K_Ai, x, m)``; any other
+    trace-class kernel on a half-line truncated at SPAN reads the same way.
     """
     xs, ws = _gauss_nodes(lo, m)
     sw = np.sqrt(ws)
@@ -68,17 +71,7 @@ def fredholm_f2(x: float, m: int = 201) -> float:
     Truncated to [x, x + SPAN] and discretized on an m-point Gauss-Legendre
     grid with square-root weight symmetrization.
     """
-    return _nystrom_det(lambda xs: _airy_kernel(xs, xs), x, m)
-
-
-def fredholm_f1(s: float) -> float:
-    """GOE edge CDF F1(s) = det(I - B_s) on L^2(0, infinity).
-
-    B_s(x, y) = Ai(x + y + s) is the Ferrari-Spohn kernel; truncated to
-    [0, SPAN] and discretized on 120 nodes like :func:`fredholm_f2`, so it
-    is independent of the Painleve II solver.
-    """
-    return _nystrom_det(lambda xs: airy_ai(np.add.outer(xs, xs) + s)[0], 0.0, 120)
+    return nystrom_det(lambda xs: _airy_kernel(xs, xs), x, m)
 
 
 def resolvent_q(s: float, m: int = 120) -> float:
@@ -93,99 +86,6 @@ def resolvent_q(s: float, m: int = 120) -> float:
     xs, ws = _gauss_nodes(s, m)
     Q = np.linalg.solve(np.eye(m) - _airy_kernel(xs, xs) * ws, airy_ai(xs)[0])
     return float(airy_ai(s)[0] + _airy_kernel(np.array([s]), xs)[0] @ (ws * Q))
-
-
-def gram_schmidt_log_norms(nodes: np.ndarray, weights: np.ndarray,
-                           k_max: int) -> np.ndarray:
-    """Explicit monic orthogonalization on a discrete measure.
-
-    Brute-force reference for the Stieltjes recurrence: expensive
-    (O(k_max^2 * nodes)) and run only at small degree in tests.
-    """
-    basis = [np.ones_like(nodes)]
-    log_h = np.empty(k_max + 1)
-    for k in range(k_max + 1):
-        if k > 0:
-            p = nodes**k
-            for _ in range(2):  # reorthogonalize: classical GS drifts
-                for prev in basis:
-                    p = p - (np.sum(p * prev * weights) /
-                             np.sum(prev * prev * weights)) * prev
-            basis.append(p)
-        log_h[k] = math.log(np.sum(basis[k] ** 2 * weights))
-    return log_h
-
-
-def gram_schmidt_log_norms_exact(nodes, weights, k_max: int,
-                                 dps: int = 50) -> np.ndarray:
-    """Gram-Schmidt in software floats.
-
-    The monomial basis is too ill-conditioned for double precision past
-    degree ~30; at 50 digits the orthogonalization itself is exact for all
-    practical purposes, so the comparison isolates the recurrence engine's
-    own roundoff.  Input doubles convert exactly.
-    """
-    from mpmath import mp, mpf
-
-    with mp.workdps(dps):
-        x = [mpf(float(v)) for v in nodes]
-        w = [mpf(float(v)) for v in weights]
-        basis = [[mpf(1)] * len(x)]
-        norms = [mp.fsum(wi for wi in w)]
-        log_h = [mp.log(norms[0])]
-        for k in range(1, k_max + 1):
-            p = [xi**k for xi in x]
-            for prev, nrm in zip(basis, norms):
-                c = mp.fsum(pi * bi * wi for pi, bi, wi in zip(p, prev, w)) / nrm
-                p = [pi - c * bi for pi, bi in zip(p, prev)]
-            nrm = mp.fsum(pi * pi * wi for pi, wi in zip(p, w))
-            basis.append(p)
-            norms.append(nrm)
-            log_h.append(mp.log(nrm))
-        return np.array([float(v) for v in log_h])
-
-
-def stieltjes_exact(nodes, n: int, a: float, k_max: int,
-                    prec_bits: int = 120):
-    """Stieltjes recurrence in 120-bit software floats; returns (A, B, log_h).
-
-    Reference for ``dgop.stieltjes`` at large k_max, where no weight
-    exp(-n pi^2 a x^2 / 2)/n, evaluated here from (n, a), can underflow.
-    Slow: about 9 s at n = k_max = 448.
-    """
-    from mpmath import mp, mpf
-
-    with mp.workprec(prec_bits):
-        x = [mpf(float(v)) for v in nodes]
-        coef = mpf(n) * mp.pi**2 * mpf(repr(a)) / 2
-        w = [mp.exp(-coef * xi * xi) / n for xi in x]
-        m = len(x)
-        A = [mp.zero] * (k_max + 1)
-        B = [mp.zero] * (k_max + 1)
-        log_h = [mp.zero] * (k_max + 1)
-        raw = [mp.sqrt(wi) for wi in w]
-        h0 = mp.fsum(r * r for r in raw)
-        log_h[0] = mp.log(h0)
-        root = mp.sqrt(h0)
-        cur = [r / root for r in raw]
-        prev = [mp.zero] * m
-        A[0] = mp.fsum(xi * c * c for xi, c in zip(x, cur))
-        sqrt_b_prev = mp.zero
-        for k in range(1, k_max + 1):
-            u = [(xi - A[k - 1]) * c - sqrt_b_prev * p
-                 for xi, c, p in zip(x, cur, prev)]
-            bk = mp.fsum(ui * ui for ui in u)
-            if bk <= 0:
-                raise PrecisionError(f"B_{k} nonpositive even at {prec_bits} bits")
-            B[k] = bk
-            log_h[k] = log_h[k - 1] + mp.log(bk)
-            prev = cur
-            sqrt_b_prev = mp.sqrt(bk)
-            cur = [ui / sqrt_b_prev for ui in u]
-            A[k] = mp.fsum(xi * c * c for xi, c in zip(x, cur))
-        return (np.array([float(v) for v in A]),
-                np.array([float(v) for v in B]),
-                np.array([float(v) for v in log_h]))
 
 
 def _lattice(alpha: float, half_width: float) -> np.ndarray:
@@ -219,23 +119,13 @@ def brute_force_height_cdf(N: int, M: float, wall: str) -> float:
     return math.exp(log_pref) * vandermonde_lattice_sum(x * x, g, N)
 
 
-def gue_log_partition_quadrature(n: int, order: int = 80) -> float:
-    """log of the n-fold GUE integral by tensor Gauss-Hermite quadrature.
-
-    Independent check of the closed-form Selberg value; n <= 3 keeps the
-    tensor grid small.
-    """
-    t, w = hermgauss(order)
-    return math.log(vandermonde_lattice_sum(t, w, n))
-
-
 def vandermonde_lattice_sum(y: np.ndarray, g: np.ndarray, N: int) -> float:
     """sum over (i_1..i_N) of prod_{j<k} (y_{i_j} - y_{i_k})^2 prod_j g_{i_j}.
 
     The one N <= 3 Vandermonde sum: the brute-force height CDF, the Riemann
-    sums of ``heights.riemann_sum_order`` and the GUE quadrature all call
-    it.  With D_ij = (y_i - y_j)^2 and E = D diag(g), N = 2 is g^T E 1 and
-    N = 3 is g^T ((E D) o E) 1, so memory stays O(len(y)^2).
+    sums of ``heights.riemann_sum_order`` and the tests' GUE quadrature all
+    call it.  With D_ij = (y_i - y_j)^2 and E = D diag(g), N = 2 is
+    g^T E 1 and N = 3 is g^T ((E D) o E) 1, so memory stays O(len(y)^2).
     """
     if N not in (1, 2, 3):
         raise ValueError("Vandermonde lattice sum capped at 1 <= N <= 3")
@@ -271,9 +161,3 @@ def gue_log_integral(n: int) -> float:
     return math.lgamma(n + 1) + sum(
         0.5 * math.log(math.pi) + math.lgamma(k + 1) - k * math.log(2.0)
         for k in range(n))
-
-
-def stirling_series(n: int) -> float:
-    """Truncated Stirling correction (e/n)^n n! / sqrt(2 pi n)."""
-    return math.exp(math.lgamma(n + 1) + n - n * math.log(n)
-                    - 0.5 * math.log(2 * math.pi * n))

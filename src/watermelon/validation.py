@@ -20,7 +20,7 @@ import numpy as np
 
 from . import asym, dgop, heights, psikernel
 from .errors import WatermelonError
-from .oracles import fredholm_f2, resolvent_q
+from .oracles import brute_force_height_cdf, fredholm_f2, resolvent_q
 from .painleve import PainleveGrid, airy_ai, build_grid, tracy_widom
 
 
@@ -78,7 +78,6 @@ def _c03_cdf_structure(ctx):
 
 
 def _c04_oracle_equivalence(ctx):
-    from .oracles import brute_force_height_cdf
     worst = 0.0
     for N in (1, 2):
         for wall in heights.WALLS:

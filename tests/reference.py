@@ -1,0 +1,139 @@
+"""Reference computations that only the tests consult.
+
+Brute-force or extended-precision counterparts of the package's engines:
+explicit Gram-Schmidt (in doubles and in mpmath software floats), a 120-bit
+Stieltjes recurrence, the tensor Gauss-Hermite GUE integral, the Stirling
+correction and the Ferrari-Spohn Fredholm determinant for F1.  They are
+slow by design and never needed at run time, so they live here, and mpmath
+is a test dependency only.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from numpy.polynomial.hermite import hermgauss
+
+from watermelon.errors import PrecisionError
+from watermelon.oracles import nystrom_det, vandermonde_lattice_sum
+from watermelon.painleve import airy_ai
+
+
+def fredholm_f1(s: float) -> float:
+    """GOE edge CDF F1(s) = det(I - B_s) on L^2(0, infinity).
+
+    B_s(x, y) = Ai(x + y + s) is the Ferrari-Spohn kernel; truncated to
+    [0, SPAN] and discretized on 120 nodes like ``oracles.fredholm_f2``, so
+    it is independent of the Painleve II solver.
+    """
+    return nystrom_det(lambda xs: airy_ai(np.add.outer(xs, xs) + s)[0], 0.0, 120)
+
+
+def gram_schmidt_log_norms(nodes: np.ndarray, weights: np.ndarray,
+                           k_max: int) -> np.ndarray:
+    """Explicit monic orthogonalization on a discrete measure.
+
+    Brute-force reference for the Stieltjes recurrence: expensive
+    (O(k_max^2 * nodes)) and run only at small degree in tests.
+    """
+    basis = [np.ones_like(nodes)]
+    log_h = np.empty(k_max + 1)
+    for k in range(k_max + 1):
+        if k > 0:
+            p = nodes**k
+            for _ in range(2):  # reorthogonalize: classical GS drifts
+                for prev in basis:
+                    p = p - (np.sum(p * prev * weights) /
+                             np.sum(prev * prev * weights)) * prev
+            basis.append(p)
+        log_h[k] = math.log(np.sum(basis[k] ** 2 * weights))
+    return log_h
+
+
+def gram_schmidt_log_norms_exact(nodes, weights, k_max: int,
+                                 dps: int = 50) -> np.ndarray:
+    """Gram-Schmidt in software floats.
+
+    The monomial basis is too ill-conditioned for double precision past
+    degree ~30; at 50 digits the orthogonalization itself is exact for all
+    practical purposes, so the comparison isolates the recurrence engine's
+    own roundoff.  Input doubles convert exactly.
+    """
+    from mpmath import mp, mpf
+
+    with mp.workdps(dps):
+        x = [mpf(float(v)) for v in nodes]
+        w = [mpf(float(v)) for v in weights]
+        basis = [[mpf(1)] * len(x)]
+        norms = [mp.fsum(wi for wi in w)]
+        log_h = [mp.log(norms[0])]
+        for k in range(1, k_max + 1):
+            p = [xi**k for xi in x]
+            for prev, nrm in zip(basis, norms):
+                c = mp.fsum(pi * bi * wi for pi, bi, wi in zip(p, prev, w)) / nrm
+                p = [pi - c * bi for pi, bi in zip(p, prev)]
+            nrm = mp.fsum(pi * pi * wi for pi, wi in zip(p, w))
+            basis.append(p)
+            norms.append(nrm)
+            log_h.append(mp.log(nrm))
+        return np.array([float(v) for v in log_h])
+
+
+def stieltjes_exact(nodes, n: int, a: float, k_max: int,
+                    prec_bits: int = 120):
+    """Stieltjes recurrence in 120-bit software floats; returns (A, B, log_h).
+
+    Reference for ``dgop.stieltjes`` at large k_max, where no weight
+    exp(-n pi^2 a x^2 / 2)/n, evaluated here from (n, a), can underflow.
+    Slow: about 9 s at n = k_max = 448.
+    """
+    from mpmath import mp, mpf
+
+    with mp.workprec(prec_bits):
+        x = [mpf(float(v)) for v in nodes]
+        coef = mpf(n) * mp.pi**2 * mpf(repr(a)) / 2
+        w = [mp.exp(-coef * xi * xi) / n for xi in x]
+        m = len(x)
+        A = [mp.zero] * (k_max + 1)
+        B = [mp.zero] * (k_max + 1)
+        log_h = [mp.zero] * (k_max + 1)
+        raw = [mp.sqrt(wi) for wi in w]
+        h0 = mp.fsum(r * r for r in raw)
+        log_h[0] = mp.log(h0)
+        root = mp.sqrt(h0)
+        cur = [r / root for r in raw]
+        prev = [mp.zero] * m
+        A[0] = mp.fsum(xi * c * c for xi, c in zip(x, cur))
+        sqrt_b_prev = mp.zero
+        for k in range(1, k_max + 1):
+            u = [(xi - A[k - 1]) * c - sqrt_b_prev * p
+                 for xi, c, p in zip(x, cur, prev)]
+            bk = mp.fsum(ui * ui for ui in u)
+            if bk <= 0:
+                raise PrecisionError(f"B_{k} nonpositive even at {prec_bits} bits")
+            B[k] = bk
+            log_h[k] = log_h[k - 1] + mp.log(bk)
+            prev = cur
+            sqrt_b_prev = mp.sqrt(bk)
+            cur = [ui / sqrt_b_prev for ui in u]
+            A[k] = mp.fsum(xi * c * c for xi, c in zip(x, cur))
+        return (np.array([float(v) for v in A]),
+                np.array([float(v) for v in B]),
+                np.array([float(v) for v in log_h]))
+
+
+def gue_log_partition_quadrature(n: int, order: int = 80) -> float:
+    """log of the n-fold GUE integral by tensor Gauss-Hermite quadrature.
+
+    Independent check of the closed-form Selberg value; n <= 3 keeps the
+    tensor grid small.
+    """
+    t, w = hermgauss(order)
+    return math.log(vandermonde_lattice_sum(t, w, n))
+
+
+def stirling_series(n: int) -> float:
+    """Truncated Stirling correction (e/n)^n n! / sqrt(2 pi n)."""
+    return math.exp(math.lgamma(n + 1) + n - n * math.log(n)
+                    - 0.5 * math.log(2 * math.pi * n))

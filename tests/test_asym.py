@@ -7,6 +7,7 @@ from numpy.polynomial.legendre import leggauss
 import watermelon as wm
 from watermelon.asym import t_coeff, t_prime, u_coeff
 from watermelon.errors import CoverageError
+from reference import stirling_series
 
 
 def quad_density_moment(eq, power):
@@ -192,7 +193,6 @@ class TestSubcritical:
         assert np.max(np.abs(system.A)) <= 1e-10
 
     def test_stirling_oracle_reproduces_series(self):
-        from watermelon.oracles import stirling_series
         for n in (20, 40):
             series = 1 + 1 / (12 * n) + 1 / (288 * n**2) - 139 / (51840 * n**3)
             assert abs(stirling_series(n) / series - 1.0) < 5.0 * n ** (-4.0)

@@ -227,13 +227,14 @@ import contextlib, io, json, sys
 from watermelon import cli
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+print(codes, *(sorted(m for m in sys.modules if m.split('.')[0] == top)
+               for top in ('scipy', 'mpmath')))
 """
     proc = subprocess.run([sys.executable, "-c", code,
                            json.dumps(NUMPY_ONLY_COMMANDS)],
                           capture_output=True, text=True, env=cli_env)
     assert_exit(proc, 0)
-    assert proc.stdout.strip() == f"{[0] * len(NUMPY_ONLY_COMMANDS)} []"
+    assert proc.stdout.strip() == f"{[0] * len(NUMPY_ONLY_COMMANDS)} [] []"
 
 
 def test_painleve_suite_loads_no_ode_stack(cli_env):

@@ -9,8 +9,8 @@ from watermelon import dgop
 from watermelon.dgop import MAX_DEGREE, build_lattice, lattice_nodes
 from watermelon.errors import (CoverageError, PrecisionError, WatermelonError,
                                WindowError)
-from watermelon.oracles import (gram_schmidt_log_norms,
-                                gue_log_partition_quadrature, stieltjes_exact)
+from reference import (gram_schmidt_log_norms, gram_schmidt_log_norms_exact,
+                       gue_log_partition_quadrature, stieltjes_exact)
 
 
 def test_lattice_nodes_alpha_zero():
@@ -79,8 +79,6 @@ def test_stieltjes_against_gram_schmidt():
 def test_stieltjes_against_gram_schmidt_high_degree():
     # the monomial basis is too ill-conditioned for a double-precision
     # Gram-Schmidt at degree 40, so the oracle runs in software floats
-    from watermelon.oracles import gram_schmidt_log_norms_exact
-
     sys1 = wm.build_system(20, 0.25, 0.9, 40)
     assert len(sys1.nodes) <= 200
     ref = gram_schmidt_log_norms_exact(sys1.nodes, sys1.amplitudes**2, 40)
@@ -276,7 +274,7 @@ def test_one_stieltjes_pass_per_build(monkeypatch, family):
         return stieltjes(*args, **kwargs)
 
     monkeypatch.setattr(dgop, "stieltjes", counted)
-    dgop._memo.clear()
+    monkeypatch.setattr(dgop, "_memo", None)
     wm.build_system(*family)
     assert len(calls) == 1
 
@@ -290,7 +288,7 @@ def _count_passes(monkeypatch):
         return stieltjes(*args, **kwargs)
 
     monkeypatch.setattr(dgop, "stieltjes", counted)
-    dgop._memo.clear()
+    monkeypatch.setattr(dgop, "_memo", None)
     return calls
 
 
@@ -342,18 +340,14 @@ def test_failed_request_leaves_memo_entry(monkeypatch):
     assert len(calls) == 0
 
 
-def test_memo_evicts_least_recently_used(monkeypatch):
+def test_memo_holds_the_last_family(monkeypatch):
     calls = _count_passes(monkeypatch)
-    for i in range(dgop._MEMO_SIZE):
-        wm.build_system(4, 0.0, 1.0 + i / 1000, 2)
-    wm.build_system(4, 0.0, 1.0, 2)  # refresh the oldest entry
-    wm.build_system(4, 0.0, 2.0, 2)  # evicts a = 1.001
-    assert len(dgop._memo) == dgop._MEMO_SIZE
-    calls.clear()
-    wm.build_system(4, 0.0, 1.0, 2)
+    for a in (1.0, 2.0, 1.0):  # each family replaces the one before
+        wm.build_system(4, 0.0, a, 2)
+        assert len(calls) == 1
+        calls.clear()
+    wm.build_system(4, 0.0, 1.0, 1)
     assert len(calls) == 0
-    wm.build_system(4, 0.0, 1.001, 2)
-    assert len(calls) == 1
 
 
 def test_window_keeps_no_zero_amplitude_node():

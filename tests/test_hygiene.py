@@ -1,6 +1,6 @@
 """Source hygiene checks that need no linter: every import is used, no
-module imports scipy or another module's private names, and the public
-settings are the listed ones."""
+module imports scipy, mpmath or another module's private names, and the
+public settings are the listed ones."""
 
 import ast
 import inspect
@@ -39,15 +39,15 @@ def test_every_import_is_used(path):
     assert _unused_imports(tree) == []
 
 
-def _scipy_imports(tree: ast.Module) -> list[str | None]:
-    """The enclosing function of every scipy import, None at module level
-    (class bodies included: they run on import)."""
+def _imports_of(package: str) -> list[str]:
+    """Every import of ``package`` as ``file:function``, the function None
+    at module level (class bodies included: they run on import)."""
     found = []
 
-    def visit(node, func):
+    def visit(node, where, func):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
+                visit(child, where, child.name)
                 continue
             if isinstance(child, ast.Import):
                 names = [alias.name for alias in child.names]
@@ -55,21 +55,25 @@ def _scipy_imports(tree: ast.Module) -> list[str | None]:
                 names = [child.module]
             else:
                 names = []
-            if any(name.split(".")[0] == "scipy" for name in names):
-                found.append(func)
-            visit(child, func)
+            if any(name.split(".")[0] == package for name in names):
+                found.append(f"{where}:{func}")
+            visit(child, where, func)
 
-    visit(tree, None)
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
     return found
 
 
 def test_no_scipy_import_in_package():
     # scipy costs a fresh CLI process about 0.35 s on top of numpy's import;
     # the package needs numpy only, and the tests keep scipy as a reference
-    found = [f"{path.name}:{func}"
-             for path in sorted(PACKAGE.glob("*.py"))
-             for func in _scipy_imports(ast.parse(path.read_text(encoding="utf-8")))]
-    assert found == []
+    assert _imports_of("scipy") == []
+
+
+def test_no_mpmath_import_in_package():
+    # the software-float references live in tests/reference.py; mpmath is a
+    # test dependency only
+    assert _imports_of("mpmath") == []
 
 
 def _private_imports(tree: ast.Module) -> list[str]:
