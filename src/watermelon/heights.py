@@ -3,8 +3,10 @@
 The absorbing-wall CDF is a prefactor times the product of odd-degree
 normalizing constants of the discrete Gaussian family on the integer
 lattice; the reflecting wall uses even degrees on the half-integer lattice.
-Both are evaluated through the mesh-1 engine (n = 1, weight parameter
-1/M^2), assembling everything in log domain and exponentiating last.
+The weight is even, so P_{2k+p}(x) = x^p S_k(x^2) with S_k orthogonal on
+y = x^2 > 0: one Stieltjes pass of N degrees on the mesh-1 half-lattice
+(n = 1, weight parameter 1/M^2) gives every norm a wall reads.  Everything
+is assembled in log domain and exponentiated last.
 """
 
 from __future__ import annotations
@@ -59,6 +61,20 @@ def _log_prefactor(N: int, M: float, p: int) -> float:
             - sum(math.lgamma(2 * k + 1 + p) for k in range(N)))
 
 
+def _half_lattice(M: float, p: int, k_max: int):
+    """Stieltjes pass (A, B, log_h, None) in y = x^2 for degrees 2k + p.
+
+    h_{2k+p} of the mesh-1 family at a = 1/M^2 is h_k of the measure
+    2 x^{2p} w(x) on the nodes x > 0, so log_h[k] = log h_{2k+p} and
+    B[k] = h_{2k+p}/h_{2k+p-2}.  The nodes come from ``dgop.build_lattice``
+    at degree 2 k_max + p, so its degree cap and window bound apply.
+    """
+    x, amp = dgop.build_lattice(1, (1 - p) / 2, 1.0 / (M * M), 2 * k_max + p)
+    x, amp = x[x > 0.0], amp[x > 0.0]
+    return dgop.stieltjes(x * x, math.sqrt(2.0) * x**p * amp, k_max,
+                          keep_phi=False)
+
+
 def log_height_cdf(N: int, M: float, wall: str) -> float:
     """log P(max height < M), assembled entirely in log domain."""
     if N < 1:
@@ -66,9 +82,7 @@ def log_height_cdf(N: int, M: float, wall: str) -> float:
     if not M > 0.0:  # NaN fails too
         raise ValueError("M must be positive")
     p = _parity(wall)
-    system = dgop.build_system(1, (1 - p) / 2, 1.0 / (M * M), 2 * N - 2 + p)
-    return (_log_prefactor(N, M, p)
-            + float(sum(system.log_h[2 * k + p] for k in range(N))))
+    return _log_prefactor(N, M, p) + float(sum(_half_lattice(M, p, N - 1)[2]))
 
 
 def height_cdf(N: int, M: float, wall: str) -> float:
@@ -148,26 +162,17 @@ def deformation_identity_check(N: int, a: float, delta_a: float, wall: str):
 
     Uses the unrescaled mesh-1 norms with M = sqrt(2N/a); the right side is
     (pi^2/4N)^2 h_{2N+p}/h_{2N+p-2}, p the wall's degree parity (1 absorbing,
-    0 reflecting).  Each evaluation uses its own default window.  Returns
-    (lhs, rhs, defect).
+    0 reflecting), which is the half-lattice coefficient B_N.  Each
+    evaluation uses its own default window.  Returns (lhs, rhs, defect).
     """
     p = _parity(wall)
     if not 0.0 < delta_a < a:  # NaN fails too
         raise ValueError("delta_a must lie in (0, a)")
-
-    def log_prod(av):
-        M = math.sqrt(2.0 * N / av)
-        # strip the prefactor: keep only sum log h
-        return log_height_cdf(N, M, wall) - _log_prefactor(N, M, p)
-
-    lp = [log_prod(av) for av in (a - delta_a, a, a + delta_a)]
+    lp = [float(sum(_half_lattice(math.sqrt(2.0 * N / av), p, N - 1)[2]))
+          for av in (a - delta_a, a, a + delta_a)]
     lhs = (lp[2] - 2.0 * lp[1] + lp[0]) / delta_a**2
-
-    M_mid = math.sqrt(2.0 * N / a)
-    top = 2 * N + p
-    system = dgop.build_system(1, (1 - p) / 2, 1.0 / M_mid**2, top)
-    ratio = math.exp(system.log_h[top] - system.log_h[top - 2])
-    rhs = (math.pi**2 / (4.0 * N))**2 * ratio
+    B = _half_lattice(math.sqrt(2.0 * N / a), p, N)[1]
+    rhs = (math.pi**2 / (4.0 * N))**2 * B[N]
     return lhs, rhs, abs(lhs - rhs)
 
 

@@ -2,8 +2,9 @@
 
 Brute-force or extended-precision counterparts of the package's engines:
 explicit Gram-Schmidt (in doubles and in mpmath software floats), a 120-bit
-Stieltjes recurrence, the tensor Gauss-Hermite GUE integral, the Stirling
-correction and the Ferrari-Spohn Fredholm determinant for F1.  They are
+Stieltjes recurrence, the image-sum height CDF, the tensor Gauss-Hermite GUE
+integral, the Stirling correction and the Ferrari-Spohn Fredholm determinant
+for F1.  They are
 slow by design and never needed at run time, so they live here, and mpmath
 is a test dependency only.
 """
@@ -121,6 +122,48 @@ def stieltjes_exact(nodes, n: int, a: float, k_max: int,
         return (np.array([float(v) for v in A]),
                 np.array([float(v) for v in B]),
                 np.array([float(v) for v in log_h]))
+
+
+def image_sum_cdf(N: int, M: float, wall: str) -> float:
+    """P(max height < M) by the method of images, in mpmath.
+
+    Karlin-McGregor with image paths, start and end points coalesced at 0:
+    det[T_{2i+2j+c}] / det[He_{2i+2j+c}(0)], i, j < N, with
+    T_n = sum_{k in Z} sigma_k He_n(2kM) exp(-2 k^2 M^2) and He_n the
+    probabilists' Hermite polynomials; c = 2, sigma_k = 1 for the absorbing
+    wall and c = 0, sigma_k = (-1)^k for the reflecting one.  It is the
+    Poisson dual of the lattice product and shares no code with it.  The
+    Hankel determinants cancel heavily, so it runs at 40 + 9N digits.
+    """
+    from mpmath import mp, mpf
+
+    c, sign = {"absorbing": (2, 1), "reflecting": (0, -1)}[wall]
+    top = 4 * N - 4 + c
+
+    def hermite(t):
+        he = [mpf(1), t]
+        for n in range(1, top):
+            he.append(t * he[n] - n * he[n - 1])
+        return he
+
+    with mp.workdps(40 + 9 * N):
+        at_zero = hermite(mpf(0))
+        T = list(at_zero)
+        tol = mpf(10) ** -(mp.dps + 10)
+        k = 0
+        while True:  # He_n is even for even n: images k and -k pair up
+            k += 1
+            t = 2 * k * mpf(M)
+            terms = [2 * sign**k * mp.exp(-t * t / 2) * he for he in hermite(t)]
+            T = [x + y for x, y in zip(T, terms)]
+            if t * t > 4 * top + 4 and max(abs(x) for x in terms) < tol:
+                break
+
+        def hankel(v):
+            return mp.det(mp.matrix([[v[2 * i + 2 * j + c] for j in range(N)]
+                                     for i in range(N)]))
+
+        return float(hankel(T) / hankel(at_zero))
 
 
 def gue_log_partition_quadrature(n: int, order: int = 80) -> float:

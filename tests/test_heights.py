@@ -11,6 +11,8 @@ from watermelon.errors import OrderFitError, PrecisionError, WindowError
 from watermelon.heights import _lattice, rescale_M, tabulate_rescaled
 from watermelon.oracles import brute_force_height_cdf
 
+from reference import image_sum_cdf
+
 
 def test_single_path_absorbing_direct_sum():
     M = 2.0
@@ -50,6 +52,40 @@ def test_single_reflected_path_matches_ks_law():
         k = np.arange(1, 60, dtype=float)
         ks = 1.0 + 2.0 * float(np.sum((-1.0) ** k * np.exp(-2.0 * k * k * M * M)))
         assert abs(wm.height_cdf(1, M, "reflecting") - ks) < 1e-13
+
+
+@pytest.mark.parametrize("wall", ["absorbing", "reflecting"])
+@pytest.mark.parametrize("N", [4, 8, 16, 32])
+def test_image_sum_oracle(N, wall):
+    # the Poisson dual of the lattice product, in mpmath at 40 + 9N digits;
+    # the product's own error is the rounding of a log-sum of size ~N^2
+    for k in (-3.0, 0.0, 3.0):
+        M = rescale_M(N, k)
+        want = image_sum_cdf(N, M, wall)
+        assert abs(wm.height_cdf(N, M, wall) / want - 1.0) <= 1e-14 * N * N
+
+
+def test_height_pins_near_extended_precision():
+    # a prefactor and a log-product of ~150 cancel to ~1e-5 here, so the
+    # frozen pins may move only toward these 60-digit Stieltjes values
+    for wall, want in (("absorbing", -2.0931909340408428e-5),
+                       ("reflecting", -4.5632998198580908e-6)):
+        assert math.isclose(wm.log_height_cdf(8, 5.0, wall), want,
+                            rel_tol=2e-8)
+
+
+@pytest.mark.parametrize("wall", ["absorbing", "reflecting"])
+@pytest.mark.parametrize("N", [1, 8, 64, 336])
+def test_half_lattice_reduces_full_lattice(N, wall):
+    # P_{2k+p}(x) = x^p S_k(x^2): the half-lattice pass in y = x^2 carries
+    # exactly the norms of one parity of the full mesh-1 family
+    p = wm.heights._parity(wall)
+    for k in (-6.0, 0.0, 4.0):
+        M = rescale_M(N, k)
+        half = wm.heights._half_lattice(M, p, N - 1)[2]
+        full = wm.build_system(1, (1 - p) / 2, 1.0 / M**2, 2 * N - 2 + p).log_h
+        np.testing.assert_array_less(
+            np.abs(half - full[p::2]), 1e-14 * np.maximum(1.0, np.abs(full[p::2])))
 
 
 def test_cdf_saturates_for_large_M():
@@ -139,6 +175,23 @@ def test_height_past_double_range_raises():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("wall, last", [("absorbing", 336), ("reflecting", 337)])
+def test_height_degree_cap_edge(wall, last):
+    # degree 2N - 2 + p <= 672 (dgop.MAX_DEGREE)
+    assert 0.0 < wm.rescaled_cdf(last, 0.0, wall) < 1.0
+    with pytest.raises(PrecisionError):
+        wm.rescaled_cdf(last + 1, 0.0, wall)
+
+
+@pytest.mark.parametrize("wall", ["absorbing", "reflecting"])
+def test_height_window_edge(wall):
+    # at N = 64 the window of nonzero amplitudes holds fewer than N
+    # half-lattice nodes below M = 3.7
+    with pytest.raises(WindowError):
+        wm.log_height_cdf(64, 3.6, wall)
+    assert math.isfinite(wm.log_height_cdf(64, 3.7, wall))
+
+
 def test_small_a_underflows_to_limit():
     # 1 - P is of order M^2 exp(-2 M^2) here, far below double resolution;
     # every record must carry the indistinguishable flag rather than a
@@ -174,13 +227,16 @@ def test_deformation_identity_second_order(wall):
     assert 0.8 * 4.0 <= d1 / d2 <= 1.2 * 4.0
 
 
-def test_deformation_rhs_matches_B_products():
-    # even/odd telescoping: h_{2N+1}/h_{2N-1} = B_{2N} B_{2N+1}
+@pytest.mark.parametrize("wall", ["absorbing", "reflecting"])
+def test_deformation_rhs_matches_B_products(wall):
+    # even/odd telescoping on the full lattice:
+    # h_{2N+p}/h_{2N+p-2} = B_{2N+p-1} B_{2N+p}
     N, a = 6, 0.9
-    _, rhs, _ = wm.deformation_identity_check(N, a, 1e-3, "absorbing")
+    p = wm.heights._parity(wall)
+    _, rhs, _ = wm.deformation_identity_check(N, a, 1e-3, wall)
     M = math.sqrt(2.0 * N / a)
-    system = wm.build_system(1, 0.0, 1.0 / M**2, 2 * N + 1)
-    prod = system.B[2 * N] * system.B[2 * N + 1]
+    system = wm.build_system(1, (1 - p) / 2, 1.0 / M**2, 2 * N + p)
+    prod = system.B[2 * N + p - 1] * system.B[2 * N + p]
     assert abs(rhs / ((math.pi**2 / (4 * N)) ** 2 * prod) - 1.0) < 1e-10
 
 
