@@ -84,19 +84,21 @@ def s_of_a(a: float, n: int) -> float:
     return (3.0 * n * bracket) ** (2.0 / 3.0)
 
 
+def _t_u(n: int, alpha: float, q: float, qp: float, r: float):
+    """(T_n, U_n) from q(s), q'(s) and R(s)."""
+    c = (-1) ** n * math.cos(2 * math.pi * alpha)
+    return (r - c * q,
+            r * r - c * (qp + 2.0 * q * r) - q * q * math.sin(2 * math.pi * alpha) ** 2)
+
+
 def t_coeff(n: int, alpha: float, s: float, grid: PainleveGrid) -> float:
     """T_n(s) = R(s) - (-1)^n cos(2 pi alpha) q(s)."""
-    return grid.R_at(s) - (-1) ** n * math.cos(2 * math.pi * alpha) * grid.q_at(s)
+    return _t_u(n, alpha, grid.q_at(s), grid.q_prime_at(s), grid.R_at(s))[0]
 
 
 def u_coeff(n: int, alpha: float, s: float, grid: PainleveGrid) -> float:
     """U_n(s) = R^2 - (-1)^n cos(2 pi alpha)(q' + 2qR) - q^2 sin^2(2 pi alpha)."""
-    q = grid.q_at(s)
-    r = grid.R_at(s)
-    qp = grid.q_prime_at(s)
-    c = math.cos(2 * math.pi * alpha)
-    return r * r - (-1) ** n * c * (qp + 2.0 * q * r) \
-        - q * q * math.sin(2 * math.pi * alpha) ** 2
+    return _t_u(n, alpha, grid.q_at(s), grid.q_prime_at(s), grid.R_at(s))[1]
 
 
 def t_prime(n: int, alpha: float, s: float, grid: PainleveGrid) -> float:
@@ -122,11 +124,14 @@ def asymptotic_h(n: int, alpha: float, a: float, grid: PainleveGrid):
     """
     s = s_of_a(a, n)
     base, base_inv = _leading_log_h(n, a)
-    corr = (1.0 - 2.0 ** (2.0 / 3.0) / n ** (1.0 / 3.0) * t_coeff(n, alpha, s, grid)
-            + 2.0 ** (1.0 / 3.0) / n ** (2.0 / 3.0) * u_coeff(n, alpha, s, grid))
+    q, qp, r = grid.q_at(s), grid.q_prime_at(s), grid.R_at(s)
+    t, u = _t_u(n, alpha, q, qp, r)
+    corr = (1.0 - 2.0 ** (2.0 / 3.0) / n ** (1.0 / 3.0) * t
+            + 2.0 ** (1.0 / 3.0) / n ** (2.0 / 3.0) * u)
     log_h_nn = base + math.log(corr)
-    corr_inv = (1.0 + 2.0 ** (2.0 / 3.0) / n ** (1.0 / 3.0) * t_coeff(n - 1, alpha, s, grid)
-                + 2.0 ** (1.0 / 3.0) / n ** (2.0 / 3.0) * u_coeff(n - 1, alpha, s, grid))
+    t, u = _t_u(n - 1, alpha, q, qp, r)
+    corr_inv = (1.0 + 2.0 ** (2.0 / 3.0) / n ** (1.0 / 3.0) * t
+                + 2.0 ** (1.0 / 3.0) / n ** (2.0 / 3.0) * u)
     log_inv_h = base_inv + math.log(corr_inv)
     return log_h_nn, log_inv_h
 
@@ -233,7 +238,7 @@ def kernel_limit_table(n: int, L: float, u_grid, v_grid,
     a = 1.0 - L * n ** (-2.0 / 3.0)
     system = dgop.build_system(n, alpha, a, n)
     scale = n ** (2.0 / 3.0) / KERNEL_SCALE_C
-    rows = []
+    pairs = []
     skipped = []
     for u_t in u_grid:
         for v_t in v_grid:
@@ -241,24 +246,33 @@ def kernel_limit_table(n: int, L: float, u_grid, v_grid,
             m_n = round(alpha + v_t * n ** (2.0 / 3.0) / KERNEL_SCALE_C)
             if u_t != v_t and k_n == m_n:
                 skipped.append((u_t, v_t))
-                continue
-            x = (k_n - alpha) / n
-            y = (m_n - alpha) / n
-            u = KERNEL_SCALE_C * x * n ** (1.0 / 3.0)
-            v = KERNEL_SCALE_C * y * n ** (1.0 / 3.0)
-            kn = dgop.cd_kernel(system, x, y, n)
-            if k_n == m_n:
-                exact = scale * (1.0 - kn)
-                limit = critical_kernel(u, u, psis)
             else:
-                exact = (-1.0) ** (k_n + m_n + 1) * scale * kn
-                limit = critical_kernel(u, v, psis)
-            diff = abs(exact - limit)
-            rel = diff / abs(limit) if limit != 0.0 else math.inf
-            rows.append({"u": u, "v": v, "k_n": k_n, "m_n": m_n,
-                         "exact": exact, "limit": limit,
-                         "abs_diff": diff, "rel_diff": rel,
-                         "diagonal": k_n == m_n})
+                pairs.append((k_n, m_n))
+    ks = sorted({k for pair in pairs for k in pair})
+    if ks:
+        # One more column keeps every entry a dot of strided columns, as
+        # cd_kernel's was; a contiguous column would sum in another order.
+        phi = system.phi_at([system.node_index((k - alpha) / n)
+                             for k in ks + ks[:1]])[:n]
+    rows = []
+    for k_n, m_n in pairs:
+        x = (k_n - alpha) / n
+        y = (m_n - alpha) / n
+        u = KERNEL_SCALE_C * x * n ** (1.0 / 3.0)
+        v = KERNEL_SCALE_C * y * n ** (1.0 / 3.0)
+        kn = float(phi[:, ks.index(k_n)] @ phi[:, ks.index(m_n)])
+        if k_n == m_n:
+            exact = scale * (1.0 - kn)
+            limit = critical_kernel(u, u, psis)
+        else:
+            exact = (-1.0) ** (k_n + m_n + 1) * scale * kn
+            limit = critical_kernel(u, v, psis)
+        diff = abs(exact - limit)
+        rel = diff / abs(limit) if limit != 0.0 else math.inf
+        rows.append({"u": u, "v": v, "k_n": k_n, "m_n": m_n,
+                     "exact": exact, "limit": limit,
+                     "abs_diff": diff, "rel_diff": rel,
+                     "diagonal": k_n == m_n})
     return rows, skipped
 
 

@@ -20,8 +20,9 @@ identities that difference across a (``toda_residual``) need no shared one.
 That window depends on (n, alpha, a) only, and degree k of the pass on lower
 degrees only, so the memo holds one recurrence-only entry, the family built
 last: a request for it at a lower degree is served as a prefix of the stored
-arrays, bit for bit what a fresh build returns.  ``phi`` is recomputed on
-first read.
+arrays, bit for bit what a fresh build returns.  ``phi`` is read from the
+stored recurrence at the nodes asked for: the pass's elementwise steps rerun
+on those columns, with no second pass.
 """
 
 from __future__ import annotations
@@ -67,8 +68,9 @@ class OrthoSystem:
 
     ``phi`` holds the orthonormal weight-folded values, one row per degree,
     on the retained nodes; these are exactly the psi-functions entering the
-    Christoffel-Darboux kernel.  It is not stored by the build: the first
-    read reruns the Stieltjes pass on the same nodes, so it is bit-identical.
+    Christoffel-Darboux kernel.  It is not stored by the build: ``phi_at``
+    reads any node columns from the stored A and B, and ``phi`` is
+    ``phi_at`` on every node, cached on first read.
     """
 
     n: int
@@ -83,7 +85,29 @@ class OrthoSystem:
 
     @cached_property
     def phi(self) -> np.ndarray:
-        return stieltjes(self.nodes, self.amplitudes, self.k_max)[3]
+        return self.phi_at(slice(None))
+
+    def phi_at(self, idx) -> np.ndarray:
+        """Rows 0..k_max of phi at the node columns ``idx``.
+
+        The Stieltjes pass's elementwise steps, rerun on these columns with
+        its A_{k-1} and sqrt(B_k): each value is bit for bit the pass's own.
+        """
+        x = self.nodes[idx]
+        phi = np.empty((self.k_max + 1, x.size))
+        phi[0] = self.amplitudes[idx] / math.sqrt(
+            float(self.amplitudes @ self.amplitudes))
+        A = self.A.tolist()
+        sqrt_b = np.sqrt(self.B).tolist()
+        prev = np.zeros(x.size)
+        for k in range(1, self.k_max + 1):
+            row = phi[k]
+            np.subtract(x, A[k - 1], out=row)
+            row *= phi[k - 1]
+            row -= prev * sqrt_b[k - 1]
+            row /= sqrt_b[k]
+            prev = phi[k - 1]
+        return phi
 
     @property
     def span(self) -> float:
@@ -96,32 +120,27 @@ class OrthoSystem:
         return i
 
 
-def stieltjes(nodes: np.ndarray, amplitudes: np.ndarray, k_max: int,
-              keep_phi: bool = True):
+def stieltjes(nodes: np.ndarray, amplitudes: np.ndarray, k_max: int):
     """Discrete Stieltjes procedure on the folded amplitudes sqrt(w(x)/n).
 
-    Returns (A, B, log_h, phi).  B_0 is stored as 0 by convention.  A loss
-    of positivity in any computed B_k means double precision is exhausted
-    for this family.
+    Returns (A, B, log_h, None): no phi is kept, ``OrthoSystem.phi_at``
+    rebuilds it from A and B, and the fourth value stays while
+    ``perfbench/tracing.py`` reads it.  B_0 is stored as 0 by convention.
+    A loss of positivity in any computed B_k means double precision is
+    exhausted for this family.
     """
     m = len(nodes)
     if k_max >= m:
         raise WindowError(f"degree {k_max} unreachable with {m} nodes")
-    A = np.zeros(k_max + 1)
-    B = np.zeros(k_max + 1)
-    log_h = np.zeros(k_max + 1)
-    phi = np.zeros((k_max + 1, m)) if keep_phi else None
-
     h0 = float(amplitudes @ amplitudes)
-    log_h[0] = math.log(h0)
+    log_h = [math.log(h0)]
     cur = amplitudes / math.sqrt(h0)
     prev = np.zeros(m)
     # u and t are scratch: each degree rotates (prev, cur, u) in place
     u = np.empty(m)
     t = cur * cur
-    A[0] = float(nodes @ t)
-    if keep_phi:
-        phi[0] = cur
+    A = [float(nodes @ t)]
+    B = [0.0]
     sqrt_b_prev = 0.0
     for k in range(1, k_max + 1):
         np.subtract(nodes, A[k - 1], out=t)
@@ -132,16 +151,14 @@ def stieltjes(nodes: np.ndarray, amplitudes: np.ndarray, k_max: int,
         if not bk > 0.0:
             raise PrecisionError(
                 f"B_{k} lost positivity; double precision exhausted")
-        B[k] = bk
-        log_h[k] = log_h[k - 1] + math.log(bk)
+        B.append(bk)
+        log_h.append(log_h[k - 1] + math.log(bk))
         sqrt_b_prev = math.sqrt(bk)
         np.divide(u, sqrt_b_prev, out=u)
         prev, cur, u = cur, u, prev
         np.multiply(cur, cur, out=t)
-        A[k] = float(nodes @ t)
-        if keep_phi:
-            phi[k] = cur
-    return A, B, log_h, phi
+        A.append(float(nodes @ t))
+    return np.array(A), np.array(B), np.array(log_h), None
 
 
 def build_lattice(n: int, alpha: float, a: float, k_max: int):
@@ -185,7 +202,7 @@ def build_system(n: int, alpha: float, a: float, k_max: int) -> OrthoSystem:
 
 def _build(n, alpha, a, k_max):
     nodes, amplitudes = build_lattice(n, alpha, a, k_max)
-    A, B, log_h, _ = stieltjes(nodes, amplitudes, k_max, keep_phi=False)
+    A, B, log_h, _ = stieltjes(nodes, amplitudes, k_max)
     # every system of the family views these arrays, so none may write them
     for arr in (nodes, amplitudes, A, B, log_h):
         arr.setflags(write=False)
@@ -240,9 +257,8 @@ def _check_particles(system: OrthoSystem, n_particles: int) -> None:
 def cd_kernel(system: OrthoSystem, x: float, y: float, n_particles: int) -> float:
     """Christoffel-Darboux kernel K(x, y) = sum_{k<n} phi_k(x) phi_k(y)."""
     _check_particles(system, n_particles)
-    i = system.node_index(x)
-    j = system.node_index(y)
-    return float(system.phi[:n_particles, i] @ system.phi[:n_particles, j])
+    phi = system.phi_at([system.node_index(x), system.node_index(y)])
+    return float(phi[:n_particles, 0] @ phi[:n_particles, 1])
 
 
 def cd_kernel_matrix(system: OrthoSystem, n_particles: int) -> np.ndarray:
@@ -255,8 +271,7 @@ def cd_kernel_matrix(system: OrthoSystem, n_particles: int) -> np.ndarray:
 def correlation_det(system: OrthoSystem, points, n_particles: int) -> float:
     """m-point correlation function det[K(x_i, x_j)]."""
     _check_particles(system, n_particles)
-    idx = [system.node_index(p) for p in points]
-    P = system.phi[:n_particles, idx]
+    P = system.phi_at([system.node_index(p) for p in points])[:n_particles]
     return float(np.linalg.det(P.T @ P))
 
 

@@ -71,8 +71,7 @@ def _half_lattice(M: float, p: int, k_max: int):
     """
     x, amp = dgop.build_lattice(1, (1 - p) / 2, 1.0 / (M * M), 2 * k_max + p)
     x, amp = x[x > 0.0], amp[x > 0.0]
-    return dgop.stieltjes(x * x, math.sqrt(2.0) * x**p * amp, k_max,
-                          keep_phi=False)
+    return dgop.stieltjes(x * x, math.sqrt(2.0) * x**p * amp, k_max)
 
 
 def log_height_cdf(N: int, M: float, wall: str) -> float:

@@ -158,6 +158,6 @@ def gue_log_integral(n: int) -> float:
     n! times the product of monic Hermite norms sqrt(pi) k! 2^{-k};
     ``dgop.gue_free_energy`` is -log Z / n^2.
     """
+    half_log_pi, log_2 = 0.5 * math.log(math.pi), math.log(2.0)
     return math.lgamma(n + 1) + sum(
-        0.5 * math.log(math.pi) + math.lgamma(k + 1) - k * math.log(2.0)
-        for k in range(n))
+        [half_log_pi + math.lgamma(k + 1) - k * log_2 for k in range(n)])

@@ -231,9 +231,14 @@ class PainleveGrid:
         return self.spline("R")(s)
 
     def _check(self, s) -> None:
-        s_arr = np.asarray(s)
-        if not np.all((s_arr >= self.s_min) & (s_arr <= self.s_max)):  # NaN fails too
-            raise CoverageError(f"s={s} outside grid [{self.s_min}, {self.s_max}]")
+        lo, hi = self.s_min, self.s_max
+        if isinstance(s, float):
+            inside = lo <= s <= hi  # NaN fails too
+        else:
+            s_arr = np.asarray(s)
+            inside = np.all((s_arr >= lo) & (s_arr <= hi))
+        if not inside:
+            raise CoverageError(f"s={s} outside grid [{lo}, {hi}]")
 
 
 def solve_hastings_mcleod(mesh: int = DEFAULT_MESH):

@@ -1,12 +1,12 @@
 """Reference computations that only the tests consult.
 
-Brute-force or extended-precision counterparts of the package's engines:
-explicit Gram-Schmidt (in doubles and in mpmath software floats), a 120-bit
-Stieltjes recurrence, the image-sum height CDF, the tensor Gauss-Hermite GUE
-integral, the Stirling correction and the Ferrari-Spohn Fredholm determinant
-for F1.  They are
-slow by design and never needed at run time, so they live here, and mpmath
-is a test dependency only.
+Brute-force, extended-precision or earlier counterparts of the package's
+engines: explicit Gram-Schmidt (in doubles and in mpmath software floats),
+a 120-bit Stieltjes recurrence, the double-precision pass that stores phi,
+the image-sum height CDF, the tensor Gauss-Hermite GUE integral, the
+Stirling correction and the Ferrari-Spohn Fredholm determinant for F1.
+They are slow by design and never needed at run time, so they live here,
+and mpmath is a test dependency only.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from watermelon.errors import PrecisionError
+from watermelon.errors import PrecisionError, WindowError
 from watermelon.oracles import nystrom_det, vandermonde_lattice_sum
 from watermelon.painleve import airy_ai
 
@@ -122,6 +122,52 @@ def stieltjes_exact(nodes, n: int, a: float, k_max: int,
         return (np.array([float(v) for v in A]),
                 np.array([float(v) for v in B]),
                 np.array([float(v) for v in log_h]))
+
+
+def stieltjes_keeping_phi(nodes: np.ndarray, amplitudes: np.ndarray,
+                          k_max: int):
+    """The double-precision Stieltjes pass that stores phi; (A, B, log_h, phi).
+
+    ``dgop.stieltjes`` as it was when it stored every phi row, line for
+    line, so ``OrthoSystem.phi_at`` and the kernels built on it can be held
+    to it bit for bit.
+    """
+    m = len(nodes)
+    if k_max >= m:
+        raise WindowError(f"degree {k_max} unreachable with {m} nodes")
+    A = np.zeros(k_max + 1)
+    B = np.zeros(k_max + 1)
+    log_h = np.zeros(k_max + 1)
+    phi = np.zeros((k_max + 1, m))
+
+    h0 = float(amplitudes @ amplitudes)
+    log_h[0] = math.log(h0)
+    cur = amplitudes / math.sqrt(h0)
+    prev = np.zeros(m)
+    # u and t are scratch: each degree rotates (prev, cur, u) in place
+    u = np.empty(m)
+    t = cur * cur
+    A[0] = float(nodes @ t)
+    phi[0] = cur
+    sqrt_b_prev = 0.0
+    for k in range(1, k_max + 1):
+        np.subtract(nodes, A[k - 1], out=t)
+        np.multiply(t, cur, out=t)
+        np.multiply(prev, sqrt_b_prev, out=u)
+        np.subtract(t, u, out=u)
+        bk = float(u @ u)
+        if not bk > 0.0:
+            raise PrecisionError(
+                f"B_{k} lost positivity; double precision exhausted")
+        B[k] = bk
+        log_h[k] = log_h[k - 1] + math.log(bk)
+        sqrt_b_prev = math.sqrt(bk)
+        np.divide(u, sqrt_b_prev, out=u)
+        prev, cur, u = cur, u, prev
+        np.multiply(cur, cur, out=t)
+        A[k] = float(nodes @ t)
+        phi[k] = cur
+    return A, B, log_h, phi
 
 
 def image_sum_cdf(N: int, M: float, wall: str) -> float:

@@ -5,9 +5,9 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 import watermelon as wm
-from watermelon.asym import t_coeff, t_prime, u_coeff
+from watermelon.asym import KERNEL_SCALE_C, t_coeff, t_prime, u_coeff
 from watermelon.errors import CoverageError
-from reference import stirling_series
+from reference import stieltjes_keeping_phi, stirling_series
 
 
 def quad_density_moment(eq, power):
@@ -235,6 +235,28 @@ class TestKernelLimit:
             assert math.isclose(r["exact"], mirror["exact"], rel_tol=1e-12)
         diag = [r for r in rows if r["diagonal"]]
         assert all(r["exact"] >= 0.0 for r in diag)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25])
+    @pytest.mark.parametrize("u_grid, v_grid", [
+        ((0.5, -0.5, 1.0, -1.0), (0.5, -0.5, 1.0, -1.0)),
+        ((0.5, -0.5), (0.5,)), ((0.5,), (0.5,)), ((0.01,), (0.02,))],
+        ids=["four-node", "two-node", "one-node", "all-skipped"])
+    def test_entries_match_phi_keeping_pass(self, grid, psis_critical,
+                                            u_grid, v_grid, alpha):
+        n = 128
+        rows, skipped = wm.kernel_limit_table(n, 1.0, u_grid, v_grid, grid,
+                                              psis_critical, alpha)
+        assert len(rows) + len(skipped) == len(u_grid) * len(v_grid)
+        system = wm.build_system(n, alpha, 1.0 - n ** (-2.0 / 3.0), n)
+        phi = stieltjes_keeping_phi(system.nodes, system.amplitudes, n)[3]
+        scale = n ** (2.0 / 3.0) / KERNEL_SCALE_C
+        for r in rows:
+            i = system.node_index((r["k_n"] - alpha) / n)
+            j = system.node_index((r["m_n"] - alpha) / n)
+            kn = float(phi[:n, i] @ phi[:n, j])
+            sign = (-1.0) ** (r["k_n"] + r["m_n"] + 1)
+            assert r["exact"] == (scale * (1.0 - kn) if r["diagonal"]
+                                  else sign * scale * kn)
 
     def test_collision_reported(self, grid, psis_critical):
         rows, skipped = wm.kernel_limit_table(

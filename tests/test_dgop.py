@@ -10,7 +10,8 @@ from watermelon.dgop import MAX_DEGREE, build_lattice, lattice_nodes
 from watermelon.errors import (CoverageError, PrecisionError, WatermelonError,
                                WindowError)
 from reference import (gram_schmidt_log_norms, gram_schmidt_log_norms_exact,
-                       gue_log_partition_quadrature, stieltjes_exact)
+                       gue_log_partition_quadrature, stieltjes_exact,
+                       stieltjes_keeping_phi)
 
 
 def test_lattice_nodes_alpha_zero():
@@ -33,7 +34,7 @@ def test_window_doubling_leaves_log_h_fixed():
     wide = lattice_nodes(6, 0.0, 2.0 * np.max(np.abs(sys1.nodes)))
     amplitudes = (np.exp(-6 * math.pi**2 * 0.9 * wide * wide / 4.0)
                   / math.sqrt(6))
-    log_h2 = wm.stieltjes(wide, amplitudes, 8, keep_phi=False)[2]
+    log_h2 = wm.stieltjes(wide, amplitudes, 8)[2]
     assert np.max(np.abs(sys1.log_h - log_h2)) < 1e-12
 
 
@@ -316,18 +317,39 @@ def test_lower_degree_served_from_family_memo(monkeypatch, family):
     _assert_same_as_fresh(upper)
 
 
-def test_phi_is_built_on_first_read(monkeypatch):
+def test_phi_is_built_on_first_read(monkeypatch, grid, psis_critical):
+    # the family kernel_limit_table(64, 1.0, ...) reads
+    family = (64, 0.0, 1.0 - 64 ** (-2.0 / 3.0), 64)
     calls = _count_passes(monkeypatch)
-    system = wm.build_system(64, 0.0, 1.0, 64)
+    system = wm.build_system(*family)
+    calls.clear()
     assert "phi" not in system.__dict__
     x = system.nodes[len(system.nodes) // 2]
     wm.cd_kernel(system, x, x, 64)
-    assert len(calls) == 2
-    expected = dgop.stieltjes(system.nodes, system.amplitudes, 64,
-                              keep_phi=True)[3]
+    assert "phi" not in system.__dict__
+    expected = stieltjes_keeping_phi(system.nodes, system.amplitudes, 64)[3]
     assert np.array_equal(system.phi, expected)
+    wm.kernel_limit_table(64, 1.0, [0.5, -0.5], [0.5], grid, psis_critical)
+    assert len(calls) == 0
     # the memo hands out a fresh system, so the entry holds no phi
-    assert "phi" not in wm.build_system(64, 0.0, 1.0, 64).__dict__
+    assert "phi" not in wm.build_system(*family).__dict__
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.25, -0.5])
+@pytest.mark.parametrize("family", [(1, 1.0 / 8.0**2, 63), (64, 1.0, 64),
+                                    (351, 1.0, 351), (672, 1.0, 672)],
+                         ids=lambda f: f"n={f[0]}")
+def test_phi_at_matches_phi_keeping_pass(family, alpha):
+    n, a, k_max = family
+    system = wm.build_system(n, alpha, a, k_max)
+    A, B, log_h, phi = stieltjes_keeping_phi(system.nodes, system.amplitudes,
+                                             k_max)
+    for name, want in (("A", A), ("B", B), ("log_h", log_h)):
+        assert np.array_equal(getattr(system, name), want), name
+    last = len(system.nodes) - 1
+    for idx in ([0, last], [last // 2], [last, 0, 1, last - 1, last // 3]):
+        assert np.array_equal(system.phi_at(idx), phi[:, idx]), idx
+    assert np.array_equal(system.phi, phi)
 
 
 def test_failed_request_leaves_memo_entry(monkeypatch):

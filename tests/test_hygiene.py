@@ -93,13 +93,11 @@ def test_no_private_names_across_modules(path):
 
 # Every parameter with a default on a public function: a new setting fails
 # here until the same change lists it.  Each one kept has two values in use:
-# critical-dgop draws alpha in {0, 0.25}; dgop builds pass keep_phi=False and
-# OrthoSystem.phi keeps the default True; the mesh-order and zeta-truncation
+# critical-dgop draws alpha in {0, 0.25}; the mesh-order and zeta-truncation
 # tests set mesh and zeta_max.  A setting only tests set is a module constant.
 PUBLIC_SETTINGS = {
     "free_energy_comparison.alpha", "integrate_psi.zeta_max",
     "kernel_limit_table.alpha", "solve_hastings_mcleod.mesh",
-    "stieltjes.keep_phi",
 }
 
 

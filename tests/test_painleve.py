@@ -269,6 +269,18 @@ def test_tracy_widom_rejects_nan(grid):
             wm.tracy_widom(float("nan"), which, grid)
 
 
+def test_grid_reads_reject_uncovered_points(grid):
+    inside = np.array([grid.s_min, 0.0, grid.s_max])
+    for read in (grid.q_at, grid.q_prime_at, grid.R_at):
+        assert np.all(np.isfinite(read(inside)))
+        assert math.isfinite(read(0)) and math.isfinite(read(np.float64(1.5)))
+        for bad in (float("nan"), grid.s_min - 1e-9, grid.s_max + 1.0):
+            with pytest.raises(CoverageError):
+                read(bad)
+            with pytest.raises(CoverageError):
+                read(np.array([0.0, bad]))
+
+
 def test_grid_and_psi_solution_are_frozen(grid, psis_critical):
     with pytest.raises(dataclasses.FrozenInstanceError):
         grid.R = grid.q
