@@ -87,8 +87,8 @@ def s_of_a(a: float, n: int) -> float:
 def _t_u(n: int, alpha: float, q: float, qp: float, r: float):
     """(T_n, U_n) from q(s), q'(s) and R(s)."""
     c = (-1) ** n * math.cos(2 * math.pi * alpha)
-    return (r - c * q,
-            r * r - c * (qp + 2.0 * q * r) - q * q * math.sin(2 * math.pi * alpha) ** 2)
+    return r - c * q, (r * r - c * (qp + 2.0 * q * r)
+                       - q * q * math.sin(2 * math.pi * alpha) ** 2)
 
 
 def t_coeff(n: int, alpha: float, s: float, grid: PainleveGrid) -> float:
@@ -250,8 +250,9 @@ def kernel_limit_table(n: int, L: float, u_grid, v_grid,
                 pairs.append((k_n, m_n))
     ks = sorted({k for pair in pairs for k in pair})
     if ks:
-        # One more column keeps every entry a dot of strided columns, as
-        # cd_kernel's was; a contiguous column would sum in another order.
+        # One more column keeps every entry a dot of strided columns, summed
+        # in the order of the full phi's; a lone contiguous column would sum
+        # in another and move a one-node table by an ulp.
         phi = system.phi_at([system.node_index((k - alpha) / n)
                              for k in ks + ks[:1]])[:n]
     rows = []
