@@ -17,12 +17,16 @@ double-precision result and one Stieltjes pass per family suffices.  It is
 the only window: a node at amplitude 0 stays 0 through the recurrence, so
 identities that difference across a (``toda_residual``) need no shared one.
 
+The pass (Gautschi, Orthogonal Polynomials: Computation and Approximation,
+2004, sec. 2.2) carries u_k = sqrt(B_k) phi_k and x u_k as row pairs of a
+small buffer: one gemv, one multiply and one (2, m) product per degree.
+
 That window depends on (n, alpha, a) only, and degree k of the pass on lower
 degrees only, so the memo holds one recurrence-only entry, the family built
 last: a request for it at a lower degree is served as a prefix of the stored
 arrays, bit for bit what a fresh build returns.  ``phi`` is read from the
-stored recurrence at the nodes asked for: the pass's elementwise steps rerun
-on those columns, with no second pass.
+stored recurrence: the pass's gemv steps replayed at full width from A and
+B, with no dot product and no second pass.
 """
 
 from __future__ import annotations
@@ -69,8 +73,9 @@ class OrthoSystem:
     ``phi`` holds the orthonormal weight-folded values, one row per degree,
     on the retained nodes; these are exactly the psi-functions entering the
     Christoffel-Darboux kernel.  It is not stored by the build: ``phi_at``
-    reads any node columns from the stored A and B, and ``phi`` is
-    ``phi_at`` on every node, cached on first read.
+    replays the pass's steps from the stored A and B and keeps the node
+    columns asked for, and ``phi`` is ``phi_at`` on every node, cached on
+    first read.
     """
 
     n: int
@@ -90,24 +95,23 @@ class OrthoSystem:
     def phi_at(self, idx) -> np.ndarray:
         """Rows 0..k_max of phi at the node columns ``idx``.
 
-        The Stieltjes pass's elementwise steps, rerun on these columns with
-        its A_{k-1} and sqrt(B_k): each value is bit for bit the pass's own.
+        The Stieltjes pass's steps, replayed at full width from its A_{k-1}
+        and sqrt(B_k) with no dot product: u_k is gathered at ``idx`` and
+        divided by sqrt(B_k) at the end, so each value is bit for bit the
+        pass's own.
         """
-        x = self.nodes[idx]
-        phi = np.empty((self.k_max + 1, x.size))
-        phi[0] = self.amplitudes[idx] / math.sqrt(
-            float(self.amplitudes @ self.amplitudes))
-        A = self.A.tolist()
-        sqrt_b = np.sqrt(self.B).tolist()
-        prev = np.zeros(x.size)
-        for k in range(1, self.k_max + 1):
-            row = phi[k]
-            np.subtract(x, A[k - 1], out=row)
-            row *= phi[k - 1]
-            row -= prev * sqrt_b[k - 1]
-            row /= sqrt_b[k]
-            prev = phi[k - 1]
-        return phi
+        s = np.sqrt(self.B)
+        s[0] = 1.0  # u_0 = phi_0
+        buf = _first_rows(self.nodes, self.amplitudes, self.k_max)[1]
+        u = np.empty((self.k_max + 1, self.nodes[idx].size))
+        u[0] = buf[2, idx]
+        i = 2
+        sqrt_b = s.tolist()
+        for k, step in enumerate(zip(self.A[:-1].tolist(), sqrt_b,
+                                     [1.0] + sqrt_b), 1):
+            i = _step(buf, i + 2, self.nodes, *step)
+            u[k] = buf[i, idx]
+        return u / s[:, None]
 
     @property
     def span(self) -> float:
@@ -120,44 +124,74 @@ class OrthoSystem:
         return i
 
 
+# Rows of the pass's work buffer (see ``_first_rows``): 64 rows of a
+# 2,000-node window are 1 MB, and a full buffer copies 4 rows per 30 degrees.
+_ROWS = 64
+
+
+def _first_rows(nodes, amplitudes, k_max):
+    """h_0 and the work buffer of a pass, phi_0 and x phi_0 in rows 2, 3.
+
+    The buffer holds row pairs (u_k, x u_k), u_k = sqrt(B_k) phi_k and
+    u_0 = phi_0, below the pair of degree k - 1; rows 0, 1 stand for
+    u_{-1} = 0.  A full buffer copies its last two pairs to the front.
+    """
+    h0 = float(amplitudes @ amplitudes)
+    buf = np.zeros((min(_ROWS, 2 * k_max + 4), len(nodes)))
+    np.divide(amplitudes, math.sqrt(h0), out=buf[2])
+    np.multiply(nodes, buf[2], out=buf[3])
+    return h0, buf
+
+
+def _step(buf, i, nodes, a, s, s_prev):
+    """Write u_k and x u_k to rows i, i + 1 of ``buf``; return i.
+
+    u_k = (x u_{k-1} - a u_{k-1}) / s - (s / s_prev) u_{k-2} is one gemv
+    on the two pairs above, with a = A_{k-1}, s = sqrt(B_{k-1}) and
+    s_prev = sqrt(B_{k-2}) (1 where u_0 = phi_0 or u_{-1} = 0 stands in).
+    """
+    if i == len(buf):
+        buf[:4] = buf[-4:]
+        i = 4
+    np.dot((-s / s_prev, 0.0, -a / s, 1.0 / s), buf[i - 4:i], out=buf[i])
+    np.multiply(nodes, buf[i], out=buf[i + 1])
+    return i
+
+
 def stieltjes(nodes: np.ndarray, amplitudes: np.ndarray, k_max: int):
     """Discrete Stieltjes procedure on the folded amplitudes sqrt(w(x)/n).
 
-    Returns (A, B, log_h, None): no phi is kept, ``OrthoSystem.phi_at``
-    rebuilds it from A and B, and the fourth value stays while
-    ``perfbench/tracing.py`` reads it.  B_0 is stored as 0 by convention.
-    A loss of positivity in any computed B_k means double precision is
-    exhausted for this family.
+    Each degree makes three numpy calls on a row buffer: the gemv of
+    ``_step`` for u_k = sqrt(B_k) phi_k, a multiply for x u_k, and one
+    (2, m) product giving B_k = u_k.u_k and A_k B_k = x u_k.u_k.  Returns
+    (A, B, log_h, None): no phi is kept, ``OrthoSystem.phi_at`` replays
+    the steps, and the fourth value stays while ``perfbench/tracing.py``
+    reads it.  B_0 is stored as 0 by convention.  A loss of positivity in
+    any computed B_k means double precision is exhausted for this family.
     """
     m = len(nodes)
     if k_max >= m:
         raise WindowError(f"degree {k_max} unreachable with {m} nodes")
-    h0 = float(amplitudes @ amplitudes)
+    h0, buf = _first_rows(nodes, amplitudes, k_max)
     log_h = [math.log(h0)]
-    cur = amplitudes / math.sqrt(h0)
-    prev = np.zeros(m)
-    # u and t are scratch: each degree rotates (prev, cur, u) in place
-    u = np.empty(m)
-    t = cur * cur
-    A = [float(nodes @ t)]
+    r = np.empty(2)
+    np.dot(buf[2:4], buf[2], out=r)
+    b0, ab = r.tolist()
+    A = [ab / b0]
     B = [0.0]
-    sqrt_b_prev = 0.0
+    i = 2
+    s_prev = s = 1.0
     for k in range(1, k_max + 1):
-        np.subtract(nodes, A[k - 1], out=t)
-        np.multiply(t, cur, out=t)
-        np.multiply(prev, sqrt_b_prev, out=u)
-        np.subtract(t, u, out=u)
-        bk = float(u @ u)
+        i = _step(buf, i + 2, nodes, A[k - 1], s, s_prev)
+        np.dot(buf[i:i + 2], buf[i], out=r)
+        bk, ab = r.tolist()
         if not bk > 0.0:
             raise PrecisionError(
                 f"B_{k} lost positivity; double precision exhausted")
         B.append(bk)
         log_h.append(log_h[k - 1] + math.log(bk))
-        sqrt_b_prev = math.sqrt(bk)
-        np.divide(u, sqrt_b_prev, out=u)
-        prev, cur, u = cur, u, prev
-        np.multiply(cur, cur, out=t)
-        A.append(float(nodes @ t))
+        A.append(ab / bk)
+        s_prev, s = s, math.sqrt(bk)
     return np.array(A), np.array(B), np.array(log_h), None
 
 

@@ -5,8 +5,10 @@ normalizing constants of the discrete Gaussian family on the integer
 lattice; the reflecting wall uses even degrees on the half-integer lattice.
 The weight is even, so P_{2k+p}(x) = x^p S_k(x^2) with S_k orthogonal on
 y = x^2 > 0: one Stieltjes pass of N degrees on the mesh-1 half-lattice
-(n = 1, weight parameter 1/M^2) gives every norm a wall reads.  Everything
-is assembled in log domain and exponentiated last.
+(n = 1, weight parameter 1/M^2) gives every norm a wall reads.  The
+prefactor is the inverse of the product's M -> inf limit, a Laguerre
+family in y, so log P is a sum of logs of ratios h_0/h_0^c and B_j/B_j^c
+that tend to 1; it is exponentiated last.
 """
 
 from __future__ import annotations
@@ -53,35 +55,54 @@ class HeightDistribution:
     clamped: np.ndarray
 
 
-def _log_prefactor(N: int, M: float, p: int) -> float:
-    """log of the closed-form factor multiplying prod h in P(max height < M)."""
-    return (-0.5 * N * math.log(2.0)
-            + (2.0 * N * N + (2 * p - 1.5) * N) * math.log(math.pi)
-            - N * (2 * N - 1 + 2 * p) * math.log(M)
-            - sum(math.lgamma(2 * k + 1 + p) for k in range(N)))
-
-
 def _half_lattice(M: float, p: int, k_max: int):
-    """Stieltjes pass (A, B, log_h, None) in y = x^2 for degrees 2k + p.
+    """Stieltjes pass (A, B, log_h) in y = x^2 for degrees 2k + p, and h_0.
 
     h_{2k+p} of the mesh-1 family at a = 1/M^2 is h_k of the measure
     2 x^{2p} w(x) on the nodes x > 0, so log_h[k] = log h_{2k+p} and
-    B[k] = h_{2k+p}/h_{2k+p-2}.  The nodes come from ``dgop.build_lattice``
-    at degree 2 k_max + p, so its degree cap and window bound apply.
+    B[k] = h_{2k+p}/h_{2k+p-2}; h_0 is the dot product of the amplitudes,
+    exact to rounding where exp(log_h[0]) is not.  The nodes come from
+    ``dgop.build_lattice`` at degree 2 k_max + p, so its degree cap and
+    window bound apply.
     """
     x, amp = dgop.build_lattice(1, (1 - p) / 2, 1.0 / (M * M), 2 * k_max + p)
     x, amp = x[x > 0.0], amp[x > 0.0]
-    return dgop.stieltjes(x * x, math.sqrt(2.0) * x**p * amp, k_max)
+    amp = math.sqrt(2.0) * x**p * amp
+    return dgop.stieltjes(x * x, amp, k_max)[:3] + (float(amp @ amp),)
+
+
+def _log_ratio(v: float, limit: float) -> float:
+    """log(v / limit), from the exact difference where they are close."""
+    if v < 0.5 * limit:
+        return math.log(v / limit)
+    return math.log1p((v - limit) / limit)
 
 
 def log_height_cdf(N: int, M: float, wall: str) -> float:
-    """log P(max height < M), assembled entirely in log domain."""
+    """log P(max height < M), assembled relative to the M -> inf limit.
+
+    P is the product of h_{2k+p}, k < N, over its limit as M -> inf, where
+    the lattice sums become integrals of the Laguerre weight
+    y^{p-1/2} e^{-y/theta}, theta = 2 M^2/pi^2: h_0 -> Gamma(p+1/2)
+    theta^{p+1/2} and B_j -> j (j + p - 1/2) theta^2.  So log P is
+    N log(h_0/h_0^c) + sum_j (N - j) log(B_j/B_j^c), each ratio near 1 for
+    large M, summed with ``math.fsum``.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
     if not M > 0.0:  # NaN fails too
         raise ValueError("M must be positive")
     p = _parity(wall)
-    return _log_prefactor(N, M, p) + float(sum(_half_lattice(M, p, N - 1)[2]))
+    _, B, _, h0 = _half_lattice(M, p, N - 1)
+    # 1/theta = pi^2 a / 2 as the lattice amplitudes round it, a = 1/M^2:
+    # dividing by it (the halving is exact) leaves each limit with roundings
+    # of its own, where a rounded theta would bias all N^2 terms alike
+    inv_theta = 0.5 * (math.pi**2 * (1.0 / (M * M)))
+    terms = [N * _log_ratio(h0, math.gamma(p + 0.5) / inv_theta**p
+                            / math.sqrt(inv_theta))]
+    terms += [(N - j) * _log_ratio(B[j], j * (j + p - 0.5) / inv_theta
+                                   / inv_theta) for j in range(1, N)]
+    return math.fsum(terms)
 
 
 def height_cdf(N: int, M: float, wall: str) -> float:

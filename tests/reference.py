@@ -16,6 +16,7 @@ import math
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
+from watermelon.dgop import build_lattice
 from watermelon.errors import PrecisionError, WindowError
 from watermelon.oracles import nystrom_det, vandermonde_lattice_sum
 from watermelon.painleve import airy_ai
@@ -89,85 +90,109 @@ def stieltjes_exact(nodes, n: int, a: float, k_max: int,
     exp(-n pi^2 a x^2 / 2)/n, evaluated here from (n, a), can underflow.
     Slow: about 9 s at n = k_max = 448.
     """
-    from mpmath import mp, mpf
+    from mpmath import mp
 
     with mp.workprec(prec_bits):
-        x = [mpf(float(v)) for v in nodes]
-        coef = mpf(n) * mp.pi**2 * mpf(repr(a)) / 2
-        w = [mp.exp(-coef * xi * xi) / n for xi in x]
-        m = len(x)
-        A = [mp.zero] * (k_max + 1)
-        B = [mp.zero] * (k_max + 1)
-        log_h = [mp.zero] * (k_max + 1)
-        raw = [mp.sqrt(wi) for wi in w]
-        h0 = mp.fsum(r * r for r in raw)
-        log_h[0] = mp.log(h0)
-        root = mp.sqrt(h0)
-        cur = [r / root for r in raw]
-        prev = [mp.zero] * m
-        A[0] = mp.fsum(xi * c * c for xi, c in zip(x, cur))
-        sqrt_b_prev = mp.zero
-        for k in range(1, k_max + 1):
-            u = [(xi - A[k - 1]) * c - sqrt_b_prev * p
-                 for xi, c, p in zip(x, cur, prev)]
-            bk = mp.fsum(ui * ui for ui in u)
-            if bk <= 0:
-                raise PrecisionError(f"B_{k} nonpositive even at {prec_bits} bits")
-            B[k] = bk
-            log_h[k] = log_h[k - 1] + mp.log(bk)
-            prev = cur
-            sqrt_b_prev = mp.sqrt(bk)
-            cur = [ui / sqrt_b_prev for ui in u]
-            A[k] = mp.fsum(xi * c * c for xi, c in zip(x, cur))
-        return (np.array([float(v) for v in A]),
-                np.array([float(v) for v in B]),
-                np.array([float(v) for v in log_h]))
+        return tuple(np.array([float(v) for v in values])
+                     for values in _stieltjes_mp(nodes, n, a, k_max))
+
+
+def _stieltjes_mp(nodes, n: int, a: float, k_max: int):
+    """(A, B, log_h) as mpf lists at the caller's working precision."""
+    from mpmath import mp, mpf
+
+    x = [mpf(float(v)) for v in nodes]
+    coef = mpf(n) * mp.pi**2 * mpf(repr(a)) / 2
+    w = [mp.exp(-coef * xi * xi) / n for xi in x]
+    m = len(x)
+    A = [mp.zero] * (k_max + 1)
+    B = [mp.zero] * (k_max + 1)
+    log_h = [mp.zero] * (k_max + 1)
+    raw = [mp.sqrt(wi) for wi in w]
+    h0 = mp.fsum(r * r for r in raw)
+    log_h[0] = mp.log(h0)
+    root = mp.sqrt(h0)
+    cur = [r / root for r in raw]
+    prev = [mp.zero] * m
+    A[0] = mp.fsum(xi * c * c for xi, c in zip(x, cur))
+    sqrt_b_prev = mp.zero
+    for k in range(1, k_max + 1):
+        u = [(xi - A[k - 1]) * c - sqrt_b_prev * p
+             for xi, c, p in zip(x, cur, prev)]
+        bk = mp.fsum(ui * ui for ui in u)
+        if bk <= 0:
+            raise PrecisionError(f"B_{k} nonpositive even at {mp.prec} bits")
+        B[k] = bk
+        log_h[k] = log_h[k - 1] + mp.log(bk)
+        prev = cur
+        sqrt_b_prev = mp.sqrt(bk)
+        cur = [ui / sqrt_b_prev for ui in u]
+        A[k] = mp.fsum(xi * c * c for xi, c in zip(x, cur))
+    return A, B, log_h
+
+
+def deformation_lhs_exact(N: int, a: float, delta_a: float, wall: str) -> float:
+    """Left side of ``deformation_identity_check`` in 160-bit software floats.
+
+    The second a-difference of sum_{k<N} log h_{2k+p}, read from the full
+    mesh-1 family (n = 1, alpha = (1 - p)/2, weight parameter 1/M^2) on the
+    double nodes and M values the package uses, with the difference itself
+    taken at 160 bits: the three sums cancel to about 1e-5 of their size.
+    """
+    from mpmath import mp
+
+    p = 1 if wall == "absorbing" else 0
+    sums = []
+    with mp.workprec(160):
+        for av in (a - delta_a, a, a + delta_a):
+            M = math.sqrt(2.0 * N / av)
+            x, _ = build_lattice(1, (1 - p) / 2, 1.0 / (M * M), 2 * N - 2 + p)
+            log_h = _stieltjes_mp(x, 1, 1.0 / (M * M), 2 * N - 2 + p)[2]
+            sums.append(mp.fsum(log_h[p::2]))
+        return float((sums[2] - 2 * sums[1] + sums[0]) / mp.mpf(delta_a)**2)
 
 
 def stieltjes_keeping_phi(nodes: np.ndarray, amplitudes: np.ndarray,
                           k_max: int):
-    """The double-precision Stieltjes pass that stores phi; (A, B, log_h, phi).
+    """The double-precision Stieltjes pass, storing phi; (A, B, log_h, phi).
 
-    ``dgop.stieltjes`` as it was when it stored every phi row, line for
-    line, so ``OrthoSystem.phi_at`` and the kernels built on it can be held
-    to it bit for bit.
+    ``dgop.stieltjes`` line for line, on a buffer that keeps every row pair
+    (u_k, x u_k), u_k = sqrt(B_k) phi_k, instead of wrapping, so that
+    ``OrthoSystem.phi_at`` and the kernels built on it can be held to it
+    bit for bit.
     """
     m = len(nodes)
     if k_max >= m:
         raise WindowError(f"degree {k_max} unreachable with {m} nodes")
-    A = np.zeros(k_max + 1)
-    B = np.zeros(k_max + 1)
-    log_h = np.zeros(k_max + 1)
-    phi = np.zeros((k_max + 1, m))
-
     h0 = float(amplitudes @ amplitudes)
-    log_h[0] = math.log(h0)
-    cur = amplitudes / math.sqrt(h0)
-    prev = np.zeros(m)
-    # u and t are scratch: each degree rotates (prev, cur, u) in place
-    u = np.empty(m)
-    t = cur * cur
-    A[0] = float(nodes @ t)
-    phi[0] = cur
-    sqrt_b_prev = 0.0
+    log_h = [math.log(h0)]
+    buf = np.zeros((2 * k_max + 4, m))
+    np.divide(amplitudes, math.sqrt(h0), out=buf[2])
+    np.multiply(nodes, buf[2], out=buf[3])
+    r = np.empty(2)
+    np.dot(buf[2:4], buf[2], out=r)
+    b0, ab = r.tolist()
+    A = [ab / b0]
+    B = [0.0]
+    roots = [1.0]  # u_0 = phi_0
+    s_prev = s = 1.0
     for k in range(1, k_max + 1):
-        np.subtract(nodes, A[k - 1], out=t)
-        np.multiply(t, cur, out=t)
-        np.multiply(prev, sqrt_b_prev, out=u)
-        np.subtract(t, u, out=u)
-        bk = float(u @ u)
+        i = 2 * k + 2
+        np.dot((-s / s_prev, 0.0, -A[k - 1] / s, 1.0 / s), buf[i - 4:i],
+               out=buf[i])
+        np.multiply(nodes, buf[i], out=buf[i + 1])
+        np.dot(buf[i:i + 2], buf[i], out=r)
+        bk, ab = r.tolist()
         if not bk > 0.0:
             raise PrecisionError(
                 f"B_{k} lost positivity; double precision exhausted")
-        B[k] = bk
-        log_h[k] = log_h[k - 1] + math.log(bk)
-        sqrt_b_prev = math.sqrt(bk)
-        np.divide(u, sqrt_b_prev, out=u)
-        prev, cur, u = cur, u, prev
-        np.multiply(cur, cur, out=t)
-        A[k] = float(nodes @ t)
-        phi[k] = cur
-    return A, B, log_h, phi
+        B.append(bk)
+        log_h.append(log_h[k - 1] + math.log(bk))
+        A.append(ab / bk)
+        s_prev, s = s, math.sqrt(bk)
+        roots.append(s)
+    phi = buf[2::2] / np.array(roots)[:, None]
+    return np.array(A), np.array(B), np.array(log_h), phi
 
 
 def image_sum_cdf(N: int, M: float, wall: str) -> float:

@@ -28,11 +28,11 @@ def test_folded_formulas_frozen_values(grid, psis_critical):
                          (-209.70310213248035, 207.68622441217275)):
         close(got, want, 1e-12)
 
-    # the absorbing pin re-pinned when the heights moved to the half-lattice
-    # pass: 3.2e-10 from the 60-digit value (the old pin 1.0e-9); the
-    # reflecting pin is bit-identical (7.4e-9 from its 60-digit value)
-    close(wm.log_height_cdf(8, 5.0, "absorbing"), -2.0931909347154942e-05, 1e-13)
-    close(wm.log_height_cdf(8, 5.0, "reflecting"), -4.563299853543867e-06, 1e-13)
+    # re-pinned when log P was assembled relative to its M -> inf limit on
+    # the row-buffer pass: 1.2e-10 (absorbing) and 9.9e-11 (reflecting)
+    # from the 60-digit values, the old pins 3.2e-10 and 7.4e-9
+    close(wm.log_height_cdf(8, 5.0, "absorbing"), -2.0931909342821623e-05, 1e-13)
+    close(wm.log_height_cdf(8, 5.0, "reflecting"), -4.5632998194053166e-06, 1e-13)
 
     # re-pinned when the psi amplitude became the fitted mean at infinity
     # and q' started summing its tail integral downward, and again when the
@@ -63,6 +63,8 @@ def test_constant_settings_frozen_values(grid):
     # DOP853 edge data at rtol 2.3e-14 (the old pin 1.5e-10 relative away)
     close(wm.compatibility_defect(-1.5, 0.03, grid),
           0.0003944516247329499, 1e-12)
+    # re-pinned with the height pins: 4.6e-13 from the exact 1 - P (the old
+    # pin 5.2e-13)
     close(wm.small_a_check(2, [0.5])[0]["one_minus_p"],
-          0.0009118359664525735, 1e-13)
+          0.0009118359664526324, 1e-13)
     close(heights._riemann_sum(2, 0.2, "LUE"), 0.5890486225480864, 1e-15)

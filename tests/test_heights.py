@@ -11,7 +11,7 @@ from watermelon.errors import OrderFitError, PrecisionError, WindowError
 from watermelon.heights import _lattice, rescale_M, tabulate_rescaled
 from watermelon.oracles import brute_force_height_cdf
 
-from reference import image_sum_cdf
+from reference import deformation_lhs_exact, image_sum_cdf
 
 
 def test_single_path_absorbing_direct_sum():
@@ -58,20 +58,32 @@ def test_single_reflected_path_matches_ks_law():
 @pytest.mark.parametrize("N", [4, 8, 16, 32])
 def test_image_sum_oracle(N, wall):
     # the Poisson dual of the lattice product, in mpmath at 40 + 9N digits;
-    # the product's own error is the rounding of a log-sum of size ~N^2
+    # log P sums N terms log(B_j / B_j^c), each rounded to ~N ulps
     for k in (-3.0, 0.0, 3.0):
         M = rescale_M(N, k)
         want = image_sum_cdf(N, M, wall)
-        assert abs(wm.height_cdf(N, M, wall) / want - 1.0) <= 1e-14 * N * N
+        assert abs(wm.height_cdf(N, M, wall) / want - 1.0) <= 1e-14 * N
 
 
 def test_height_pins_near_extended_precision():
-    # a prefactor and a log-product of ~150 cancel to ~1e-5 here, so the
-    # frozen pins may move only toward these 60-digit Stieltjes values
+    # log P is ~1e-5 here, the sum of ratios each off by a few ulps, so the
+    # frozen pins may move only toward these 60-digit Stieltjes values and
+    # the exact 1 - P of the image sum (its Hankel form, 1 - P in mpmath)
     for wall, want in (("absorbing", -2.0931909340408428e-5),
                        ("reflecting", -4.5632998198580908e-6)):
         assert math.isclose(wm.log_height_cdf(8, 5.0, wall), want,
                             rel_tol=2e-8)
+    assert math.isclose(wm.small_a_check(2, [0.5])[0]["one_minus_p"],
+                        0.0009118359664530497, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("wall", ["absorbing", "reflecting"])
+def test_deformation_lhs_near_extended_precision(wall):
+    # the second difference divides rounding by delta_a^2 = 1e-6, so the
+    # frozen left sides may move only toward these 160-bit values
+    got = wm.deformation_identity_check(6, 0.9, 1e-3, wall)[0]
+    assert math.isclose(got, deformation_lhs_exact(6, 0.9, 1e-3, wall),
+                        rel_tol=1e-9)
 
 
 @pytest.mark.parametrize("wall", ["absorbing", "reflecting"])
