@@ -96,22 +96,25 @@ class OrthoSystem:
         """Rows 0..k_max of phi at the node columns ``idx``.
 
         The Stieltjes pass's steps, replayed at full width from its A_{k-1}
-        and sqrt(B_k) with no dot product: u_k is gathered at ``idx`` and
-        divided by sqrt(B_k) at the end, so each value is bit for bit the
-        pass's own.
+        and sqrt(B_k) with no dot product: the columns ``idx`` of each u_k
+        are kept before the buffer wraps and divided by sqrt(B_k) at the
+        end, so each value is bit for bit the pass's own.
         """
         s = np.sqrt(self.B)
         s[0] = 1.0  # u_0 = phi_0
         buf = _first_rows(self.nodes, self.amplitudes, self.k_max)[1]
         u = np.empty((self.k_max + 1, self.nodes[idx].size))
-        u[0] = buf[2, idx]
-        i = 2
+        top, first, i = 2, 0, 2  # buffer row of u_first, the first u_k not kept
         sqrt_b = s.tolist()
         for k, step in enumerate(zip(self.A[:-1].tolist(), sqrt_b,
                                      [1.0] + sqrt_b), 1):
+            if i + 2 == len(buf):  # this step wraps the buffer
+                u[first:k] = buf[top::2, idx]
+                top, first = 4, k
             i = _step(buf, i + 2, self.nodes, *step)
-            u[k] = buf[i, idx]
-        return u / s[:, None]
+        u[first:] = buf[top:i + 1:2, idx]
+        u /= s[:, None]
+        return u
 
     @property
     def span(self) -> float:

@@ -2,8 +2,9 @@
 
 Brute-force, extended-precision or earlier counterparts of the package's
 engines: explicit Gram-Schmidt (in doubles and in mpmath software floats),
-a 120-bit Stieltjes recurrence, the double-precision pass that stores phi,
-the image-sum height CDF, the tensor Gauss-Hermite GUE integral, the
+a 120-bit Stieltjes recurrence and the 160-bit second a-difference of the
+height norms built on it, the double-precision pass that stores phi, the
+image-sum height CDF, the tensor Gauss-Hermite GUE integral, the
 Stirling correction and the Ferrari-Spohn Fredholm determinant for F1.
 They are slow by design and never needed at run time, so they live here,
 and mpmath is a test dependency only.
