@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -96,23 +97,27 @@ class OrthoSystem:
         """Rows 0..k_max of phi at the node columns ``idx``.
 
         The Stieltjes pass's steps, replayed at full width from its A_{k-1}
-        and sqrt(B_k) with no dot product: the columns ``idx`` of each u_k
-        are kept before the buffer wraps and divided by sqrt(B_k) at the
-        end, so each value is bit for bit the pass's own.
+        and sqrt(B_k) on the same prebuilt row views and in-place
+        coefficient vector, with no dot product: the columns ``idx`` of
+        each u_k are kept at the end of each buffer fill and divided by
+        sqrt(B_k) at the end, so each value is bit for bit the pass's own.
         """
         s = np.sqrt(self.B)
         s[0] = 1.0  # u_0 = phi_0
         buf = _first_rows(self.nodes, self.amplitudes, self.k_max)[1]
         u = np.empty((self.k_max + 1, self.nodes[idx].size))
-        top, first, i = 2, 0, 2  # buffer row of u_first, the first u_k not kept
+        c = np.zeros(4)
         sqrt_b = s.tolist()
-        for k, step in enumerate(zip(self.A[:-1].tolist(), sqrt_b,
-                                     [1.0] + sqrt_b), 1):
-            if i + 2 == len(buf):  # this step wraps the buffer
-                u[first:k] = buf[top::2, idx]
-                top, first = 4, k
-            i = _step(buf, i + 2, self.nodes, *step)
-        u[first:] = buf[top:i + 1:2, idx]
+        steps = zip(self.A[:-1].tolist(), sqrt_b, [1.0] + sqrt_b)
+        first, top = 0, 2  # first u_k not kept, and its buffer row
+        for fill in _fills(buf, self.k_max):
+            for (src, row, x_row, _), (a, s_k, s_prev) in zip(fill, steps):
+                c[0], c[2], c[3] = -s_k / s_prev, -a / s_k, 1.0 / s_k
+                c.dot(src, out=row)
+                np.multiply(self.nodes, row, x_row)
+            kept = buf[top:2 * len(fill) + 4:2, idx]
+            u[first:first + len(kept)] = kept
+            first, top = first + len(kept), 4
         u /= s[:, None]
         return u
 
@@ -146,56 +151,63 @@ def _first_rows(nodes, amplitudes, k_max):
     return h0, buf
 
 
-def _step(buf, i, nodes, a, s, s_prev):
-    """Write u_k and x u_k to rows i, i + 1 of ``buf``; return i.
+def _fills(buf, k_max):
+    """The step views of a pass's k_max degrees, one buffer fill at a time.
 
-    u_k = (x u_{k-1} - a u_{k-1}) / s - (s / s_prev) u_{k-2} is one gemv
-    on the two pairs above, with a = A_{k-1}, s = sqrt(B_{k-1}) and
-    s_prev = sqrt(B_{k-2}) (1 where u_0 = phi_0 or u_{-1} = 0 stands in).
+    Step k writes u_k and x u_k to a row pair (``row``, ``x_row``) from
+    the four rows ``src`` above it, and ``pair`` views both rows.  The
+    views are built once; between fills the last two pairs are copied to
+    the front.
     """
-    if i == len(buf):
+    steps = [(buf[i - 4:i], buf[i], buf[i + 1], buf[i:i + 2])
+             for i in range(4, len(buf), 2)]
+    yield steps
+    done = len(steps)
+    while done < k_max:
         buf[:4] = buf[-4:]
-        i = 4
-    np.dot((-s / s_prev, 0.0, -a / s, 1.0 / s), buf[i - 4:i], out=buf[i])
-    np.multiply(nodes, buf[i], out=buf[i + 1])
-    return i
+        yield steps[:k_max - done]
+        done += len(steps)
 
 
 def stieltjes(nodes: np.ndarray, amplitudes: np.ndarray, k_max: int):
     """Discrete Stieltjes procedure on the folded amplitudes sqrt(w(x)/n).
 
-    Each degree makes three numpy calls on a row buffer: the gemv of
-    ``_step`` for u_k = sqrt(B_k) phi_k, a multiply for x u_k, and one
-    (2, m) product giving B_k = u_k.u_k and A_k B_k = x u_k.u_k.  Returns
-    (A, B, log_h, None): no phi is kept, ``OrthoSystem.phi_at`` replays
-    the steps, and the fourth value stays while ``perfbench/tracing.py``
-    reads it.  B_0 is stored as 0 by convention.  A loss of positivity in
-    any computed B_k means double precision is exhausted for this family.
+    Each degree makes three numpy calls on the row views of ``_fills``: one
+    gemv, u_k = (x u_{k-1} - A_{k-1} u_{k-1}) / s - (s / s_prev) u_{k-2}
+    with s = sqrt(B_{k-1}) and its coefficients written in place; a multiply
+    for x u_k; and one (2, m) product giving B_k = u_k.u_k and A_k B_k =
+    x u_k.u_k, u_k = sqrt(B_k) phi_k.  Returns (A, B, log_h, None): no phi
+    is kept, ``OrthoSystem.phi_at`` replays the steps, and the fourth value
+    stays while ``perfbench/tracing.py`` reads it.  B_0 is stored as 0 by
+    convention.  A loss of positivity in any computed B_k means double
+    precision is exhausted for this family.
     """
     m = len(nodes)
     if k_max >= m:
         raise WindowError(f"degree {k_max} unreachable with {m} nodes")
     h0, buf = _first_rows(nodes, amplitudes, k_max)
-    log_h = [math.log(h0)]
     r = np.empty(2)
-    np.dot(buf[2:4], buf[2], out=r)
+    buf[2:4].dot(buf[2], out=r)
     b0, ab = r.tolist()
     A = [ab / b0]
     B = [0.0]
-    i = 2
+    c = np.zeros(4)  # slot 1, the weight of x u_{k-2}, stays 0
     s_prev = s = 1.0
-    for k in range(1, k_max + 1):
-        i = _step(buf, i + 2, nodes, A[k - 1], s, s_prev)
-        np.dot(buf[i:i + 2], buf[i], out=r)
-        bk, ab = r.tolist()
-        if not bk > 0.0:
-            raise PrecisionError(
-                f"B_{k} lost positivity; double precision exhausted")
-        B.append(bk)
-        log_h.append(log_h[k - 1] + math.log(bk))
-        A.append(ab / bk)
-        s_prev, s = s, math.sqrt(bk)
-    return np.array(A), np.array(B), np.array(log_h), None
+    for fill in _fills(buf, k_max):
+        for src, row, x_row, pair in fill:
+            c[0], c[2], c[3] = -s / s_prev, -A[-1] / s, 1.0 / s
+            c.dot(src, out=row)
+            np.multiply(nodes, row, x_row)
+            pair.dot(row, out=r)
+            bk, ab = r.tolist()
+            if not bk > 0.0:
+                raise PrecisionError(
+                    f"B_{len(B)} lost positivity; double precision exhausted")
+            B.append(bk)
+            A.append(ab / bk)
+            s_prev, s = s, math.sqrt(bk)
+    log_h = accumulate(map(math.log, B[1:]), initial=math.log(h0))
+    return np.array(A), np.array(B), np.array(list(log_h)), None
 
 
 def build_lattice(n: int, alpha: float, a: float, k_max: int):

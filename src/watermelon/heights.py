@@ -157,11 +157,12 @@ def convergence_study(N_list, k_grid, wall: str, grid: PainleveGrid):
 def small_a_check(N: int, a_list):
     """Absorbing-wall ratio (1 - P) / (a^2 / N^2) for small a, M = sqrt(2N/a).
 
-    When |1 - P| underflows below 1e-15 the entry is flagged as
-    indistinguishable from the limit instead of reporting a roundoff-noise
-    ratio.  (For a <= 0.05 the true 1 - P is of order M^2 exp(-2 M^2),
-    far below double resolution, so every entry normally carries the
-    flag; the quadratic bound is then satisfied trivially.)
+    When |1 - P| is below 1e-15 N^2, the rounding of log P (which grows
+    like N^2 ulps), the entry is flagged as indistinguishable from the
+    limit instead of reporting a roundoff-noise ratio.  (For a <= 0.05 the
+    true 1 - P is of order M^2 exp(-2 M^2), far below double resolution,
+    so every entry carries the flag; the quadratic bound is then
+    satisfied trivially.)
     """
     records = []
     for a in a_list:
@@ -170,7 +171,7 @@ def small_a_check(N: int, a_list):
         M = math.sqrt(2.0 * N / a)
         log_p = log_height_cdf(N, M, "absorbing")
         one_minus = -math.expm1(min(log_p, 0.0))
-        distinguishable = abs(one_minus) >= 1e-15
+        distinguishable = abs(one_minus) >= 1e-15 * N * N
         ratio = one_minus / (a * a / N**2) if distinguishable else math.nan
         records.append({"a": a, "one_minus_p": one_minus,
                         "ratio": ratio, "distinguishable": distinguishable})

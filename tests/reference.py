@@ -157,10 +157,11 @@ def stieltjes_keeping_phi(nodes: np.ndarray, amplitudes: np.ndarray,
                           k_max: int):
     """The double-precision Stieltjes pass, storing phi; (A, B, log_h, phi).
 
-    ``dgop.stieltjes`` line for line, on a buffer that keeps every row pair
-    (u_k, x u_k), u_k = sqrt(B_k) phi_k, instead of wrapping, so that
-    ``OrthoSystem.phi_at`` and the kernels built on it can be held to it
-    bit for bit.
+    The floating-point operations of ``dgop.stieltjes``, written plainly:
+    tuple coefficients through ``np.dot`` on a buffer that keeps every
+    row pair (u_k, x u_k), u_k = sqrt(B_k) phi_k, instead of
+    wrapping, so that ``dgop.stieltjes``, ``OrthoSystem.phi_at`` and the
+    kernels built on it can be held to it bit for bit.
     """
     m = len(nodes)
     if k_max >= m:

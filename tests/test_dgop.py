@@ -354,6 +354,24 @@ def test_phi_at_matches_phi_keeping_pass(family, alpha):
     assert np.array_equal(system.phi, phi)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.25])
+@pytest.mark.parametrize("k_max", [1, 2, 29, 30, 31, 59, 60, 61])
+def test_pass_matches_phi_keeping_pass_across_buffer_fills(k_max, alpha):
+    # small buffers (2 k_max + 4 rows), an exact 30-degree fill and one
+    # degree either side of a wrap, where the row views are reused
+    nodes, amplitudes = build_lattice(64, alpha, 1.0, k_max)
+    A, B, log_h, phi = stieltjes_keeping_phi(nodes, amplitudes, k_max)
+    got = dgop.stieltjes(nodes, amplitudes, k_max)
+    for name, have, want in zip(("A", "B", "log_h"), got, (A, B, log_h)):
+        assert np.array_equal(have, want), name
+    system = dgop.OrthoSystem(n=64, alpha=alpha, a=1.0, k_max=k_max,
+                              log_h=log_h, A=A, B=B, nodes=nodes,
+                              amplitudes=amplitudes)
+    assert np.array_equal(system.phi, phi)
+    mid = len(nodes) // 2
+    assert np.array_equal(system.phi_at([0, mid]), phi[:, [0, mid]])
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.25, -0.5])
 @pytest.mark.parametrize("n", [351, 672])
 def test_phi_orthonormal_at_saturation(n, alpha):

@@ -214,6 +214,17 @@ def test_small_a_underflows_to_limit():
         assert all(abs(r["one_minus_p"]) < 1e-15 for r in recs)
 
 
+def test_small_a_verdict_scales_with_rounding():
+    # log P rounds to about N^2 ulps; where the true 1 - P is below 1e-30
+    # no entry may be flagged, while a measurable tail still is
+    grid = np.linspace(0.002, 0.05, 40)
+    for N in (1, 2, 4, 8, 16):
+        assert not any(r["distinguishable"]
+                       for r in wm.small_a_check(N, grid)), N
+    for N in (2, 8):
+        assert wm.small_a_check(N, [0.5])[0]["distinguishable"], N
+
+
 def test_small_a_rejects_nonpositive_a():
     for a in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="a must be positive"):
