@@ -19,7 +19,9 @@ identities that difference across a (``toda_residual``) need no shared one.
 
 The pass (Gautschi, Orthogonal Polynomials: Computation and Approximation,
 2004, sec. 2.2) carries u_k = sqrt(B_k) phi_k and x u_k as row pairs of a
-small buffer: one gemv, one multiply and one (2, m) product per degree.
+small buffer whose row views are built once per pass: one gemv with a
+coefficient vector written in place, one multiply and one (2, m) product
+per degree.
 
 That window depends on (n, alpha, a) only, and degree k of the pass on lower
 degrees only, so the memo holds one recurrence-only entry, the family built
@@ -97,10 +99,10 @@ class OrthoSystem:
         """Rows 0..k_max of phi at the node columns ``idx``.
 
         The Stieltjes pass's steps, replayed at full width from its A_{k-1}
-        and sqrt(B_k) on the same prebuilt row views and in-place
-        coefficient vector, with no dot product: the columns ``idx`` of
-        each u_k are kept at the end of each buffer fill and divided by
-        sqrt(B_k) at the end, so each value is bit for bit the pass's own.
+        and sqrt(B_k) on the row views of ``_fills`` with the same in-place
+        coefficients, and no dot product: the columns ``idx`` of each u_k
+        are kept once per buffer fill and divided by sqrt(B_k) at the end,
+        so each value is bit for bit the pass's own.
         """
         s = np.sqrt(self.B)
         s[0] = 1.0  # u_0 = phi_0
