@@ -24,7 +24,7 @@ import numpy as np
 from . import dgop
 from .errors import CoverageError
 from .painleve import PainleveGrid, tracy_widom
-from .psikernel import PsiSolution, critical_kernel
+from .psikernel import PsiSolution, critical_kernel_matrix
 
 SERIES_SWITCH = 1e-3
 J_MAX = 6  # g-moments g_2 ... g_{2 J_MAX}
@@ -255,19 +255,19 @@ def kernel_limit_table(n: int, L: float, u_grid, v_grid,
         # in another and move a one-node table by an ulp.
         phi = system.phi_at([system.node_index((k - alpha) / n)
                              for k in ks + ks[:1]])[:n]
+        # distinct nodes lie C n^{-2/3} >= 1e-6 apart in u for n <= MAX_DEGREE
+        us = [KERNEL_SCALE_C * ((k - alpha) / n) * n ** (1.0 / 3.0) for k in ks]
+        limits = critical_kernel_matrix(us, psis)
     rows = []
     for k_n, m_n in pairs:
-        x = (k_n - alpha) / n
-        y = (m_n - alpha) / n
-        u = KERNEL_SCALE_C * x * n ** (1.0 / 3.0)
-        v = KERNEL_SCALE_C * y * n ** (1.0 / 3.0)
-        kn = float(phi[:, ks.index(k_n)] @ phi[:, ks.index(m_n)])
+        i, j = ks.index(k_n), ks.index(m_n)
+        u, v = us[i], us[j]
+        kn = float(phi[:, i] @ phi[:, j])
+        limit = float(limits[i, j])
         if k_n == m_n:
             exact = scale * (1.0 - kn)
-            limit = critical_kernel(u, u, psis)
         else:
             exact = (-1.0) ** (k_n + m_n + 1) * scale * kn
-            limit = critical_kernel(u, v, psis)
         diff = abs(exact - limit)
         rel = diff / abs(limit) if limit != 0.0 else math.inf
         rows.append({"u": u, "v": v, "k_n": k_n, "m_n": m_n,

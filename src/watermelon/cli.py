@@ -13,7 +13,9 @@ import sys
 
 import numpy as np
 
-from . import asym, dgop, heights, psikernel, validation
+# Each command imports the engine modules it calls when it runs, so a fresh
+# process loads only those; the parser needs the choices module alone.
+from .choices import SUITES, WALLS
 from .errors import WatermelonError
 from .painleve import build_grid, tracy_widom
 from .tableio import Table, emit
@@ -72,14 +74,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("height", help="maximal-height CDF table")
     p.add_argument("--N", required=True, type=int)
-    p.add_argument("--wall", required=True, choices=heights.WALLS)
+    p.add_argument("--wall", required=True, choices=WALLS)
     p.add_argument("--M-grid", dest="m_grid", default=None)
     p.add_argument("--k-grid", dest="k_grid", default=None)
 
     p = sub.add_parser("converge", help="sup-distance to Tracy-Widom GOE per N")
     p.add_argument("--N-list", dest="n_list", default="8,16,32,64")
     p.add_argument("--wall", default="both",
-                   choices=heights.WALLS + ("both",))
+                   choices=WALLS + ("both",))
     p.add_argument("--k-grid", dest="k_grid", default="-6:4:0.1")
 
     p = sub.add_parser("dgop", help="recurrence table for one OP family")
@@ -99,7 +101,7 @@ def build_parser() -> _Parser:
     p.add_argument("--L-list", dest="l_list", default="-1,0,1")
 
     p = sub.add_parser("validate", help="run acceptance suites")
-    p.add_argument("--suite", default="all", choices=sorted(validation.SUITES))
+    p.add_argument("--suite", default="all", choices=sorted(SUITES))
     return parser
 
 
@@ -161,6 +163,7 @@ def _cmd_tw(ns):
 
 
 def _cmd_height(ns):
+    from . import heights
     if (ns.m_grid is None) == (ns.k_grid is None):
         raise UsageError("give exactly one of --M-grid or --k-grid")
     params = {"N": ns.N, "wall": ns.wall}
@@ -182,9 +185,10 @@ def _cmd_height(ns):
 
 
 def _cmd_converge(ns):
+    from . import heights
     N_values = _parse_list(ns.n_list, int)
     grid = build_grid()
-    walls = heights.WALLS if ns.wall == "both" else (ns.wall,)
+    walls = WALLS if ns.wall == "both" else (ns.wall,)
     ks = _grid_spec(ns.k_grid)
     rows = []
     for wall in walls:
@@ -196,6 +200,7 @@ def _cmd_converge(ns):
 
 
 def _cmd_dgop(ns):
+    from . import dgop
     system = dgop.build_system(ns.n, ns.alpha, ns.a, ns.kmax)
     rows = [(k, float(system.A[k]), float(system.B[k]), float(system.log_h[k]))
             for k in range(system.k_max + 1)]
@@ -206,6 +211,7 @@ def _cmd_dgop(ns):
 
 
 def _cmd_kernel(ns):
+    from . import asym, psikernel
     pts = _parse_list(ns.grid, float)
     grid = build_grid()
     psis = psikernel.integrate_psi(2.0 ** (2.0 / 3.0) * ns.L, painleve=grid)
@@ -222,6 +228,7 @@ def _cmd_kernel(ns):
 
 
 def _cmd_free_energy(ns):
+    from . import asym
     n_values = _parse_list(ns.n_list, int)
     L_values = _parse_list(ns.l_list, float)
     grid = build_grid()
@@ -238,6 +245,7 @@ def _cmd_free_energy(ns):
 
 
 def _cmd_validate(ns):
+    from . import validation
     ctx = validation.ValidationContext()
     results = validation.run_suite(ns.suite, ctx, report=print)
     if ns.output != "-":

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dgop
+from .choices import WALLS
 from .errors import OrderFitError, WindowError
 from .oracles import (gue_log_integral, lue_log_integral,
                       vandermonde_lattice_sum)
 from .painleve import PainleveGrid, tracy_widom
 
-WALLS = ("absorbing", "reflecting")
 X_CUT = 8.0  # lattice cutoff of the Riemann sums (weight exp(-64) there)
 # The sums hold len^2 arrays: 2,001 nodes is 32 MB each, eps >= 0.008 for GUE.
 MAX_LATTICE_NODES = 2001

@@ -19,9 +19,9 @@ with the tests, so the package needs numpy only.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .painleve import airy_ai
 
@@ -43,9 +43,20 @@ def _airy_kernel(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
                     num / np.where(same, 1.0, diff))
 
 
+@cache
+def _legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss-Legendre rule on [-1, 1], read-only, computed once
+    per m; ``numpy.polynomial`` loads on the first call, not on import."""
+    from numpy.polynomial.legendre import leggauss
+    rule = leggauss(m)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
 def _gauss_nodes(lo: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """m Gauss-Legendre nodes and weights on [lo, lo + SPAN]."""
-    t, w = leggauss(m)
+    t, w = _legendre_rule(m)
     a, b = lo, lo + SPAN
     return 0.5 * (b - a) * t + 0.5 * (b + a), 0.5 * (b - a) * w
 

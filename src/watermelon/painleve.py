@@ -119,17 +119,24 @@ def _solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
     repeats LAPACK ``dgtsv`` step by step where that swaps no rows (each
     pivot at least the entry below it, as in the diagonally dominant Newton
     and spline systems here), so it agrees with
-    ``scipy.linalg.solve_banded((1, 1), ...)`` bit for bit.
+    ``scipy.linalg.solve_banded((1, 1), ...)`` bit for bit.  The pivot and
+    the eliminated right-hand side ride in locals along zipped lists.
     """
-    lo, u, up, x = sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()
-    for j in range(len(u) - 1):
-        m = lo[j] / u[j]
-        u[j + 1] -= m * up[j]
-        x[j + 1] -= m * x[j]
-    x[-1] /= u[-1]
-    for j in range(len(u) - 2, -1, -1):
-        x[j] = (x[j] - up[j] * x[j + 1]) / u[j]
-    return np.array(x)
+    up = sup.tolist()
+    piv, y = float(diag[0]), float(rhs[0])
+    pivots, ys = [piv], [y]
+    for lo, p, d, b in zip(sub.tolist(), up, diag[1:].tolist(), rhs[1:].tolist()):
+        m = lo / piv
+        piv = d - m * p
+        y = b - m * y
+        pivots.append(piv)
+        ys.append(y)
+    x = y / piv
+    xs = [x]
+    for p, piv, y in zip(up[::-1], pivots[-2::-1], ys[-2::-1]):
+        x = (y - p * x) / piv
+        xs.append(x)
+    return np.array(xs[::-1])
 
 
 class NotAKnotSpline:

@@ -67,13 +67,15 @@ class PsiSolution:
                                                  getattr(self, name))
         return self._splines[name]
 
-    def phi_at(self, zeta: float) -> tuple[float, float]:
-        if not abs(zeta) <= self.zeta_max:  # NaN fails too
+    def phi_at(self, zeta):
+        """The pair at zeta: floats for a scalar, arrays for an array."""
+        if not np.all(np.abs(zeta) <= self.zeta_max):  # NaN fails too
             raise CoverageError(f"zeta={zeta} outside [{-self.zeta_max}, {self.zeta_max}]")
         return self._spline("phi1")(zeta), self._spline("phi2")(zeta)
 
-    def phi_prime_at(self, zeta: float) -> tuple[float, float]:
-        """Derivatives straight from the ODE right-hand side."""
+    def phi_prime_at(self, zeta):
+        """Derivatives straight from the ODE right-hand side, shaped as
+        :meth:`phi_at`'s values."""
         p1, p2 = self.phi_at(zeta)
         a, b, c = _zeta_matrix(zeta, self.s, self.q_s, self.qp_s)
         return a * p1 + b * p2, c * p1 - a * p2
@@ -202,13 +204,22 @@ def critical_kernel(u: float, v: float, psis: PsiSolution) -> float:
     takes over.
     """
     if abs(u - v) < 1e-6:
-        w = 0.5 * (u + v)
-        p1, p2 = psis.phi_at(w)
-        d1, d2 = psis.phi_prime_at(w)
-        return (d1 * p2 - d2 * p1) / math.pi
-    u1, u2 = psis.phi_at(u)
-    v1, v2 = psis.phi_at(v)
-    return (u1 * v2 - u2 * v1) / (math.pi * (u - v))
+        return float(critical_kernel_matrix([0.5 * (u + v)], psis)[0, 0])
+    return float(critical_kernel_matrix([u, v], psis)[0, 1])
+
+
+def critical_kernel_matrix(points, psis: PsiSolution) -> np.ndarray:
+    """K(u_i, u_j) on points at least 1e-6 apart, the diagonal in the
+    L'Hospital form of :func:`critical_kernel`; one array read of the pair
+    and its derivatives serves every entry."""
+    u = np.asarray(points, dtype=float)
+    p1, p2 = psis.phi_at(u)
+    d1, d2 = psis.phi_prime_at(u)
+    diff = np.subtract.outer(u, u)
+    np.fill_diagonal(diff, 1.0)
+    K = (np.multiply.outer(p1, p2) - np.multiply.outer(p2, p1)) / (math.pi * diff)
+    np.fill_diagonal(K, (d1 * p2 - d2 * p1) / math.pi)
+    return K
 
 
 def kernel_integral_form(u: float, v: float, psis: PsiSolution,

@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import asym, dgop, heights, psikernel
+from .choices import SUITES
 from .errors import WatermelonError
 from .oracles import brute_force_height_cdf, fredholm_f2, resolvent_q
 from .painleve import PainleveGrid, airy_ai, build_grid, tracy_widom
@@ -264,15 +265,6 @@ CHECKS = {
     13: ("kernel projection algebra", _c13_kernel_algebra, None),
     14: ("small-a tail ratio", _c14_small_a, None),
     15: ("psi cross-derivative compatibility", _c15_psi_compatibility, None),
-}
-
-SUITES = {
-    "all": tuple(range(1, 16)),
-    "painleve": (1, 2, 3),
-    "dgop": (6, 7, 13),
-    "watermelon": (4, 5, 12, 14),
-    "asym": (8, 9, 10, 11),
-    "psi": (15,),
 }
 
 

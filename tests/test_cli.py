@@ -237,6 +237,87 @@ print(codes, *(sorted(m for m in sys.modules if m.split('.')[0] == top)
     assert proc.stdout.strip() == f"{[0] * len(NUMPY_ONLY_COMMANDS)} [] []"
 
 
+# The package modules each command loads in a fresh process, beyond the
+# cli, choices, errors, painleve and tableio every command loads, and
+# whether numpy.polynomial (the oracles' Gauss-Legendre rule) is loaded.
+_BASE = ["choices", "cli", "errors", "painleve", "tableio"]
+_HEIGHTS = ["dgop", "heights", "oracles"]
+_ASYM = ["asym", "dgop", "oracles", "psikernel"]
+_ALL = ["asym", "dgop", "heights", "oracles", "psikernel", "validation"]
+FOOTPRINTS = [
+    (["tw", "--which", "f1", "--xmin", "-2", "--xmax", "2"], [], False),
+    (["height", "--N", "8", "--wall", "absorbing", "--k-grid", "-2:2:1"],
+     _HEIGHTS, False),
+    (["height", "--N", "3", "--wall", "reflecting", "--M-grid", "1.5:3:0.5"],
+     _HEIGHTS, False),
+    (["converge", "--N-list", "8", "--wall", "both", "--k-grid", "-2:2:1"],
+     _HEIGHTS, False),
+    (["dgop", "--n", "32", "--a", "1.0", "--kmax", "32"],
+     ["dgop", "oracles"], False),
+    (["free-energy", "--n-list", "16", "--L-list", "0"], _ASYM, False),
+    (["kernel", "--n", "32", "--L", "1", "--grid", "0.5,-0.5"], _ASYM, False),
+    (["validate", "--suite", "painleve"], _ALL, True),
+    (["validate", "--suite", "dgop"], _ALL, False),
+    (["height", "--N", "8", "--wall", "bogus", "--k-grid", "0:1:1"], [], False),
+]
+
+
+@pytest.mark.parametrize("argv, extra, polynomial", FOOTPRINTS,
+                         ids=[" ".join(case[0]) for case in FOOTPRINTS])
+def test_command_imports_only_what_it_runs(cli_env, argv, extra, polynomial):
+    code = """
+import io, json, sys
+from watermelon import cli
+sys.stdout = sys.stderr = io.StringIO()
+cli.main(json.loads(sys.argv[1]))
+sys.stdout = sys.__stdout__
+print(sorted(m.split('.')[1] for m in sys.modules
+             if m.startswith('watermelon.')), 'numpy.polynomial' in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
+                          capture_output=True, text=True, env=cli_env)
+    assert_exit(proc, 0)
+    assert proc.stdout.strip() == f"{sorted(_BASE + extra)} {polynomial}"
+
+
+PUBLIC_NAMES = [
+    "ConvergenceError", "CoverageError", "EquilibriumData",
+    "HeightDistribution", "OrderFitError", "OrthoSystem", "PainleveGrid",
+    "PrecisionError", "PsiSolution", "TailClosureError", "WatermelonError",
+    "WindowError", "accumulate_tails", "airy_ai", "asymptotic_A",
+    "asymptotic_h", "build_equilibrium", "build_grid", "build_lattice",
+    "build_system", "cd_kernel", "cd_kernel_matrix", "compatibility_defect",
+    "convergence_study", "correlation_det", "critical_kernel",
+    "deformation_identity_check", "exact_h_ratios", "free_energy_comparison",
+    "gue_free_energy", "height_cdf", "integrate_psi", "kernel_integral_form",
+    "kernel_limit_table", "kernel_table_distance", "lattice_nodes",
+    "log_height_cdf", "partition_and_free_energy", "ratio_asymptotics",
+    "rescale_check", "rescaled_cdf", "riemann_sum_order", "s_of_a",
+    "small_a_check", "solve_hastings_mcleod", "stieltjes", "subcritical_h",
+    "tabulate_rescaled", "toda_residual", "tracy_widom",
+]
+
+
+def test_package_import_is_lazy(cli_env):
+    # import watermelon loads no package module; every public name, the
+    # submodules and __version__ load theirs on first use
+    code = """
+import sys
+import watermelon as wm
+before = sorted(m for m in sys.modules if m.startswith('watermelon.'))
+names = {}
+exec('from watermelon import *', names)
+print(before, sorted(wm.__all__), sorted(n for n in names if n[0] != '_'),
+      wm.build_system.__module__, wm.heights.WALLS, wm.__version__)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=cli_env)
+    assert_exit(proc, 0)
+    assert proc.stdout.strip() == (
+        f"[] {PUBLIC_NAMES} {PUBLIC_NAMES} watermelon.dgop "
+        "('absorbing', 'reflecting') 0.1.0")
+
+
 def test_painleve_suite_loads_no_ode_stack(cli_env):
     # criteria 1-3 check the grid against linear Nystrom oracles only
     code = ("import sys; from watermelon import validation; "

@@ -11,7 +11,7 @@ import pytest
 import watermelon as wm
 
 PACKAGE = Path(wm.__file__).resolve().parent
-# __init__ imports are the package's public names, read by its importers
+# __init__ only serves the package's public names from these modules
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -103,7 +103,7 @@ PUBLIC_SETTINGS = {
 
 def test_public_settings_inventory():
     found = {f"{name}.{param.name}"
-             for name, obj in vars(wm).items() if inspect.isfunction(obj)
+             for name in wm.__all__ if inspect.isfunction(obj := getattr(wm, name))
              for param in inspect.signature(obj).parameters.values()
              if param.default is not inspect.Parameter.empty}
     assert found == PUBLIC_SETTINGS
