@@ -98,25 +98,28 @@ class OrthoSystem:
     def phi_at(self, idx) -> np.ndarray:
         """Rows 0..k_max of phi at the node columns ``idx``.
 
-        The Stieltjes pass's steps, replayed at full width from its A_{k-1}
-        and sqrt(B_k) on the row views of ``_fills`` with the same in-place
-        coefficients, and no dot product: the columns ``idx`` of each u_k
-        are kept once per buffer fill and divided by sqrt(B_k) at the end,
-        so each value is bit for bit the pass's own.
+        The Stieltjes pass's steps, replayed at full width on the row views
+        of ``_fills``: the gemv coefficients of every degree are computed
+        once from A_{k-1} and sqrt(B_k), by the divisions the pass made, and
+        read as rows of one array, with no dot product.  The columns
+        ``idx`` of each u_k are kept once per buffer fill and divided by
+        sqrt(B_k) at the end, so each value is bit for bit the pass's own.
         """
+        nodes, multiply = self.nodes, np.multiply
         s = np.sqrt(self.B)
         s[0] = 1.0  # u_0 = phi_0
-        buf = _first_rows(self.nodes, self.amplitudes, self.k_max)[1]
-        u = np.empty((self.k_max + 1, self.nodes[idx].size))
-        c = np.zeros(4)
-        sqrt_b = s.tolist()
-        steps = zip(self.A[:-1].tolist(), sqrt_b, [1.0] + sqrt_b)
+        coef = np.zeros((self.k_max, 4))
+        coef[:, 0] = -s[:-1] / np.append(1.0, s[:-2])
+        coef[:, 2] = -self.A[:-1] / s[:-1]
+        coef[:, 3] = 1.0 / s[:-1]
+        rows = iter(coef)
+        buf = _first_rows(nodes, self.amplitudes, self.k_max)[1]
+        u = np.empty((self.k_max + 1, nodes[idx].size))
         first, top = 0, 2  # first u_k not kept, and its buffer row
         for fill in _fills(buf, self.k_max):
-            for (src, row, x_row, _), (a, s_k, s_prev) in zip(fill, steps):
-                c[0], c[2], c[3] = -s_k / s_prev, -a / s_k, 1.0 / s_k
+            for (src, row, x_row, _), c in zip(fill, rows):
                 c.dot(src, out=row)
-                np.multiply(self.nodes, row, x_row)
+                multiply(nodes, row, x_row)
             kept = buf[top:2 * len(fill) + 4:2, idx]
             u[first:first + len(kept)] = kept
             first, top = first + len(kept), 4
@@ -191,23 +194,28 @@ def stieltjes(nodes: np.ndarray, amplitudes: np.ndarray, k_max: int):
     r = np.empty(2)
     buf[2:4].dot(buf[2], out=r)
     b0, ab = r.tolist()
-    A = [ab / b0]
+    a_k = ab / b0
+    A = [a_k]
     B = [0.0]
     c = np.zeros(4)  # slot 1, the weight of x u_{k-2}, stays 0
+    coef = memoryview(c)
+    gemv, multiply, read, sqrt = c.dot, np.multiply, r.tolist, math.sqrt
+    push_a, push_b = A.append, B.append
     s_prev = s = 1.0
     for fill in _fills(buf, k_max):
         for src, row, x_row, pair in fill:
-            c[0], c[2], c[3] = -s / s_prev, -A[-1] / s, 1.0 / s
-            c.dot(src, out=row)
-            np.multiply(nodes, row, x_row)
+            coef[0], coef[2], coef[3] = -s / s_prev, -a_k / s, 1.0 / s
+            gemv(src, out=row)
+            multiply(nodes, row, x_row)
             pair.dot(row, out=r)
-            bk, ab = r.tolist()
+            bk, ab = read()
             if not bk > 0.0:
                 raise PrecisionError(
                     f"B_{len(B)} lost positivity; double precision exhausted")
-            B.append(bk)
-            A.append(ab / bk)
-            s_prev, s = s, math.sqrt(bk)
+            push_b(bk)
+            a_k = ab / bk
+            push_a(a_k)
+            s_prev, s = s, sqrt(bk)
     log_h = accumulate(map(math.log, B[1:]), initial=math.log(h0))
     return np.array(A), np.array(B), np.array(list(log_h)), None
 

@@ -163,12 +163,23 @@ def lue_log_integral(N: int) -> float:
     return lg
 
 
+# log of the monic Hermite norms sqrt(pi) k! 2^{-k}, k < len: grown by
+# rebinding, so a reader never sees a partly extended table
+_gue_terms: tuple[float, ...] = ()
+
+
 def gue_log_integral(n: int) -> float:
     """Closed form log Z for the GUE integral with weight exp(-x^2).
 
     n! times the product of monic Hermite norms sqrt(pi) k! 2^{-k};
-    ``dgop.gue_free_energy`` is -log Z / n^2.
+    ``dgop.gue_free_energy`` is -log Z / n^2.  The log norms are computed
+    once per process and summed by the built-in ``sum`` in degree order.
     """
-    half_log_pi, log_2 = 0.5 * math.log(math.pi), math.log(2.0)
-    return math.lgamma(n + 1) + sum(
-        [half_log_pi + math.lgamma(k + 1) - k * log_2 for k in range(n)])
+    global _gue_terms
+    terms = _gue_terms
+    if len(terms) < n:
+        half_log_pi, log_2 = 0.5 * math.log(math.pi), math.log(2.0)
+        terms = _gue_terms = terms + tuple(
+            half_log_pi + math.lgamma(k + 1) - k * log_2
+            for k in range(len(terms), n))
+    return math.lgamma(n + 1) + sum(terms[:n])

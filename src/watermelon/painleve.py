@@ -330,23 +330,27 @@ def accumulate_tails(s: np.ndarray, q: np.ndarray, q_prime: np.ndarray,
                - (1.0 / 3.0) * ai_m * aip_m)
 
     def closed(name, values, tail):
-        """int_s^inf values by quadrature plus a negligible Airy closure."""
-        total = NotAKnotSpline(s, values).tail_integrals() + tail
+        """The spline of values and int_s^inf values by its quadrature plus
+        a negligible Airy closure."""
+        spline = NotAKnotSpline(s, values)
+        total = spline.tail_integrals() + tail
         if tail > 1e-10 * max(total[0], tail):
             raise TailClosureError(f"{name} tail closure {tail:.3e} too large; extend s_max")
-        return total
+        return spline, total
 
-    R = closed("q^2", q * q, r_tail)
-    int_q = closed("q", q, iq_tail)
-    int_r = closed("R", R, ir_tail)
+    R = closed("q^2", q * q, r_tail)[1]
+    q_spline, int_q = closed("q", q, iq_tail)
+    R_spline, int_r = closed("R", R, ir_tail)
     E = np.exp(-0.5 * int_q)
     F = np.exp(-0.5 * int_r)
     f1, f2 = F * E, F * F
     # the grid's splines view these arrays, so none may write them
     for arr in (s, q, q_prime, R, E, F, f1, f2):
         arr.setflags(write=False)
+    # the quadrature's q and R splines are the ones q_at and R_at read
     return PainleveGrid(s_values=s, q=q, q_prime=q_prime, R=R, E=E, F=F,
-                        f1=f1, f2=f2, residual_norm=residual_norm)
+                        f1=f1, f2=f2, residual_norm=residual_norm,
+                        _splines={"q": q_spline, "R": R_spline})
 
 
 def build_grid() -> PainleveGrid:

@@ -76,7 +76,10 @@ class PsiSolution:
     def phi_prime_at(self, zeta):
         """Derivatives straight from the ODE right-hand side, shaped as
         :meth:`phi_at`'s values."""
-        p1, p2 = self.phi_at(zeta)
+        return self._prime(zeta, *self.phi_at(zeta))
+
+    def _prime(self, zeta, p1, p2):
+        """The ODE right-hand side at zeta, given the pair (p1, p2) there."""
         a, b, c = _zeta_matrix(zeta, self.s, self.q_s, self.qp_s)
         return a * p1 + b * p2, c * p1 - a * p2
 
@@ -211,12 +214,15 @@ def critical_kernel(u: float, v: float, psis: PsiSolution) -> float:
 def critical_kernel_matrix(points, psis: PsiSolution) -> np.ndarray:
     """K(u_i, u_j) on points at least 1e-6 apart, the diagonal in the
     L'Hospital form of :func:`critical_kernel`; one array read of the pair
-    and its derivatives serves every entry."""
+    serves every entry, derivatives included.  Closer points raise
+    ``ValueError``."""
     u = np.asarray(points, dtype=float)
-    p1, p2 = psis.phi_at(u)
-    d1, d2 = psis.phi_prime_at(u)
     diff = np.subtract.outer(u, u)
     np.fill_diagonal(diff, 1.0)
+    if np.any(np.abs(diff) < 1e-6):
+        raise ValueError("kernel points must lie at least 1e-6 apart")
+    p1, p2 = psis.phi_at(u)
+    d1, d2 = psis._prime(u, p1, p2)
     K = (np.multiply.outer(p1, p2) - np.multiply.outer(p2, p1)) / (math.pi * diff)
     np.fill_diagonal(K, (d1 * p2 - d2 * p1) / math.pi)
     return K

@@ -18,11 +18,13 @@ from functools import cached_property
 
 import numpy as np
 
-from . import asym, dgop, heights, psikernel
 from .choices import SUITES
 from .errors import WatermelonError
 from .oracles import brute_force_height_cdf, fredholm_f2, resolvent_q
 from .painleve import PainleveGrid, airy_ai, build_grid, tracy_widom
+
+# Each criterion imports the engine modules it calls, so a suite loads only
+# what its criteria run.
 
 
 @dataclass
@@ -48,6 +50,7 @@ class ValidationContext:
 
     @cached_property
     def psis(self):
+        from . import psikernel
         return psikernel.integrate_psi(2.0 ** (2.0 / 3.0), painleve=self.grid)
 
 
@@ -79,6 +82,7 @@ def _c03_cdf_structure(ctx):
 
 
 def _c04_oracle_equivalence(ctx):
+    from . import heights
     worst = 0.0
     for N in (1, 2):
         for wall in heights.WALLS:
@@ -90,6 +94,7 @@ def _c04_oracle_equivalence(ctx):
 
 
 def _c05_maxheight_trend(ctx):
+    from . import heights
     details = []
     ok = True
     for wall in heights.WALLS:
@@ -104,6 +109,7 @@ def _c05_maxheight_trend(ctx):
 
 
 def _c06_toda(ctx):
+    from . import dgop
     ok = True
     worst = None
     for alpha in (0.0, 0.25):
@@ -119,6 +125,7 @@ def _c06_toda(ctx):
 
 
 def _c07_rescaling(ctx):
+    from . import dgop
     worst = 0.0
     for alpha in (0.0, 0.5):
         system = dgop.build_system(30, alpha, 0.9, 20)
@@ -128,6 +135,7 @@ def _c07_rescaling(ctx):
 
 
 def _c08_asymptotic_h(ctx):
+    from . import asym, dgop
     grid = ctx.grid
     ok = True
     worst = None
@@ -154,6 +162,7 @@ def _c08_asymptotic_h(ctx):
 
 
 def _c09_subcritical(ctx):
+    from . import asym, dgop
     n, a = 40, 0.5
     system = dgop.build_system(n, 0.25, a, n)
     pred = asym.subcritical_h(n, a)
@@ -166,6 +175,7 @@ def _c09_subcritical(ctx):
 
 
 def _c10_kernel_theorem(ctx):
+    from . import asym
     pts = (0.5, -0.5, 1.0, -1.0)
     dists = {}
     for n in (64, 128):
@@ -178,6 +188,7 @@ def _c10_kernel_theorem(ctx):
 
 
 def _c11_free_energy(ctx):
+    from . import asym
     ok = True
     parts = []
     for L in (-1.0, 0.0, 1.0):
@@ -190,6 +201,7 @@ def _c11_free_energy(ctx):
 
 
 def _c12_riemann_order(ctx):
+    from . import heights
     # These analytic integrands beat every polynomial order, so the fit is
     # expected to be impossible and the check records an honest failure
     # (README, Known limitations).
@@ -208,6 +220,7 @@ def _c12_riemann_order(ctx):
 
 
 def _c13_kernel_algebra(ctx):
+    from . import dgop
     n = 24
     system = dgop.build_system(n, 0.0, 1.0, n)
     K = dgop.cd_kernel_matrix(system, n)
@@ -220,6 +233,7 @@ def _c13_kernel_algebra(ctx):
 
 
 def _c14_small_a(ctx):
+    from . import heights
     # Faithful to the stated check; in binary64 1 - P underflows at these
     # parameters (it is of order M^2 exp(-2 M^2)), so stable ratios cannot
     # be observed and the criterion records an honest failure.
@@ -242,6 +256,7 @@ def _c14_small_a(ctx):
 
 
 def _c15_psi_compatibility(ctx):
+    from . import psikernel
     d1 = psikernel.compatibility_defect(1.0, 0.02, ctx.grid)
     d2 = psikernel.compatibility_defect(1.0, 0.01, ctx.grid)
     ratio = d1 / d2

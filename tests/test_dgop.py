@@ -355,9 +355,10 @@ def test_phi_at_matches_phi_keeping_pass(family, alpha):
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.25])
-@pytest.mark.parametrize("k_max", [1, 2, 29, 30, 31, 59, 60, 61])
+@pytest.mark.parametrize("k_max", [0, 1, 2, 29, 30, 31, 59, 60, 61])
 def test_pass_matches_phi_keeping_pass_across_buffer_fills(k_max, alpha):
-    # small buffers (2 k_max + 4 rows), an exact 30-degree fill and one
+    # no step at all, small buffers (2 k_max + 4 rows), an exact 30-degree
+    # fill and one
     # degree either side of a wrap, where the row views are reused
     nodes, amplitudes = build_lattice(64, alpha, 1.0, k_max)
     A, B, log_h, phi = stieltjes_keeping_phi(nodes, amplitudes, k_max)
@@ -370,6 +371,21 @@ def test_pass_matches_phi_keeping_pass_across_buffer_fills(k_max, alpha):
     assert np.array_equal(system.phi, phi)
     mid = len(nodes) // 2
     assert np.array_equal(system.phi_at([0, mid]), phi[:, [0, mid]])
+
+
+@pytest.mark.parametrize("n, exponent", [(4, 536), (64, 512), (64, 508)])
+def test_precision_error_names_first_nonpositive_B(n, exponent):
+    # nodes scaled by 2^-exponent scale the pass's values exactly until
+    # some u_k squares to 0 in the subnormal range: at degree 1, then in
+    # the second and third buffer fills; the plain pass names the same B_k
+    nodes, amplitudes = build_lattice(n, 0.0, 1.0, 0)
+    nodes = nodes * 2.0**-exponent
+    k_max = len(nodes) - 1
+    with pytest.raises(PrecisionError) as want:
+        stieltjes_keeping_phi(nodes, amplitudes, k_max)
+    with pytest.raises(PrecisionError) as got:
+        dgop.stieltjes(nodes, amplitudes, k_max)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.25, -0.5])

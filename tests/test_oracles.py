@@ -53,6 +53,24 @@ def test_closed_form_integrals_vs_quadrature():
                    - gue_log_partition_quadrature(n)) < 1e-7
 
 
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_gue_log_integral_table_is_bit_identical(monkeypatch, order):
+    # the per-process table of log norms sums the same terms with the same
+    # sum as the direct form, whatever order the table grew in
+    ns = list(range(1, 701))
+    if order == "descending":
+        ns.reverse()
+    elif order == "shuffled":
+        np.random.default_rng(5).shuffle(ns)
+    monkeypatch.setattr(oracles, "_gue_terms", ())
+    half_log_pi, log_2 = 0.5 * math.log(math.pi), math.log(2.0)
+    for n in ns:
+        direct = math.lgamma(n + 1) + sum(
+            [half_log_pi + math.lgamma(k + 1) - k * log_2 for k in range(n)])
+        assert oracles.gue_log_integral(n) == direct, n
+    assert len(oracles._gue_terms) == 700
+
+
 def test_stirling_series_matches_factorial():
     for n in (5, 25):
         direct = math.factorial(n) * (math.e / n) ** n / math.sqrt(2 * math.pi * n)

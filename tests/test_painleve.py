@@ -105,6 +105,32 @@ def test_tridiagonal_solve_matches_lapack(grid, psis_critical, monkeypatch):
         assert np.array_equal(x, solve_banded((1, 1), ab, rhs))
 
 
+def test_tail_quadrature_splines_serve_q_and_R(grid, monkeypatch):
+    # accumulate_tails hands its q and R splines to the grid, so their first
+    # reads make no slope solve and agree with fresh splines bit for bit
+    from watermelon import painleve
+
+    fresh = painleve.accumulate_tails(grid.s_values, grid.q, grid.q_prime,
+                                      grid.residual_norm)
+    solves = []
+    solve = painleve._solve_tridiagonal
+
+    def counted(*args):
+        solves.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(painleve, "_solve_tridiagonal", counted)
+    points = np.linspace(grid.s_min, grid.s_max, 97)
+    q, R = fresh.q_at(points), fresh.R_at(points)
+    scalars = fresh.q_at(-1.25), fresh.R_at(3.5)
+    assert len(solves) == 0
+    for got, values in ((q, grid.q), (R, grid.R)):
+        assert np.array_equal(got, painleve.NotAKnotSpline(grid.s_values,
+                                                           values)(points))
+    assert scalars == (painleve.NotAKnotSpline(grid.s_values, grid.q)(-1.25),
+                       painleve.NotAKnotSpline(grid.s_values, grid.R)(3.5))
+
+
 def test_solver_preconditions():
     with pytest.raises(ValueError):
         wm.solve_hastings_mcleod(mesh=256)

@@ -229,6 +229,18 @@ def test_non_finite_zeta_matrix_raises():
                 run()
 
 
+def test_kernel_matrix_rejects_coincident_points(psis_critical):
+    # off-diagonal points closer than 1e-6 would divide by ~0; they raise
+    # before any warning, and points 1e-6 apart are still served
+    for points in ([0.1, 0.1, 0.3], [0.1, 0.3, 0.1 + 5e-7]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="1e-6 apart"):
+                psikernel.critical_kernel_matrix(points, psis_critical)
+    K = psikernel.critical_kernel_matrix([0.1, 0.1 + 2e-6], psis_critical)
+    assert np.all(np.isfinite(K))
+
+
 def test_cross_derivative_compatibility(grid):
     d_02 = wm.compatibility_defect(1.0, 0.02, grid)
     d_01 = wm.compatibility_defect(1.0, 0.01, grid)
