@@ -233,22 +233,28 @@ def kernel_limit_table(n: int, L: float, u_grid, v_grid,
     evaluates the limit kernel at the snapped coordinates.  Rows hold
     (u, v, k_n, m_n, scaled exact, limit, abs diff, rel diff); pairs whose
     distinct u, v collapse onto one node are reported in ``skipped``.
+    ``psis`` must be the pair at s = 2^{2/3} L (else ``ValueError``);
+    ``grid`` is unused, and stays because callers pass ``psis`` after it.
     """
     _check_n(n)
+    s = 2.0 ** (2.0 / 3.0) * L
+    if not abs(psis.s - s) <= 1e-12 * abs(s):  # NaN fails too
+        raise ValueError(f"psis is at s={psis.s}, not 2^(2/3) L for L={L}")
     a = 1.0 - L * n ** (-2.0 / 3.0)
     system = dgop.build_system(n, alpha, a, n)
     scale = n ** (2.0 / 3.0) / KERNEL_SCALE_C
-    pairs = []
-    skipped = []
+    u_grid, v_grid = tuple(u_grid), tuple(v_grid)  # each is read twice
+    node = {t: round(alpha + t * n ** (2.0 / 3.0) / KERNEL_SCALE_C)
+            for t in (*u_grid, *v_grid)}
+    pairs, skipped = [], []
     for u_t in u_grid:
         for v_t in v_grid:
-            k_n = round(alpha + u_t * n ** (2.0 / 3.0) / KERNEL_SCALE_C)
-            m_n = round(alpha + v_t * n ** (2.0 / 3.0) / KERNEL_SCALE_C)
-            if u_t != v_t and k_n == m_n:
+            if u_t != v_t and node[u_t] == node[v_t]:
                 skipped.append((u_t, v_t))
             else:
-                pairs.append((k_n, m_n))
+                pairs.append((node[u_t], node[v_t]))
     ks = sorted({k for pair in pairs for k in pair})
+    column = {k: i for i, k in enumerate(ks)}
     if ks:
         # One more column keeps every entry a dot of strided columns, summed
         # in the order of the full phi's; a lone contiguous column would sum
@@ -260,7 +266,7 @@ def kernel_limit_table(n: int, L: float, u_grid, v_grid,
         limits = critical_kernel_matrix(us, psis)
     rows = []
     for k_n, m_n in pairs:
-        i, j = ks.index(k_n), ks.index(m_n)
+        i, j = column[k_n], column[m_n]
         u, v = us[i], us[j]
         kn = float(phi[:, i] @ phi[:, j])
         limit = float(limits[i, j])

@@ -105,9 +105,14 @@ def log_height_cdf(N: int, M: float, wall: str) -> float:
     return math.fsum(terms)
 
 
+def _clamped_exp(log_p: float) -> float:
+    """P from log P, clamped to [0, 1]: the last step of every height CDF."""
+    return min(1.0, math.exp(min(log_p, 0.0)))
+
+
 def height_cdf(N: int, M: float, wall: str) -> float:
     """P(max height < M), clamped to [0, 1]."""
-    return min(1.0, math.exp(min(log_height_cdf(N, M, wall), 0.0)))
+    return _clamped_exp(log_height_cdf(N, M, wall))
 
 
 def rescale_M(N: int, k: float) -> float:
@@ -128,11 +133,10 @@ def rescaled_cdf(N: int, k: float, wall: str) -> float:
 def tabulate_rescaled(N: int, k_grid, wall: str) -> HeightDistribution:
     k_grid = np.asarray(k_grid, dtype=float)
     M = np.array([rescale_M(N, k) for k in k_grid])
-    logs = np.array([log_height_cdf(N, m, wall) for m in M])
-    clamped = logs > 0.0
-    cdf = np.minimum(1.0, np.exp(np.minimum(logs, 0.0)))
-    return HeightDistribution(N=N, wall=wall, M_values=M, cdf=cdf,
-                              k_values=k_grid, clamped=clamped)
+    logs = [log_height_cdf(N, m, wall) for m in M]
+    return HeightDistribution(N=N, wall=wall, M_values=M,
+                              cdf=np.array([_clamped_exp(v) for v in logs]),
+                              k_values=k_grid, clamped=np.array(logs) > 0.0)
 
 
 DEFAULT_K_GRID = np.linspace(-6.0, 4.0, 101)
@@ -184,16 +188,17 @@ def deformation_identity_check(N: int, a: float, delta_a: float, wall: str):
     Uses the unrescaled mesh-1 norms with M = sqrt(2N/a); the right side is
     (pi^2/4N)^2 h_{2N+p}/h_{2N+p-2}, p the wall's degree parity (1 absorbing,
     0 reflecting), which is the half-lattice coefficient B_N.  Each
-    evaluation uses its own default window.  Returns (lhs, rhs, defect).
+    evaluation uses its own default window; the centre pass, run to degree
+    N, gives both its first N log h and B_N.  Returns (lhs, rhs, defect).
     """
     p = _parity(wall)
     if not 0.0 < delta_a < a:  # NaN fails too
         raise ValueError("delta_a must lie in (0, a)")
-    lp = [float(sum(_half_lattice(math.sqrt(2.0 * N / av), p, N - 1)[2]))
-          for av in (a - delta_a, a, a + delta_a)]
+    passes = [_half_lattice(math.sqrt(2.0 * N / av), p, k_max)
+              for av, k_max in ((a - delta_a, N - 1), (a, N), (a + delta_a, N - 1))]
+    lp = [float(sum(log_h[:N])) for _, _, log_h, _ in passes]
     lhs = (lp[2] - 2.0 * lp[1] + lp[0]) / delta_a**2
-    B = _half_lattice(math.sqrt(2.0 * N / a), p, N)[1]
-    rhs = (math.pi**2 / (4.0 * N))**2 * B[N]
+    rhs = (math.pi**2 / (4.0 * N))**2 * passes[1][1][N]
     return lhs, rhs, abs(lhs - rhs)
 
 

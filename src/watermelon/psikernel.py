@@ -96,9 +96,9 @@ def _zeta_matrix(z, s, q, r):
 
 def _s_matrix(painleve, zeta):
     """Entries (q(x), zeta, -zeta) of the s-matrix at fixed zeta, as a
-    function of x (array); a grid returning a scalar q is broadcast."""
+    function of x (array)."""
     def matrix(x):
-        q = np.broadcast_to(painleve.q_at(x), np.shape(x))
+        q = painleve.q_at(x)
         return q, np.full_like(q, zeta), np.full_like(q, -zeta)
     return matrix
 

@@ -12,7 +12,6 @@ a negative zero is written ``-0`` and read back as -0.0 by both parsers.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -101,23 +100,14 @@ def parse_csv(text: str) -> Table:
 def to_json(table: Table) -> str:
     """Hand-rolled dump so floats keep the 17-digit convention."""
     table.validate()
-    buf = io.StringIO()
     meta = {"name": table.name, "version": table.version,
             "tool": f"watermelon {TOOL_VERSION}",
             "generated": table.generated,
             "params": {k: fmt17(v) for k, v in table.params.items()}}
-    buf.write('{"meta": ')
-    buf.write(json.dumps(meta, sort_keys=True))
-    buf.write(', "columns": ')
-    buf.write(json.dumps(list(table.columns)))
-    buf.write(', "rows": [')
-    for i, row in enumerate(table.rows):
-        if i:
-            buf.write(", ")
-        buf.write("[" + ", ".join(_json_cell(v) for v in row) + "]")
-    buf.write("]}")
-    buf.write("\n")
-    return buf.getvalue()
+    rows = ", ".join("[" + ", ".join(_json_cell(v) for v in row) + "]"
+                     for row in table.rows)
+    return (f'{{"meta": {json.dumps(meta, sort_keys=True)}, '
+            f'"columns": {json.dumps(list(table.columns))}, "rows": [{rows}]}}\n')
 
 
 def _json_cell(v) -> str:

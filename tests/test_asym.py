@@ -235,6 +235,9 @@ class TestKernelLimit:
             assert math.isclose(r["exact"], mirror["exact"], rel_tol=1e-12)
         diag = [r for r in rows if r["diagonal"]]
         assert all(r["exact"] >= 0.0 for r in diag)
+        # the grids may be any iterables, generators included
+        assert wm.kernel_limit_table(64, 1.0, iter([0.5, -0.5]), iter([0.5, -0.5]),
+                                     grid, psis_critical) == (rows, skipped)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.25])
     @pytest.mark.parametrize("u_grid, v_grid", [
@@ -257,6 +260,16 @@ class TestKernelLimit:
             sign = (-1.0) ** (r["k_n"] + r["m_n"] + 1)
             assert r["exact"] == (scale * (1.0 - kn) if r["diagonal"]
                                   else sign * scale * kn)
+
+    def test_psi_pair_must_match_L(self, grid, psis_critical):
+        # the pair at s = 2^{2/3} serves L = 1 only; at L = 0.5 the limit
+        # column would be read at the wrong s
+        for L in (0.5, -1.0, math.nan):
+            with pytest.raises(ValueError, match=r"not 2\^\(2/3\) L"):
+                wm.kernel_limit_table(64, L, [0.5], [0.5], grid, psis_critical)
+        rows, _ = wm.kernel_limit_table(64, 1.0 + 1e-13, [0.5], [0.5], grid,
+                                        psis_critical)
+        assert len(rows) == 1
 
     def test_collision_reported(self, grid, psis_critical):
         rows, skipped = wm.kernel_limit_table(

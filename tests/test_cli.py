@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from watermelon import cli
+from watermelon import cli, validation
+from watermelon.errors import ConvergenceError, WatermelonError
 from watermelon.tableio import parse_csv, to_csv
 
 
@@ -68,6 +69,8 @@ def test_usage_errors_exit_1(run_cli, capsys):
         ["tw", "--which", "f1", "--xmin", "-6", "--xmax", "4",
          "--step", "1e-12"],                                                # 1e13 points
         ["dgop", "--n", "4", "--a", "inf", "--kmax", "2"],                  # non-finite a
+        ["converge", "--N-list", "8,x"],                                    # bad list
+        ["height", "--N", "8", "--wall", "absorbing", "--k-grid", "1:2"],   # bad grid
         ["converge", "--N-list", ","],                                      # empty lists
         ["free-energy", "--L-list", ","],
         ["kernel", "--n", "32", "--grid", ","],
@@ -192,6 +195,27 @@ def test_validate_failing_suite_exits_2(run_cli):
     assert "criterion 12 FAIL" in proc.stdout
     assert "criterion 14 FAIL" in proc.stdout
     assert "criterion 04 PASS" in proc.stdout
+
+
+def test_validate_failures_become_fail_lines(monkeypatch):
+    with pytest.raises(WatermelonError, match="unknown suite"):
+        validation.run_suite("nosuch")
+
+    def stalled(ctx):
+        raise ConvergenceError("Newton stalled")
+
+    def slow(ctx):
+        time.sleep(0.02)
+        return True, "ok"
+
+    monkeypatch.setitem(validation.CHECKS, 3, ("stalled", stalled, None))
+    monkeypatch.setitem(validation.CHECKS, 7, ("slow", slow, 0.01))
+    stalled_line, slow_line = (validation.run_criterion(k, None).line()
+                               for k in (3, 7))
+    assert stalled_line.startswith("criterion 03 FAIL")
+    assert "error: Newton stalled" in stalled_line
+    assert slow_line.startswith("criterion 07 FAIL")
+    assert "exceeds budget 0s" in slow_line
 
 
 def test_import_loads_no_ode_or_interpolation_stack(cli_env):

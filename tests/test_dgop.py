@@ -104,6 +104,8 @@ def test_orthonormality_of_phi():
 def test_rescaling_identity(alpha, direction):
     sys1 = wm.build_system(30, alpha, 0.9, 20)
     assert wm.rescale_check(sys1, direction) <= 1e-9
+    with pytest.raises(ValueError, match="direction must be"):
+        wm.rescale_check(sys1, 0)
 
 
 def test_mesh_one_bridge():
@@ -147,6 +149,8 @@ def test_gue_free_energy_small_n():
     for n, tol in ((2, 1e-8), (3, 1e-7)):
         exact = -gue_log_partition_quadrature(n) / n**2
         assert abs(wm.gue_free_energy(n) / exact - 1.0) < tol
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        wm.gue_free_energy(0)
 
 
 def test_kernel_trace_idempotence_bounds():
@@ -436,9 +440,10 @@ def test_past_saturation_build_is_bounded():
 
 
 def test_weight_rejects_nonpositive_a():
-    for n, alpha, a in ((0, 0.0, 1.0), (4, 0.7, 1.0), (4, 0.0, 0.0)):
+    for n, alpha, a, k_max in ((0, 0.0, 1.0, 3), (4, 0.7, 1.0, 3),
+                               (4, 0.0, 0.0, 3), (4, 0.0, 1.0, -1)):
         with pytest.raises(ValueError):
-            build_lattice(n, alpha, a, 3)
+            build_lattice(n, alpha, a, k_max)
     for a in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="positive and finite"):
             wm.build_system(4, 0.0, a, 3)

@@ -153,6 +153,12 @@ def test_tabulate_records_k_grid():
     assert dist.k_values is not None and len(dist.cdf) == 5
     assert np.all(dist.cdf[:-1] <= dist.cdf[1:] + 1e-14)
     assert not np.any(dist.clamped)
+    # a table and a single point share one last step, bit for bit
+    ks = np.arange(-6.0, 4.0 + 1e-9, 0.05)
+    for N in (8, 32):
+        for wall in ("absorbing", "reflecting"):
+            cdf = tabulate_rescaled(N, ks, wall).cdf
+            assert all(c == wm.rescaled_cdf(N, k, wall) for c, k in zip(cdf, ks))
 
 
 def test_convergence_toward_goe_edge_small(grid):
@@ -311,6 +317,11 @@ def test_height_cdf_rejects_nonpositive_M():
     for M in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="M must be positive"):
             wm.height_cdf(2, M, "absorbing")
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        wm.log_height_cdf(0, 3.0, "absorbing")
+    for law in (wm.log_height_cdf, brute_force_height_cdf):
+        with pytest.raises(ValueError, match="wall"):
+            law(2, 3.0, "sticky")
 
 
 def test_riemann_lattice_bounded():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import watermelon as wm
-from watermelon import oracles
+from watermelon import cli, oracles, painleve
 from watermelon.errors import ConvergenceError, CoverageError, TailClosureError
 
 
@@ -134,6 +134,8 @@ def test_tail_quadrature_splines_serve_q_and_R(grid, monkeypatch):
 def test_solver_preconditions():
     with pytest.raises(ValueError):
         wm.solve_hastings_mcleod(mesh=256)
+    with pytest.raises(ValueError, match="spline data must be finite"):
+        painleve.NotAKnotSpline([0.0, 1.0, 2.0, 3.0], [0.0, math.nan, 1.0, 2.0])
 
 
 def test_R_right_tail_matches_airy_identity(grid):
@@ -240,10 +242,20 @@ def test_derivative_relations(grid):
     assert np.max(np.abs(dF - 0.5 * grid.R[1:-1] * grid.F[1:-1])) <= 1e-5
 
 
-def test_accumulate_requires_converged_q(grid):
+def test_accumulate_requires_converged_q(grid, monkeypatch):
     s, q, q_prime, _ = wm.solve_hastings_mcleod()
-    with pytest.raises(ConvergenceError):
-        wm.accumulate_tails(s, q, q_prime, 1e-6)
+    for residual in (1e-6, math.nan):
+        with pytest.raises(ConvergenceError):
+            wm.accumulate_tails(s, q, q_prime, residual)
+    # a zero step stops Newton at the initial guess, whose residual fails;
+    # a non-finite step raises at once, and the CLI reports it as a
+    # numerical failure (exit 2), not as a usage error
+    for step, why in ((0.0, "Newton stalled"), (math.nan, "not finite")):
+        monkeypatch.setattr(painleve, "_solve_tridiagonal",
+                            lambda sub, diag, sup, rhs: np.full(len(diag), step))
+        with pytest.raises(ConvergenceError, match=why):
+            wm.solve_hastings_mcleod()
+    assert cli.main(["tw", "--which", "f1"]) == cli.EXIT_NUMERICAL
 
 
 def test_short_grid_tail_closure_error():

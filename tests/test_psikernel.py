@@ -19,10 +19,11 @@ def theta(z, s):
 
 class FreePhase:
     """Stand-in grid with q = q' = 0: the zeta-system has the exact free
-    solution (cos theta, -sin theta)."""
+    solution (cos theta, -sin theta).  Like a real grid, it returns an
+    array for an array."""
 
     def q_at(self, s):
-        return 0.0
+        return np.zeros(np.shape(s))[()]
 
     q_prime_at = q_at
 
@@ -194,7 +195,7 @@ def test_non_finite_zeta_matrix_raises():
         """Stand-in grid whose q = q' = 1e200 overflows the zeta-matrix."""
 
         def q_at(self, s):
-            return 1e200
+            return np.full(np.shape(s), 1e200)[()]
 
         q_prime_at = q_at
 
@@ -203,7 +204,7 @@ def test_non_finite_zeta_matrix_raises():
         q' = 1e200 overflows its inward sweeps."""
 
         def q_prime_at(self, s):
-            return 1e200
+            return np.full(np.shape(s), 1e200)[()]
 
     class HugeOffCenter(FreePhase):
         """q = q' = 0 at s = 1 keeps the zeta-sweep there finite, and

@@ -62,6 +62,15 @@ def test_ragged_row_rejected():
         to_csv(t)
 
 
+def test_foreign_csv_rejected():
+    text = to_csv(sample_table())
+    lines = text.splitlines(keepends=True)
+    for bad, why in (("M,cdf\n" + text, "not a watermelon CSV"),
+                     ("".join(lines[:1] + lines[3:]), "missing provenance")):
+        with pytest.raises(WatermelonError, match=why):
+            parse_csv(bad)
+
+
 def test_unknown_format():
     with pytest.raises(WatermelonError):
         emit(sample_table(), "yaml", io.StringIO())
