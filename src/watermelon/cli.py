@@ -219,8 +219,6 @@ def _cmd_kernel(ns):
                                                   grid, psis)
     rows = [(ns.n, f"K({r['u']:.6g};{r['v']:.6g})", r["exact"], r["limit"],
              r["rel_diff"]) for r in rows_raw]
-    if not rows:
-        raise WatermelonError("all kernel pairs collided on the lattice")
     _emit(ns, Table(name="kernel",
                     params={"n": ns.n, "L": ns.L, "skipped": len(skipped)},
                     columns=("n", "quantity", "exact", "asymptotic", "rel_err"),

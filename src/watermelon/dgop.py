@@ -16,6 +16,8 @@ exp(-n pi^2 a x^2 / 4) is exactly 0, so no wider window can change a
 double-precision result and one Stieltjes pass per family suffices.  It is
 the only window: a node at amplitude 0 stays 0 through the recurrence, so
 identities that difference across a (``toda_residual``) need no shared one.
+The pass of a build starts at 0 past its degree's reach (``_pass_start``),
+where every product it would add is below half an ulp of its sums.
 
 The pass (Gautschi, Orthogonal Polynomials: Computation and Approximation,
 2004, sec. 2.2) carries u_k = sqrt(B_k) phi_k and x u_k as row pairs of a
@@ -103,7 +105,10 @@ class OrthoSystem:
         once from A_{k-1} and sqrt(B_k), by the divisions the pass made, and
         read as rows of one array, with no dot product.  The columns
         ``idx`` of each u_k are kept once per buffer fill and divided by
-        sqrt(B_k) at the end, so each value is bit for bit the pass's own.
+        sqrt(B_k) at the end, so inside the reach of ``_pass_start`` each
+        value is bit for bit the pass's own.  Past it the pass starts at 0,
+        and ``phi_at``, which starts from the true amplitudes, keeps the true
+        values.
         """
         nodes, multiply = self.nodes, np.multiply
         s = np.sqrt(self.B)
@@ -131,7 +136,10 @@ class OrthoSystem:
         return float(self.nodes[-1] - self.nodes[0])
 
     def node_index(self, x: float) -> int:
-        i = int(np.argmin(np.abs(self.nodes - x)))
+        # the retained nodes are consecutive lattice points 1/n apart; a
+        # non-finite x reads node 0 and fails the check below
+        t = (x - self.nodes[0]) * self.n
+        i = min(max(round(t), 0), len(self.nodes) - 1) if math.isfinite(t) else 0
         if not abs(self.nodes[i] - x) <= 1e-9 / self.n:  # NaN fails too
             raise CoverageError(f"x={x} is not a retained node")
         return i
@@ -259,9 +267,27 @@ def build_system(n: int, alpha: float, a: float, k_max: int) -> OrthoSystem:
                        nodes=entry.nodes, amplitudes=entry.amplitudes)
 
 
+def _pass_start(nodes, amplitudes, n, a, k_max):
+    """The amplitudes with 0 past degree k_max's reach: 8 Airy units
+    (k_max^{-2/3} relative) beyond the band edge (2/pi) sqrt(k_max / (n a)),
+    or beyond the packed half-width (k_max + 1)/(2n) once the family
+    saturates.  What those nodes add is below half an ulp of the sums they
+    join, so B and log h keep every bit (A too, but where it cancels to
+    noise below 1e-70), and the pass no longer pays for their subnormal
+    arithmetic.  At 5 units 7 of 2,000 swept families change bits of B or
+    log h.
+    """
+    if k_max == 0:
+        return amplitudes
+    reach = (1.0 + 8.0 * k_max ** (-2.0 / 3.0)) * max(
+        (2.0 / math.pi) * math.sqrt(k_max / (n * a)), (k_max + 1) / (2.0 * n))
+    return np.where(np.abs(nodes) > reach, 0.0, amplitudes)
+
+
 def _build(n, alpha, a, k_max):
     nodes, amplitudes = build_lattice(n, alpha, a, k_max)
-    A, B, log_h, _ = stieltjes(nodes, amplitudes, k_max)
+    A, B, log_h, _ = stieltjes(
+        nodes, _pass_start(nodes, amplitudes, n, a, k_max), k_max)
     # every system of the family views these arrays, so none may write them
     for arr in (nodes, amplitudes, A, B, log_h):
         arr.setflags(write=False)

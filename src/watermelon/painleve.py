@@ -24,6 +24,7 @@ about a 0.5-spaced table below, down to x = -30.  Every tridiagonal system
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -167,10 +168,18 @@ class NotAKnotSpline:
         self.x, self.dx = x, dx
         # power-basis coefficients of (x - x_i)^3, ^2, ^1, ^0 per interval
         self.c = (t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1])
+        # float views of the same data for scalar reads
+        self._knots, self._coefs = memoryview(x), tuple(map(memoryview, self.c))
 
     def __call__(self, xv):
         """The spline at xv: a float for a scalar, an array for an array.
         Points past either end read the end interval's cubic."""
+        if type(xv) is float:
+            # the array path's interval and sums, in Python floats
+            knots, (c0, c1, c2, c3) = self._knots, self._coefs
+            i = bisect_right(knots, xv, 1, len(knots) - 1) - 1
+            c0, c1, c2, c3, t = c0[i], c1[i], c2[i], c3[i], xv - knots[i]
+            return ((c3 + c2 * t) + c1 * (t * t)) + c0 * (t * t * t)
         # searching the interior knots clamps to the two end intervals
         i = np.searchsorted(self.x[1:-1], xv, side="right")
         t = xv - self.x[i]

@@ -477,3 +477,43 @@ def test_identity_checks_reject_bad_delta_a(delta_a):
         wm.toda_residual(24, 0.0, 0.9, delta_a)
     with pytest.raises(ValueError):
         wm.deformation_identity_check(6, 0.9, delta_a, "absorbing")
+
+
+@pytest.mark.parametrize("n", [1, 7, 32, 64, 192, 351, 672])
+def test_zeroed_pass_start_changes_no_bit(n):
+    # the build's pass starts at 0 past its degree's reach; the pass on the
+    # true amplitudes of the same lattice gives the same B and log h, and
+    # the same A wherever A is not rounding noise below 1e-100
+    built = 0
+    for alpha in (0.0, 0.25, -0.5):
+        for k_max in sorted({1, max(1, n // 2), n, min(2 * n, MAX_DEGREE)}):
+            for sigma in (0.05, 0.9, 1.0, 1.1, 2.0, 10.0):
+                a = sigma * n / k_max
+                try:
+                    nodes, amplitudes = build_lattice(n, alpha, a, k_max)
+                    A, B, log_h, _ = dgop.stieltjes(nodes, amplitudes, k_max)
+                except WatermelonError:
+                    with pytest.raises(WatermelonError):
+                        dgop._build(n, alpha, a, k_max)
+                    continue
+                system = dgop._build(n, alpha, a, k_max)
+                assert np.array_equal(system.B, B)
+                assert np.array_equal(system.log_h, log_h)
+                big = np.abs(A) >= 1e-100
+                assert np.array_equal(system.A[big], A[big])
+                built += 1
+    assert built >= 36  # every family builds at n = 1, most at larger n
+
+
+def test_node_index_reads_the_lattice():
+    system = wm.build_system(64, 0.25, 1.0, 64)
+    last = len(system.nodes) - 1
+    for i in (0, 1, last // 2, last - 1, last):
+        assert system.node_index(system.nodes[i]) == i
+        assert system.node_index(float(system.nodes[i]) + 1e-12) == i
+    step = 1.0 / 64
+    for bad in (math.nan, math.inf, -math.inf, 1e300, -1e300,
+                system.nodes[3] + 0.3 * step, system.nodes[0] - step,
+                system.nodes[last] + step):
+        with pytest.raises(CoverageError):
+            system.node_index(bad)

@@ -331,3 +331,17 @@ def test_grid_and_psi_arrays_are_read_only(grid, psis_critical):
     for arr in (grid.f2, grid.q, psis_critical.phi1):
         with pytest.raises(ValueError):
             arr[:] = 0.5
+
+
+@pytest.mark.parametrize("name", ["q", "q_prime", "R", "f1", "f2"])
+def test_scalar_spline_reads_match_array_path(grid, name):
+    spline = painleve.NotAKnotSpline(grid.s_values, getattr(grid, name))
+    lo, hi = grid.s_min, grid.s_max
+    rng = np.random.default_rng(30)
+    points = np.concatenate((grid.s_values, [lo - 3.0, lo - 1e-9, hi + 1e-9,
+                                             hi + 3.0],
+                             rng.uniform(lo, hi, 10_000)))
+    want = spline(points)
+    got = np.array([spline(p) for p in points.tolist()])
+    assert all(type(spline(p)) is float for p in points[:5].tolist())
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
