@@ -13,10 +13,10 @@ modules it calls.
 from importlib import import_module
 
 _PUBLIC = {
-    "asym": ("EquilibriumData", "asymptotic_A", "asymptotic_h",
-             "build_equilibrium", "exact_h_ratios", "free_energy_comparison",
-             "kernel_table_distance", "kernel_limit_table",
-             "ratio_asymptotics", "s_of_a", "subcritical_h"),
+    "asym": ("asymptotic_A", "asymptotic_h", "exact_h_ratios",
+             "free_energy_comparison", "kernel_table_distance",
+             "kernel_limit_table", "ratio_asymptotics", "s_of_a",
+             "subcritical_h"),
     "dgop": ("OrthoSystem", "build_lattice", "build_system", "cd_kernel",
              "cd_kernel_matrix", "correlation_det", "gue_free_energy",
              "lattice_nodes", "partition_and_free_energy", "rescale_check",

@@ -1,4 +1,4 @@
-"""Equilibrium measure and the closed-form asymptotic expansions.
+"""Closed-form asymptotic expansions in the double-scaling variable s.
 
 The double-scaling variable is
 
@@ -17,9 +17,6 @@ Near a = 1 the series s = 2^{2/3} n^{2/3} ((1-a) + (4/5)(1-a)^2
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from . import dgop
 from .errors import CoverageError
@@ -27,40 +24,7 @@ from .painleve import PainleveGrid, tracy_widom
 from .psikernel import PsiSolution, critical_kernel_matrix
 
 SERIES_SWITCH = 1e-3
-J_MAX = 6  # g-moments g_2 ... g_{2 J_MAX}
 KERNEL_SCALE_C = math.pi * 2.0 ** (-5.0 / 3.0)
-
-
-@dataclass(frozen=True)
-class EquilibriumData:
-    """Semicircle equilibrium data for the quadratic weight."""
-
-    a: float
-    b: float
-    lagrange_l: float
-    g_moments: np.ndarray
-
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = np.clip(4.0 / (math.pi**2 * self.a) - x * x, 0.0, None)
-        return (math.pi * self.a / 2.0) * np.sqrt(inside)
-
-
-def build_equilibrium(a: float) -> EquilibriumData:
-    """Closed-form semicircle data: support edge, multiplier, g-moments.
-
-    The density is the radius-b semicircle, so the raw even moments are
-    Catalan-weighted powers m_{2j} = C_j (b/2)^{2j} and g_{2j} = m_{2j}/(2j).
-    """
-    if not 0.0 < a < math.inf:  # NaN fails too
-        raise ValueError("a must be positive and finite")
-    b = 2.0 / (math.pi * math.sqrt(a))
-    g = np.empty(J_MAX)
-    for j in range(1, J_MAX + 1):
-        catalan = math.comb(2 * j, j) / (j + 1)
-        g[j - 1] = catalan * (b / 2.0) ** (2 * j) / (2 * j)
-    return EquilibriumData(a=a, b=b, lagrange_l=-math.log(math.pi**2 * a * math.e),
-                           g_moments=g)
 
 
 def _check_n(n: int) -> None:
@@ -85,20 +49,11 @@ def s_of_a(a: float, n: int) -> float:
 
 
 def _t_u(n: int, alpha: float, q: float, qp: float, r: float):
-    """(T_n, U_n) from q(s), q'(s) and R(s)."""
+    """(T_n, U_n) from q(s), q'(s) and R(s): with c = (-1)^n cos(2 pi alpha),
+    T_n = R - c q and U_n = R^2 - c (q' + 2qR) - q^2 sin^2(2 pi alpha)."""
     c = (-1) ** n * math.cos(2 * math.pi * alpha)
     return r - c * q, (r * r - c * (qp + 2.0 * q * r)
                        - q * q * math.sin(2 * math.pi * alpha) ** 2)
-
-
-def t_coeff(n: int, alpha: float, s: float, grid: PainleveGrid) -> float:
-    """T_n(s) = R(s) - (-1)^n cos(2 pi alpha) q(s)."""
-    return _t_u(n, alpha, grid.q_at(s), grid.q_prime_at(s), grid.R_at(s))[0]
-
-
-def u_coeff(n: int, alpha: float, s: float, grid: PainleveGrid) -> float:
-    """U_n(s) = R^2 - (-1)^n cos(2 pi alpha)(q' + 2qR) - q^2 sin^2(2 pi alpha)."""
-    return _t_u(n, alpha, grid.q_at(s), grid.q_prime_at(s), grid.R_at(s))[1]
 
 
 def t_prime(n: int, alpha: float, s: float, grid: PainleveGrid) -> float:

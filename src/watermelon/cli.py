@@ -38,6 +38,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _grid_spec(text: str) -> np.ndarray:
+    if text.split() != [text]:  # converge writes the spec into its header
+        raise UsageError(f"bad grid spec {text!r}; it takes no whitespace")
     try:
         lo, hi, step = (float(tok) for tok in text.split(":"))
     except ValueError as exc:

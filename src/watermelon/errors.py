@@ -8,10 +8,6 @@ class WatermelonError(Exception):
 class ConvergenceError(WatermelonError):
     """An iterative solver did not reach its tolerance."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class WindowError(WatermelonError):
     """A lattice window holds too few nodes, or more than the node bound."""

@@ -307,8 +307,7 @@ def solve_hastings_mcleod(mesh: int = DEFAULT_MESH):
     residual = float(np.max(np.abs(defect(q))))
     if not residual <= max(TOL, 4.0 * floor):  # NaN fails too
         raise ConvergenceError(
-            f"Newton stalled at residual {residual:.3e} (tol {TOL:.1e})",
-            residual=residual)
+            f"Newton stalled at residual {residual:.3e} (tol {TOL:.1e})")
 
     # q' by integrating the ODE from the right edge: smoother than a spline
     # derivative, fourth-order accurate, and summed downward so the tiny
@@ -324,8 +323,8 @@ def accumulate_tails(s: np.ndarray, q: np.ndarray, q_prime: np.ndarray,
     """The grid of a solve: R, E, F, F1, F2 by spline quadrature plus Airy
     tail closures."""
     if not residual_norm <= 1e-8:  # NaN fails too
-        raise ConvergenceError("residual too large for tail accumulation",
-                               residual=residual_norm)
+        raise ConvergenceError(
+            f"residual {residual_norm:.3e} too large for tail accumulation")
     s_max = float(s[-1])
     ai_m, aip_m = airy_ai(s_max)
 

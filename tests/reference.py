@@ -7,20 +7,23 @@ height norms built on it, the double-precision pass that stores phi, the
 image-sum height CDF, the tensor Gauss-Hermite GUE integral, the
 Stirling correction and the Ferrari-Spohn Fredholm determinant for F1.
 They are slow by design and never needed at run time, so they live here,
-and mpmath is a test dependency only.
+and mpmath is a test dependency only.  The CSV and JSON table parsers live
+here too: the program only writes tables, and the tests read them back.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from watermelon.dgop import build_lattice
-from watermelon.errors import PrecisionError, WindowError
+from watermelon.errors import PrecisionError, WatermelonError, WindowError
 from watermelon.oracles import nystrom_det, vandermonde_lattice_sum
 from watermelon.painleve import airy_ai
+from watermelon.tableio import FORMAT_VERSION, Table
 
 
 def fredholm_f1(s: float) -> float:
@@ -253,3 +256,61 @@ def stirling_series(n: int) -> float:
     """Truncated Stirling correction (e/n)^n n! / sqrt(2 pi n)."""
     return math.exp(math.lgamma(n + 1) + n - n * math.log(n)
                     - 0.5 * math.log(2 * math.pi * n))
+
+
+def _check_version(version: str) -> None:
+    if version != FORMAT_VERSION:
+        raise WatermelonError(f"table format {version!r} is not {FORMAT_VERSION}")
+
+
+def parse_csv(text: str) -> Table:
+    """Read back a table written by ``tableio.to_csv``; params stay strings."""
+    lines = text.splitlines()
+    if len(lines) < 4 or not lines[0].startswith("# "):
+        raise WatermelonError("not a watermelon CSV table")
+    head = lines[0][2:].split()
+    name = head[0]
+    _check_version(head[1])
+    params = {}
+    for tok in head[2:]:
+        k, _, v = tok.partition("=")
+        params[k] = v
+    if not lines[1].startswith("# tool:") or not lines[2].startswith("# generated: "):
+        raise WatermelonError("missing provenance header lines")
+    generated = lines[2][len("# generated: "):]
+    columns = tuple(lines[3].split(","))
+    rows = []
+    for line in lines[4:]:
+        if not line:
+            continue
+        cells = []
+        for cell in line.split(","):
+            if cell == "-0":  # negative zero must stay a float to round trip
+                cells.append(-0.0)
+                continue
+            try:
+                cells.append(int(cell))
+            except ValueError:
+                try:
+                    cells.append(float(cell))
+                except ValueError:
+                    cells.append(cell)
+        rows.append(tuple(cells))
+    return Table(name=name, params=params, columns=columns, rows=rows,
+                 generated=generated)
+
+
+def _json_int(text: str):
+    # negative zero must stay a float to round trip, as in parse_csv
+    return -0.0 if text == "-0" else int(text)
+
+
+def parse_json(text: str) -> Table:
+    """Read back a table written by ``tableio.to_json``."""
+    obj = json.loads(text, parse_int=_json_int)
+    meta = obj["meta"]
+    _check_version(meta["version"])
+    return Table(name=meta["name"], params=dict(meta["params"]),
+                 columns=tuple(obj["columns"]),
+                 rows=[tuple(r) for r in obj["rows"]],
+                 generated=meta["generated"])

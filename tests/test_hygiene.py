@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: every import is used, no
-module imports scipy, mpmath or another module's private names, and the
-public settings are the listed ones."""
+module imports scipy, mpmath or another module's private names, every
+public definition is served or used, and the public settings are the
+listed ones."""
 
 import ast
 import inspect
@@ -89,6 +90,30 @@ def test_no_private_names_across_modules(path):
     # a name another module needs is public
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _private_imports(tree) == []
+
+
+def _referenced_names() -> set[str]:
+    """Every name the package's code reads, bare or as an attribute."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+    return found
+
+
+def test_every_public_def_is_served_or_used():
+    # a public function or class that only the tests call belongs in
+    # tests/reference.py, not in the package
+    keep = {name for names in wm._PUBLIC.values() for name in names}
+    keep |= _referenced_names()
+    idle = [f"{path.stem}.{node.name}" for path in MODULES
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in keep]
+    assert idle == []
 
 
 # Every parameter with a default on a public function: a new setting fails

