@@ -22,14 +22,12 @@ _PUBLIC = {
              "lattice_nodes", "partition_and_free_energy", "rescale_check",
              "stieltjes", "toda_residual"),
     "errors": ("ConvergenceError", "CoverageError", "OrderFitError",
-               "PrecisionError", "TailClosureError", "WatermelonError",
-               "WindowError"),
+               "PrecisionError", "WatermelonError", "WindowError"),
     "heights": ("HeightDistribution", "convergence_study",
                 "deformation_identity_check", "height_cdf", "log_height_cdf",
                 "rescaled_cdf", "riemann_sum_order", "small_a_check",
                 "tabulate_rescaled"),
-    "painleve": ("PainleveGrid", "accumulate_tails", "airy_ai", "build_grid",
-                 "solve_hastings_mcleod", "tracy_widom"),
+    "painleve": ("PainleveGrid", "airy_ai", "build_grid", "tracy_widom"),
     "psikernel": ("PsiSolution", "compatibility_defect", "critical_kernel",
                   "integrate_psi", "kernel_integral_form"),
 }

@@ -189,9 +189,8 @@ def stieltjes(nodes: np.ndarray, amplitudes: np.ndarray, k_max: int):
     gemv, u_k = (x u_{k-1} - A_{k-1} u_{k-1}) / s - (s / s_prev) u_{k-2}
     with s = sqrt(B_{k-1}) and its coefficients written in place; a multiply
     for x u_k; and one (2, m) product giving B_k = u_k.u_k and A_k B_k =
-    x u_k.u_k, u_k = sqrt(B_k) phi_k.  Returns (A, B, log_h, None): no phi
-    is kept, ``OrthoSystem.phi_at`` replays the steps, and the fourth value
-    stays while ``perfbench/tracing.py`` reads it.  B_0 is stored as 0 by
+    x u_k.u_k, u_k = sqrt(B_k) phi_k.  Returns (A, B, log_h): no phi is
+    kept, ``OrthoSystem.phi_at`` replays the steps.  B_0 is stored as 0 by
     convention.  A loss of positivity in any computed B_k means double
     precision is exhausted for this family.
     """
@@ -225,7 +224,7 @@ def stieltjes(nodes: np.ndarray, amplitudes: np.ndarray, k_max: int):
             push_a(a_k)
             s_prev, s = s, sqrt(bk)
     log_h = accumulate(map(math.log, B[1:]), initial=math.log(h0))
-    return np.array(A), np.array(B), np.array(list(log_h)), None
+    return np.array(A), np.array(B), np.array(list(log_h))
 
 
 def build_lattice(n: int, alpha: float, a: float, k_max: int):
@@ -286,7 +285,7 @@ def _pass_start(nodes, amplitudes, n, a, k_max):
 
 def _build(n, alpha, a, k_max):
     nodes, amplitudes = build_lattice(n, alpha, a, k_max)
-    A, B, log_h, _ = stieltjes(
+    A, B, log_h = stieltjes(
         nodes, _pass_start(nodes, amplitudes, n, a, k_max), k_max)
     # every system of the family views these arrays, so none may write them
     for arr in (nodes, amplitudes, A, B, log_h):

@@ -17,10 +17,6 @@ class CoverageError(WatermelonError):
     """An evaluation point lies outside the tabulated grid."""
 
 
-class TailClosureError(WatermelonError):
-    """An analytic tail closure is too large relative to the grid part."""
-
-
 class OrderFitError(WatermelonError):
     """Errors too small (or too irregular) to fit a convergence order."""
 

@@ -63,12 +63,15 @@ def _half_lattice(M: float, p: int, k_max: int):
     B[k] = h_{2k+p}/h_{2k+p-2}; h_0 is the dot product of the amplitudes,
     exact to rounding where exp(log_h[0]) is not.  The nodes come from
     ``dgop.build_lattice`` at degree 2 k_max + p, so its degree cap and
-    window bound apply.
+    window bound apply.  An M whose square underflows to 0 raises
+    ``ValueError``.
     """
+    if not M * M > 0.0:  # NaN fails too
+        raise ValueError(f"barrier M={M} is too small: M^2 underflows")
     x, amp = dgop.build_lattice(1, (1 - p) / 2, 1.0 / (M * M), 2 * k_max + p)
     x, amp = x[x > 0.0], amp[x > 0.0]
     amp = math.sqrt(2.0) * x**p * amp
-    return dgop.stieltjes(x * x, amp, k_max)[:3] + (float(amp @ amp),)
+    return (*dgop.stieltjes(x * x, amp, k_max), float(amp @ amp))
 
 
 def _log_ratio(v: float, limit: float) -> float:

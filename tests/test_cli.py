@@ -84,6 +84,8 @@ def test_usage_errors_exit_1(run_cli, capsys):
         ["kernel", "--n", "0"],                                             # n < 1
         ["free-energy", "--n-list", "0"],
         ["free-energy", "--n-list", "-8"],
+        ["height", "--N", "4", "--wall", "absorbing",
+         "--M-grid", "1e-300:1e-300:1"],                                    # M^2 underflows
     ]
     # in-process: an exception escaping main fails the test, so no case
     # can end in a traceback
@@ -322,8 +324,8 @@ print(sorted(m.split('.')[1] for m in sys.modules
 PUBLIC_NAMES = [
     "ConvergenceError", "CoverageError",
     "HeightDistribution", "OrderFitError", "OrthoSystem", "PainleveGrid",
-    "PrecisionError", "PsiSolution", "TailClosureError", "WatermelonError",
-    "WindowError", "accumulate_tails", "airy_ai", "asymptotic_A",
+    "PrecisionError", "PsiSolution", "WatermelonError",
+    "WindowError", "airy_ai", "asymptotic_A",
     "asymptotic_h", "build_grid", "build_lattice",
     "build_system", "cd_kernel", "cd_kernel_matrix", "compatibility_defect",
     "convergence_study", "correlation_det", "critical_kernel",
@@ -332,7 +334,7 @@ PUBLIC_NAMES = [
     "kernel_limit_table", "kernel_table_distance", "lattice_nodes",
     "log_height_cdf", "partition_and_free_energy", "ratio_asymptotics",
     "rescale_check", "rescaled_cdf", "riemann_sum_order", "s_of_a",
-    "small_a_check", "solve_hastings_mcleod", "stieltjes", "subcritical_h",
+    "small_a_check", "stieltjes", "subcritical_h",
     "tabulate_rescaled", "toda_residual", "tracy_widom",
 ]
 

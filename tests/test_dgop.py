@@ -491,7 +491,7 @@ def test_zeroed_pass_start_changes_no_bit(n):
                 a = sigma * n / k_max
                 try:
                     nodes, amplitudes = build_lattice(n, alpha, a, k_max)
-                    A, B, log_h, _ = dgop.stieltjes(nodes, amplitudes, k_max)
+                    A, B, log_h = dgop.stieltjes(nodes, amplitudes, k_max)
                 except WatermelonError:
                     with pytest.raises(WatermelonError):
                         dgop._build(n, alpha, a, k_max)

@@ -324,6 +324,15 @@ def test_height_cdf_rejects_nonpositive_M():
             law(2, 3.0, "sticky")
 
 
+@pytest.mark.parametrize("wall", ["absorbing", "reflecting"])
+def test_underflowing_barrier_raises_value_error(wall):
+    # M^2 underflows to 0 below M ~ 1.5e-162; a = inf puts M at 0
+    with pytest.raises(ValueError, match="M\\^2 underflows"):
+        wm.height_cdf(4, 1e-300, wall)
+    with pytest.raises(ValueError, match="M\\^2 underflows"):
+        wm.deformation_identity_check(4, math.inf, 1e-3, wall)
+
+
 def test_riemann_lattice_bounded():
     # the sums hold arrays of the node count squared: eps = 0.001 would
     # be 16,001 GUE nodes, 2 GB per array

@@ -92,6 +92,26 @@ def test_no_private_names_across_modules(path):
     assert _private_imports(tree) == []
 
 
+def test_every_error_is_raised():
+    # a typed error outlives its last check unless some raise names it
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    errors = {"WatermelonError"}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id in errors
+                for base in node.bases):
+            errors.add(node.name)
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, (ast.Name, ast.Attribute)):
+                    raised.add(exc.id if isinstance(exc, ast.Name) else exc.attr)
+    assert len(errors) > 1
+    assert sorted(errors - raised) == []
+
+
 def _referenced_names() -> set[str]:
     """Every name the package's code reads, bare or as an attribute."""
     found = set()
@@ -118,11 +138,11 @@ def test_every_public_def_is_served_or_used():
 
 # Every parameter with a default on a public function: a new setting fails
 # here until the same change lists it.  Each one kept has two values in use:
-# critical-dgop draws alpha in {0, 0.25}; the mesh-order and zeta-truncation
-# tests set mesh and zeta_max.  A setting only tests set is a module constant.
+# critical-dgop draws alpha in {0, 0.25}; the zeta-truncation test sets
+# zeta_max.  A setting only tests set is a module constant.
 PUBLIC_SETTINGS = {
     "free_energy_comparison.alpha", "integrate_psi.zeta_max",
-    "kernel_limit_table.alpha", "solve_hastings_mcleod.mesh",
+    "kernel_limit_table.alpha",
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import watermelon as wm
 from watermelon import cli, oracles, painleve
-from watermelon.errors import ConvergenceError, CoverageError, TailClosureError
+from watermelon.errors import ConvergenceError, CoverageError
 
 
 def test_airy_gamma_representation():
@@ -93,7 +93,7 @@ def test_tridiagonal_solve_matches_lapack(grid, psis_critical, monkeypatch):
         return x
 
     monkeypatch.setattr(painleve, "_solve_tridiagonal", recording)
-    wm.solve_hastings_mcleod()
+    painleve._solve(painleve.DEFAULT_MESH)
     newton = len(systems) - 1
     for x, y in ((grid.s_values, grid.q), (grid.s_values, grid.R),
                  (psis_critical.zeta_values, psis_critical.phi1)):
@@ -106,12 +106,12 @@ def test_tridiagonal_solve_matches_lapack(grid, psis_critical, monkeypatch):
 
 
 def test_tail_quadrature_splines_serve_q_and_R(grid, monkeypatch):
-    # accumulate_tails hands its q and R splines to the grid, so their first
-    # reads make no slope solve and agree with fresh splines bit for bit
+    # build_grid hands its quadrature's q and R splines to the grid, so
+    # their first reads make no slope solve and agree with fresh splines bit
+    # for bit
     from watermelon import painleve
 
-    fresh = painleve.accumulate_tails(grid.s_values, grid.q, grid.q_prime,
-                                      grid.residual_norm)
+    fresh = wm.build_grid()
     solves = []
     solve = painleve._solve_tridiagonal
 
@@ -132,8 +132,6 @@ def test_tail_quadrature_splines_serve_q_and_R(grid, monkeypatch):
 
 
 def test_solver_preconditions():
-    with pytest.raises(ValueError):
-        wm.solve_hastings_mcleod(mesh=256)
     with pytest.raises(ValueError, match="spline data must be finite"):
         painleve.NotAKnotSpline([0.0, 1.0, 2.0, 3.0], [0.0, math.nan, 1.0, 2.0])
 
@@ -209,10 +207,10 @@ def test_collocation_matches_resolvent(grid):
 
 
 def test_mesh_refinement_order():
-    ref_q = wm.solve_hastings_mcleod(mesh=8192)[1]
+    ref_q = painleve._solve(8192)[1]
     errs = []
     for mesh in (1024, 2048):
-        q = wm.solve_hastings_mcleod(mesh=mesh)[1]
+        q = painleve._solve(mesh)[1]
         stride = 8192 // mesh
         errs.append(np.max(np.abs(q - ref_q[::stride])))
     assert errs[1] <= errs[0] / 3.0
@@ -243,10 +241,6 @@ def test_derivative_relations(grid):
 
 
 def test_accumulate_requires_converged_q(grid, monkeypatch):
-    s, q, q_prime, _ = wm.solve_hastings_mcleod()
-    for residual, shown in ((1e-6, "1.000e-06"), (math.nan, "nan")):
-        with pytest.raises(ConvergenceError, match=f"residual {shown} too large"):
-            wm.accumulate_tails(s, q, q_prime, residual)
     # a zero step stops Newton at the initial guess, whose residual fails;
     # a non-finite step raises at once, and the CLI reports it as a
     # numerical failure (exit 2), not as a usage error
@@ -254,16 +248,18 @@ def test_accumulate_requires_converged_q(grid, monkeypatch):
         monkeypatch.setattr(painleve, "_solve_tridiagonal",
                             lambda sub, diag, sup, rhs: np.full(len(diag), step))
         with pytest.raises(ConvergenceError, match=why):
-            wm.solve_hastings_mcleod()
+            wm.build_grid()
     assert cli.main(["tw", "--which", "f1"]) == cli.EXIT_NUMERICAL
 
 
-def test_short_grid_tail_closure_error():
-    # cut at s = 8 the Airy closure of int q is 1.7e-8 of the whole
-    s, q, q_prime, residual = wm.solve_hastings_mcleod()
-    keep = s <= 8.0
-    with pytest.raises(TailClosureError, match="q tail closure"):
-        wm.accumulate_tails(s[keep], q[keep], q_prime[keep], residual)
+def test_tail_closures_negligible(grid):
+    # build_grid checks no closure at run time: at S_MAX = 12 the Airy
+    # closure is what each integral holds at the last knot.  Measured:
+    # q^2 7.7e-29, q 2.0e-15, R rounds to 0 in F
+    assert grid.R[-1] <= 1e-10 * grid.R[0]
+    for piece in (grid.E, grid.F):
+        minus_log = -np.log(piece)
+        assert minus_log[-1] <= 1e-10 * minus_log[0]
 
 
 def test_tracy_widom_values(grid):
