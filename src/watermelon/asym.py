@@ -32,6 +32,14 @@ def _check_n(n: int) -> None:
         raise ValueError("n must be >= 1")
 
 
+def _a_of_L(n: int, L: float) -> float:
+    _check_n(n)
+    a = 1.0 - L * n ** (-2.0 / 3.0)
+    if a <= 0.0:
+        raise ValueError("L too large; a nonpositive")
+    return a
+
+
 def s_of_a(a: float, n: int) -> float:
     """Double-scaling variable s(a; n); positive iff a < 1."""
     _check_n(n)
@@ -164,10 +172,7 @@ def free_energy_comparison(n: int, L: float, grid: PainleveGrid,
                  - n^{-2} log F2(2^{2/3} n^{2/3} (1-a))
     residual   = |exact - asymptotic|
     """
-    _check_n(n)
-    a = 1.0 - L * n ** (-2.0 / 3.0)
-    if a <= 0.0:
-        raise ValueError("L too large; a nonpositive")
+    a = _a_of_L(n, L)
     _, f_dope = dgop.partition_and_free_energy(n, alpha, a)
     exact = f_dope - dgop.gue_free_energy(n)
     f2_arg = 2.0 ** (2.0 / 3.0) * n ** (2.0 / 3.0) * (1.0 - a)
@@ -191,14 +196,15 @@ def kernel_limit_table(n: int, L: float, u_grid, v_grid,
     ``psis`` must be the pair at s = 2^{2/3} L (else ``ValueError``);
     ``grid`` is unused, and stays because callers pass ``psis`` after it.
     """
-    _check_n(n)
+    a = _a_of_L(n, L)
     s = 2.0 ** (2.0 / 3.0) * L
     if not abs(psis.s - s) <= 1e-12 * abs(s):  # NaN fails too
         raise ValueError(f"psis is at s={psis.s}, not 2^(2/3) L for L={L}")
-    a = 1.0 - L * n ** (-2.0 / 3.0)
+    u_grid, v_grid = tuple(u_grid), tuple(v_grid)  # each is read twice
+    if not all(map(math.isfinite, u_grid + v_grid)):
+        raise ValueError("u and v must be finite")
     system = dgop.build_system(n, alpha, a, n)
     scale = n ** (2.0 / 3.0) / KERNEL_SCALE_C
-    u_grid, v_grid = tuple(u_grid), tuple(v_grid)  # each is read twice
     node = {t: round(alpha + t * n ** (2.0 / 3.0) / KERNEL_SCALE_C)
             for t in (*u_grid, *v_grid)}
     pairs, skipped = [], []
@@ -211,11 +217,8 @@ def kernel_limit_table(n: int, L: float, u_grid, v_grid,
     ks = sorted({k for pair in pairs for k in pair})
     column = {k: i for i, k in enumerate(ks)}
     if ks:
-        # One more column keeps every entry a dot of strided columns, summed
-        # in the order of the full phi's; a lone contiguous column would sum
-        # in another and move a one-node table by an ulp.
         phi = system.phi_at([system.node_index((k - alpha) / n)
-                             for k in ks + ks[:1]])[:n]
+                             for k in ks])[:n]
         # distinct nodes lie C n^{-2/3} >= 1e-6 apart in u for n <= MAX_DEGREE
         us = [KERNEL_SCALE_C * ((k - alpha) / n) * n ** (1.0 / 3.0) for k in ks]
         limits = critical_kernel_matrix(us, psis)

@@ -29,8 +29,8 @@ That window depends on (n, alpha, a) only, and degree k of the pass on lower
 degrees only, so the memo holds one recurrence-only entry, the family built
 last: a request for it at a lower degree is served as a prefix of the stored
 arrays, bit for bit what a fresh build returns.  ``phi`` is read from the
-stored recurrence: the pass's gemv steps replayed at full width from A and
-B, with no dot product and no second pass.
+stored recurrence: the pass's gemv steps replayed from A and B on the node
+columns asked for alone, with no dot product and no second pass.
 """
 
 from __future__ import annotations
@@ -76,11 +76,10 @@ class OrthoSystem:
     """Recurrence data for one (n, alpha, a) family up to degree k_max.
 
     ``phi`` holds the orthonormal weight-folded values, one row per degree,
-    on the retained nodes; these are exactly the psi-functions entering the
-    Christoffel-Darboux kernel.  It is not stored by the build: ``phi_at``
-    replays the pass's steps from the stored A and B and keeps the node
-    columns asked for, and ``phi`` is ``phi_at`` on every node, cached on
-    first read.
+    on the retained nodes: the psi-functions of the Christoffel-Darboux
+    kernel.  The build stores none; ``phi_at`` replays the pass's steps from
+    the stored A and B on the node columns asked for alone, and ``phi``,
+    cached on first read, is ``phi_at`` on every node.
     """
 
     n: int
@@ -100,17 +99,22 @@ class OrthoSystem:
     def phi_at(self, idx) -> np.ndarray:
         """Rows 0..k_max of phi at the node columns ``idx``.
 
-        The Stieltjes pass's steps, replayed at full width on the row views
-        of ``_fills``: the gemv coefficients of every degree are computed
-        once from A_{k-1} and sqrt(B_k), by the divisions the pass made, and
-        read as rows of one array, with no dot product.  The columns
-        ``idx`` of each u_k are kept once per buffer fill and divided by
-        sqrt(B_k) at the end, so inside the reach of ``_pass_start`` each
-        value is bit for bit the pass's own.  Past it the pass starts at 0,
-        and ``phi_at``, which starts from the true amplitudes, keeps the true
-        values.
+        The pass's steps on the row views of ``_fills`` and the columns
+        ``idx`` alone, every degree's gemv coefficients computed once from A
+        and B by the pass's divisions.  A degree's gemv and multiply act on
+        each column alone and phi_0 divides by the whole window's h_0, so
+        inside the reach of ``_pass_start`` each value is bit for bit the
+        pass's own; past it, where the pass starts at 0, the true value.
         """
-        nodes, multiply = self.nodes, np.multiply
+        cols = np.arange(len(self.nodes))
+        keep = cols[idx]
+        # OpenBLAS runs a gemv 2 or 3 columns wide by another path, which moved
+        # phi in 591 of 752 families; so a gather repeats its first column up
+        # to 4, and a window under 4 nodes replays whole: no bit moved in 1,124
+        if len(cols) >= 4:
+            cols = np.append(keep, keep[:1].repeat(max(0, 4 - len(keep))))
+            keep = slice(len(keep))
+        nodes, multiply = self.nodes[cols], np.multiply
         s = np.sqrt(self.B)
         s[0] = 1.0  # u_0 = phi_0
         coef = np.zeros((self.k_max, 4))
@@ -118,18 +122,19 @@ class OrthoSystem:
         coef[:, 2] = -self.A[:-1] / s[:-1]
         coef[:, 3] = 1.0 / s[:-1]
         rows = iter(coef)
-        buf = _first_rows(nodes, self.amplitudes, self.k_max)[1]
-        u = np.empty((self.k_max + 1, nodes[idx].size))
+        buf = _first_rows(nodes, self.amplitudes[cols],
+                          float(self.amplitudes @ self.amplitudes), self.k_max)
+        u = np.empty((self.k_max + 1, len(cols)))
         first, top = 0, 2  # first u_k not kept, and its buffer row
         for fill in _fills(buf, self.k_max):
             for (src, row, x_row, _), c in zip(fill, rows):
                 c.dot(src, out=row)
                 multiply(nodes, row, x_row)
-            kept = buf[top:2 * len(fill) + 4:2, idx]
+            kept = buf[top:2 * len(fill) + 4:2]
             u[first:first + len(kept)] = kept
             first, top = first + len(kept), 4
         u /= s[:, None]
-        return u
+        return u[:, keep]
 
     @property
     def span(self) -> float:
@@ -150,18 +155,16 @@ class OrthoSystem:
 _ROWS = 64
 
 
-def _first_rows(nodes, amplitudes, k_max):
-    """h_0 and the work buffer of a pass, phi_0 and x phi_0 in rows 2, 3.
-
-    The buffer holds row pairs (u_k, x u_k), u_k = sqrt(B_k) phi_k and
-    u_0 = phi_0, below the pair of degree k - 1; rows 0, 1 stand for
-    u_{-1} = 0.  A full buffer copies its last two pairs to the front.
+def _first_rows(nodes, amplitudes, h0, k_max):
+    """A pass's work buffer, phi_0 = amplitude / sqrt(h0) and x phi_0 in rows
+    2, 3: row pairs (u_k, x u_k), u_k = sqrt(B_k) phi_k, each below the pair
+    of degree k - 1, where rows 0, 1 stand for u_{-1} = 0.  A full buffer
+    copies its last two pairs to the front.
     """
-    h0 = float(amplitudes @ amplitudes)
     buf = np.zeros((min(_ROWS, 2 * k_max + 4), len(nodes)))
     np.divide(amplitudes, math.sqrt(h0), out=buf[2])
     np.multiply(nodes, buf[2], out=buf[3])
-    return h0, buf
+    return buf
 
 
 def _fills(buf, k_max):
@@ -197,7 +200,8 @@ def stieltjes(nodes: np.ndarray, amplitudes: np.ndarray, k_max: int):
     m = len(nodes)
     if k_max >= m:
         raise WindowError(f"degree {k_max} unreachable with {m} nodes")
-    h0, buf = _first_rows(nodes, amplitudes, k_max)
+    h0 = float(amplitudes @ amplitudes)
+    buf = _first_rows(nodes, amplitudes, h0, k_max)
     r = np.empty(2)
     buf[2:4].dot(buf[2], out=r)
     b0, ab = r.tolist()
@@ -236,8 +240,8 @@ def build_lattice(n: int, alpha: float, a: float, k_max: int):
         raise ValueError("lattice mesh parameter n must be >= 1")
     if not -0.5 <= alpha <= 0.5:
         raise ValueError("alpha must lie in [-1/2, 1/2]")
-    if not 0.0 < a < math.inf:  # NaN fails too
-        raise ValueError("weight parameter a must be positive and finite")
+    if not 0.0 < n * math.pi**2 * a < math.inf:  # NaN fails too
+        raise ValueError("weight a and n pi^2 a must be positive and finite")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     if k_max > MAX_DEGREE:

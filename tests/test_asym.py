@@ -234,6 +234,21 @@ class TestKernelLimit:
                                         psis_critical)
         assert len(rows) == 1
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_point_rejected(self, grid, psis_critical, bad):
+        # inf overflowed round() and NaN failed in it, both untyped
+        for u_grid, v_grid in (([bad], [0.5]), ([0.5], [0.5, bad])):
+            with pytest.raises(ValueError, match="u and v must be finite"):
+                wm.kernel_limit_table(64, 1.0, u_grid, v_grid, grid,
+                                      psis_critical)
+
+    def test_L_with_nonpositive_a_rejected(self, grid, psis_critical):
+        # a = 1 - L n^{-2/3} is -0.25 at (8, 5): both comparisons name L
+        with pytest.raises(ValueError, match="L too large; a nonpositive"):
+            wm.free_energy_comparison(8, 5.0, grid)
+        with pytest.raises(ValueError, match="L too large; a nonpositive"):
+            wm.kernel_limit_table(8, 5.0, [0.5], [0.5], grid, psis_critical)
+
     def test_collision_reported(self, grid, psis_critical):
         rows, skipped = wm.kernel_limit_table(
             64, 1.0, [0.01], [0.02], grid, psis_critical)

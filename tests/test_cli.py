@@ -86,6 +86,10 @@ def test_usage_errors_exit_1(run_cli, capsys):
         ["free-energy", "--n-list", "-8"],
         ["height", "--N", "4", "--wall", "absorbing",
          "--M-grid", "1e-300:1e-300:1"],                                    # M^2 underflows
+        ["kernel", "--n", "64", "--grid", "inf,0.5"],                       # non-finite u
+        ["kernel", "--n", "64", "--grid", "nan,0.5"],
+        ["kernel", "--n", "8", "--L", "5"],                                 # a < 0
+        ["dgop", "--n", "4", "--a", "1e308", "--kmax", "2"],                # n pi^2 a = inf
     ]
     # in-process: an exception escaping main fails the test, so no case
     # can end in a traceback

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -343,7 +344,8 @@ def test_phi_is_built_on_first_read(monkeypatch, grid, psis_critical):
 
 @pytest.mark.parametrize("alpha", [0.0, 0.25, -0.5])
 @pytest.mark.parametrize("family", [(1, 1.0 / 8.0**2, 63), (64, 1.0, 64),
-                                    (351, 1.0, 351), (672, 1.0, 672)],
+                                    (351, 1.0, 351), (672, 1.0, 672),
+                                    (192, 0.025, 384)],  # 3,041 nodes
                          ids=lambda f: f"n={f[0]}")
 def test_phi_at_matches_phi_keeping_pass(family, alpha):
     n, a, k_max = family
@@ -356,6 +358,55 @@ def test_phi_at_matches_phi_keeping_pass(family, alpha):
     for idx in ([0, last], [last // 2], [last, 0, 1, last - 1, last // 3]):
         assert np.array_equal(system.phi_at(idx), phi[:, idx]), idx
     assert np.array_equal(system.phi, phi)
+    # the replay runs on the asked columns alone, at least 4 of them; the
+    # window's ends lie past the pass's reach, where the pass started at 0
+    # (at n = 672 the window ends first)
+    start = dgop._pass_start(system.nodes, system.amplitudes, n, a, k_max)
+    assert (start[0] == start[-1] == 0.0) == (n != 672)
+    mid = last // 2
+    for idx in (*(list(range(mid, mid + width)) for width in range(1, 6)),
+                [mid + 3, mid, mid + 1], [mid, mid], [mid, 0, mid, last, mid],
+                [0], [last], [last, 0], []):
+        assert np.array_equal(system.phi_at(idx), phi[:, idx]), idx
+
+
+@pytest.mark.parametrize("family", [(64, 0.25, 1.0, 64), (351, 0.0, 1.0, 351),
+                                    (192, 0.0, 0.025, 384)], ids=str)
+def test_phi_at_reads_only_the_asked_columns(monkeypatch, family):
+    # every node outside idx is NaN, and the replay's buffer is as wide as
+    # the gather: max(4, len(idx)) columns, not the window's
+    widths = []
+    first_rows = dgop._first_rows
+
+    def recorded(nodes, *args):
+        widths.append(len(nodes))
+        return first_rows(nodes, *args)
+
+    monkeypatch.setattr(dgop, "_first_rows", recorded)
+    system = wm.build_system(*family)
+    last = len(system.nodes) - 1
+    for idx in ([last // 2], [3, last // 2], [last, 0, 7], [5, 5, 9, 2, 11],
+                list(range(40, 47))):
+        nodes = np.full_like(system.nodes, np.nan)
+        nodes[idx] = system.nodes[idx]
+        blind = dataclasses.replace(system, nodes=nodes)
+        assert np.array_equal(blind.phi_at(idx), system.phi_at(idx)), idx
+        assert widths[-2:] == [max(4, len(idx))] * 2
+
+
+@pytest.mark.parametrize("family", [(1, 0.25, 100.0, 2), (2, 0.0, 300.0, 2),
+                                    (1, 0.25, 300.0, 1), (4, 0.5, 1000.0, 1)],
+                         ids=str)
+def test_phi_at_on_windows_of_under_4_nodes(family):
+    # windows of 3 and 2 nodes, whose passes run a gemv 3 or 2 columns wide:
+    # the replay takes the whole window, whatever the columns asked
+    system = wm.build_system(*family)
+    k_max = family[3]
+    assert len(system.nodes) == k_max + 1
+    phi = stieltjes_keeping_phi(system.nodes, system.amplitudes, k_max)[3]
+    assert np.array_equal(system.phi, phi)
+    for idx in ([0], [k_max], [k_max, 0, 0, k_max, 0], []):
+        assert np.array_equal(system.phi_at(idx), phi[:, idx]), idx
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.25])
@@ -447,6 +498,18 @@ def test_weight_rejects_nonpositive_a():
     for a in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="positive and finite"):
             wm.build_system(4, 0.0, a, 3)
+
+
+def test_weight_rejects_a_whose_exponent_overflows():
+    # n pi^2 a is inf, so the amplitude at x = 0 would be exp(-inf * 0)
+    for n, a in ((4, 1e308), (1, 1e308), (64, 3e306)):
+        with pytest.raises(ValueError, match="n pi\\^2 a must be positive"):
+            build_lattice(n, 0.0, a, 2)
+    for wall in ("absorbing", "reflecting"):  # a = 1/M^2 = 1e308 at n = 1
+        with pytest.raises(ValueError, match="n pi\\^2 a must be positive"):
+            wm.height_cdf(4, 1e-154, wall)
+    nodes, amplitudes = build_lattice(1, 0.0, 1e307, 0)
+    assert nodes.tolist() == [0.0] and amplitudes.tolist() == [1.0]
 
 
 def test_memo_arrays_are_read_only():
