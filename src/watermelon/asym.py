@@ -34,6 +34,8 @@ def _check_n(n: int) -> None:
 
 def _a_of_L(n: int, L: float) -> float:
     _check_n(n)
+    if not math.isfinite(L):
+        raise ValueError(f"L must be finite, not {L}")
     a = 1.0 - L * n ** (-2.0 / 3.0)
     if a <= 0.0:
         raise ValueError("L too large; a nonpositive")

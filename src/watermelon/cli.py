@@ -49,7 +49,10 @@ def _grid_spec(text: str) -> np.ndarray:
     if not (hi + 0.5 * step - lo) / step <= MAX_GRID_POINTS:
         raise UsageError(f"grid spec {text!r} has more than "
                          f"{MAX_GRID_POINTS} points")
-    return np.arange(lo, hi + 0.5 * step, step)
+    points = np.arange(lo, hi + 0.5 * step, step)
+    if not points.size:  # hi + step / 2 rounds to lo
+        raise UsageError(f"grid spec {text!r} holds no point")
+    return points
 
 
 def _parse_list(text: str, kind) -> list:
@@ -215,6 +218,8 @@ def _cmd_dgop(ns):
 def _cmd_kernel(ns):
     from . import asym, psikernel
     pts = _parse_list(ns.grid, float)
+    if not np.isfinite(ns.L):
+        raise UsageError(f"--L must be finite, not {ns.L}")
     grid = build_grid()
     psis = psikernel.integrate_psi(2.0 ** (2.0 / 3.0) * ns.L, painleve=grid)
     rows_raw, skipped = asym.kernel_limit_table(ns.n, ns.L, pts, pts,
@@ -247,7 +252,10 @@ def _cmd_free_energy(ns):
 def _cmd_validate(ns):
     from . import validation
     ctx = validation.ValidationContext()
-    results = validation.run_suite(ns.suite, ctx, report=print)
+    results = []
+    for number in SUITES[ns.suite]:
+        results.append(validation.run_criterion(number, ctx))
+        print(results[-1].line())
     if ns.output != "-":
         table = Table(name="validation", params={"suite": ns.suite},
                       columns=("criterion", "name", "passed", "seconds"),

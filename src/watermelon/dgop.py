@@ -61,11 +61,13 @@ def lattice_nodes(n: int, alpha: float, half_width: float) -> np.ndarray:
 
     Raises ``WindowError`` before allocating more than ``MAX_NODES``.
     """
+    bound = f"exceeds the {MAX_NODES}-node bound; raise a or lower n"
+    if not half_width * n <= MAX_NODES:  # inf and NaN fail too
+        raise WindowError(f"window of half-width {half_width} at n={n} {bound}")
     lo = math.floor(-half_width * n + alpha)
     hi = math.ceil(half_width * n + alpha)
     if hi - lo + 1 > MAX_NODES:
-        raise WindowError(f"window of {hi - lo + 1} nodes exceeds the "
-                          f"{MAX_NODES}-node bound; raise a or lower n")
+        raise WindowError(f"window of {hi - lo + 1} nodes {bound}")
     k = np.arange(lo, hi + 1)
     x = (k - alpha) / n
     return x[np.abs(x) <= half_width]

@@ -40,9 +40,6 @@ from .errors import ConvergenceError, CoverageError
 from .painleve import NotAKnotSpline, PainleveGrid
 
 DEFAULT_ZETA_MAX = 10.0
-# A pair takes 2,000 zeta_max Magnus steps, so zeta_max bounds its time and
-# memory (0.3 s and 43 MB at 64); no test, example or benchmark passes 20.
-MAX_ZETA_MAX = 64.0
 _SUBSTEPS = 4  # Magnus steps per 0.002 output interval
 _S_STEP = 0.002  # spacing of the s-flows' Magnus steps
 
@@ -56,7 +53,6 @@ class PsiSolution:
     zeta_values: np.ndarray
     phi1: np.ndarray
     phi2: np.ndarray
-    zeta_max: float
     q_s: float
     qp_s: float
     _splines: dict = field(default_factory=dict, repr=False, compare=False)
@@ -69,8 +65,9 @@ class PsiSolution:
 
     def phi_at(self, zeta):
         """The pair at zeta: floats for a scalar, arrays for an array."""
-        if not np.all(np.abs(zeta) <= self.zeta_max):  # NaN fails too
-            raise CoverageError(f"zeta={zeta} outside [{-self.zeta_max}, {self.zeta_max}]")
+        top = float(self.zeta_values[-1])
+        if not np.all(np.abs(zeta) <= top):  # NaN fails too
+            raise CoverageError(f"zeta={zeta} outside [{-top}, {top}]")
         return self._spline("phi1")(zeta), self._spline("phi2")(zeta)
 
     def phi_prime_at(self, zeta):
@@ -149,18 +146,20 @@ def _propagate(matrix, t0, t1, n, y0):
     return path
 
 
-def integrate_psi(s: float, painleve: PainleveGrid,
-                  zeta_max: float = DEFAULT_ZETA_MAX) -> PsiSolution:
-    """Build the psi-function pair at parameter s, with q(s) and q'(s) read
-    from the Painleve grid.
+def integrate_psi(s: float, painleve: PainleveGrid) -> PsiSolution:
+    """Build the psi-function pair at parameter s on |zeta| <=
+    ``DEFAULT_ZETA_MAX``, with q(s) and q'(s) read from the Painleve grid.
 
     ``_SUBSTEPS`` Magnus steps per output interval carry (1, 0) out from
     zeta = 0.  The amplitude is normalized at infinity: the oscillation
     A^2(z) = c0 + (c1 sin 2theta + c2 cos 2theta)/z is fitted over the outer
     half of the sweep and the asymptotic mean c0 scaled to 1.
     """
-    if not 8.0 <= zeta_max <= MAX_ZETA_MAX:  # NaN fails too
-        raise ValueError(f"zeta_max must lie in [8, {MAX_ZETA_MAX:g}]")
+    return _psi_pair(s, painleve, DEFAULT_ZETA_MAX)
+
+
+def _psi_pair(s, painleve, zeta_max):
+    """The pair of :func:`integrate_psi` on |zeta| <= zeta_max."""
     q = painleve.q_at(s)
     r = painleve.q_prime_at(s)
 
@@ -179,7 +178,7 @@ def integrate_psi(s: float, painleve: PainleveGrid,
     for arr in (zeta, phi1, phi2):
         arr.setflags(write=False)
     return PsiSolution(s=s, zeta_values=zeta, phi1=phi1, phi2=phi2,
-                       zeta_max=zeta_max, q_s=q, qp_s=r)
+                       q_s=q, qp_s=r)
 
 
 def _asymptotic_mean_square(zeta, y1, y2, s):
@@ -235,15 +234,16 @@ def kernel_integral_form(u: float, v: float, psis: PsiSolution,
 
     The pair ``psis`` gives psi(u) and psi(v) at s; two Magnus flows of the
     s-equation, on steps about ``_S_STEP`` apart, carry them from s down to
-    the lower cutoff min(max(painleve.s_min, -8), s), and the spline
-    quadrature of the package integrates the product along the mesh.  The
+    the lower cutoff min(-8, s), inside every grid (``build_grid`` starts at
+    -12), and the spline quadrature of the package integrates the product
+    along the mesh.  The
     integrand decays like exp(-(2 sqrt2 / 3)|xi|^{3/2}), so the cutoff
     truncates below 1e-8.  The flows start at s because the amplitude
     normalization is fitted there; at xi = -8 the fit is poor.  Given the
     same pair, this and :func:`critical_kernel` agree to about 3e-9.
     """
     s = psis.s
-    lower = min(max(painleve.s_min, -8.0), s)
+    lower = min(-8.0, s)
     if s - lower < _S_STEP:
         # empty, or under 1% of the truncation below the cutoff (the
         # integrand falls by e^4 per unit of xi there)

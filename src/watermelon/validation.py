@@ -18,7 +18,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .choices import SUITES
 from .errors import WatermelonError
 from .oracles import brute_force_height_cdf, fredholm_f2, resolvent_q
 from .painleve import PainleveGrid, airy_ai, build_grid, tracy_widom
@@ -42,16 +41,11 @@ class CheckResult:
 
 
 class ValidationContext:
-    """Shared lazily-built inputs (Painleve grid, psi solution)."""
+    """The Painleve grid, built on first read and shared by the criteria."""
 
     @cached_property
     def grid(self) -> PainleveGrid:
         return build_grid()
-
-    @cached_property
-    def psis(self):
-        from . import psikernel
-        return psikernel.integrate_psi(2.0 ** (2.0 / 3.0), painleve=self.grid)
 
 
 def _c01_hastings_mcleod(ctx):
@@ -175,11 +169,12 @@ def _c09_subcritical(ctx):
 
 
 def _c10_kernel_theorem(ctx):
-    from . import asym
+    from . import asym, psikernel
     pts = (0.5, -0.5, 1.0, -1.0)
+    psis = psikernel.integrate_psi(2.0 ** (2.0 / 3.0), ctx.grid)
     dists = {}
     for n in (64, 128):
-        rows, _ = asym.kernel_limit_table(n, 1.0, pts, pts, ctx.grid, ctx.psis)
+        rows, _ = asym.kernel_limit_table(n, 1.0, pts, pts, ctx.grid, psis)
         dists[n] = asym.kernel_table_distance(rows)
     ok = (dists[128]["offdiagonal"] < dists[64]["offdiagonal"]
           and dists[128]["diagonal"] < dists[64]["diagonal"])
@@ -296,17 +291,3 @@ def run_criterion(number: int, ctx: ValidationContext) -> CheckResult:
         detail += f" (runtime {elapsed:.1f}s exceeds budget {budget:.0f}s)"
     return CheckResult(criterion=number, name=name, passed=bool(passed),
                        detail=detail, seconds=elapsed)
-
-
-def run_suite(suite: str, ctx: ValidationContext | None = None,
-              report=None) -> list[CheckResult]:
-    if suite not in SUITES:
-        raise WatermelonError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    ctx = ctx or ValidationContext()
-    results = []
-    for number in SUITES[suite]:
-        result = run_criterion(number, ctx)
-        results.append(result)
-        if report is not None:
-            report(result.line())
-    return results

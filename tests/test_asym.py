@@ -227,7 +227,7 @@ class TestKernelLimit:
     def test_psi_pair_must_match_L(self, grid, psis_critical):
         # the pair at s = 2^{2/3} serves L = 1 only; at L = 0.5 the limit
         # column would be read at the wrong s
-        for L in (0.5, -1.0, math.nan):
+        for L in (0.5, -1.0):
             with pytest.raises(ValueError, match=r"not 2\^\(2/3\) L"):
                 wm.kernel_limit_table(64, L, [0.5], [0.5], grid, psis_critical)
         rows, _ = wm.kernel_limit_table(64, 1.0 + 1e-13, [0.5], [0.5], grid,
@@ -248,6 +248,14 @@ class TestKernelLimit:
             wm.free_energy_comparison(8, 5.0, grid)
         with pytest.raises(ValueError, match="L too large; a nonpositive"):
             wm.kernel_limit_table(8, 5.0, [0.5], [0.5], grid, psis_critical)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_L_rejected(self, grid, psis_critical, bad):
+        # NaN and -inf made a NaN or infinite a, which the lattice blamed
+        with pytest.raises(ValueError, match="L must be finite"):
+            wm.free_energy_comparison(8, bad, grid)
+        with pytest.raises(ValueError, match="L must be finite"):
+            wm.kernel_limit_table(64, bad, [0.5], [0.5], grid, psis_critical)
 
     def test_collision_reported(self, grid, psis_critical):
         rows, skipped = wm.kernel_limit_table(

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from watermelon import cli, validation
-from watermelon.errors import ConvergenceError, WatermelonError
+from watermelon.errors import ConvergenceError
 from watermelon.tableio import to_csv
 from reference import parse_csv
 
@@ -90,6 +90,14 @@ def test_usage_errors_exit_1(run_cli, capsys):
         ["kernel", "--n", "64", "--grid", "nan,0.5"],
         ["kernel", "--n", "8", "--L", "5"],                                 # a < 0
         ["dgop", "--n", "4", "--a", "1e308", "--kmax", "2"],                # n pi^2 a = inf
+        ["validate", "--suite", "nosuch"],
+        ["kernel", "--n", "64", "--L", "nan"],                              # non-finite L
+        ["kernel", "--n", "64", "--L", "inf"],
+        ["free-energy", "--n-list", "8", "--L-list", "nan"],
+        # grid specs whose hi + step/2 rounds to lo hold no point
+        ["tw", "--which", "f1", "--xmin", "1e300", "--xmax", "1e300", "--step", "1"],
+        ["height", "--N", "8", "--wall", "absorbing", "--k-grid", "1e300:1e300:1"],
+        ["converge", "--N-list", "8", "--k-grid", "1e300:1e300:1"],
     ]
     # in-process: an exception escaping main fails the test, so no case
     # can end in a traceback
@@ -120,6 +128,10 @@ def test_node_bound_exits_2_before_allocating(capsys):
     assert code == cli.EXIT_NUMERICAL
     assert capsys.readouterr().err.startswith("numerical failure:")
     assert elapsed < 1.0
+    # at a = 5e-324 the half-width 744.4/(n a) overflows to inf
+    assert cli.main(["dgop", "--n", "4", "--a", "5e-324", "--kmax", "2"]) \
+        == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure:")
 
 
 def test_io_error_exit_3(run_cli, tmp_path):
@@ -220,9 +232,6 @@ def test_validate_failing_suite_exits_2(run_cli):
 
 
 def test_validate_failures_become_fail_lines(monkeypatch):
-    with pytest.raises(WatermelonError, match="unknown suite"):
-        validation.run_suite("nosuch")
-
     def stalled(ctx):
         raise ConvergenceError("Newton stalled")
 
@@ -366,7 +375,10 @@ print(before, sorted(wm.__all__), sorted(n for n in names if n[0] != '_'),
 def test_painleve_suite_loads_no_ode_stack(cli_env):
     # criteria 1-3 check the grid against linear Nystrom oracles only
     code = ("import sys; from watermelon import validation; "
-            "print([r.passed for r in validation.run_suite('painleve')], "
+            "from watermelon.choices import SUITES; "
+            "ctx = validation.ValidationContext(); "
+            "print([validation.run_criterion(k, ctx).passed "
+            "for k in SUITES['painleve']], "
             "'scipy.integrate' in sys.modules, "
             "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -385,6 +397,7 @@ def test_parse_args_in_process():
 def test_grid_spec_point_limit():
     cap = cli.MAX_GRID_POINTS
     assert len(cli._grid_spec(f"0:{cap - 1}:1")) == cap
-    for spec in (f"0:{cap}:1", "0:inf:1", "nan:1:0.1", "0:1:nan"):
+    for spec in (f"0:{cap}:1", "0:inf:1", "nan:1:0.1", "0:1:nan",
+                 "1e300:1e300:1"):                   # 1e300 + 0.5 == 1e300
         with pytest.raises(cli.UsageError):
             cli._grid_spec(spec)

@@ -56,6 +56,12 @@ def test_node_bound_edge():
             build_lattice(n, 0.0, 0.99 * a_edge, 2)
     with pytest.raises(WindowError):
         wm.height_cdf(2, 3000.0, "absorbing")       # n = 1, a = 1/M^2
+    # a half-width that is not a finite number is refused before the floor
+    for half_width in (math.inf, math.nan):
+        with pytest.raises(WindowError):
+            lattice_nodes(4, 0.0, half_width)
+    with pytest.raises(WindowError):                # 744.4/(n a) overflows
+        build_lattice(4, 0.0, 5e-324, 2)
 
 
 def test_log_h0_is_weight_mass():

@@ -6,7 +6,7 @@ Closed forms at rel 1e-15, recurrence values at 1e-13, ODE values at 1e-12.
 import math
 
 import watermelon as wm
-from watermelon import dgop
+from watermelon import dgop, psikernel
 
 
 def test_folded_formulas_frozen_values(grid, psis_critical):
@@ -56,7 +56,7 @@ def test_constant_settings_frozen_values(grid):
 
     # re-pinned when Magnus s-flows replaced the DOP853 flow at rtol 1e-10
     # (2.6e-13 from DOP853 at rtol 1e-13, atol 1e-15; the old pin 1.1e-12)
-    psis = wm.integrate_psi(0.5, grid, zeta_max=8)
+    psis = psikernel._psi_pair(0.5, grid, 8.0)
     close(wm.kernel_integral_form(0.4, -0.3, psis, grid),
           0.2739853539398912, 1e-12)
     # re-pinned with the Magnus edge flows, which land on the value from

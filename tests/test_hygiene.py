@@ -4,6 +4,7 @@ public definition is served or used, and the public settings are the
 listed ones."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -136,19 +137,39 @@ def test_every_public_def_is_served_or_used():
     assert idle == []
 
 
-# Every parameter with a default on a public function: a new setting fails
-# here until the same change lists it.  Each one kept has two values in use:
-# critical-dgop draws alpha in {0, 0.25}; the zeta-truncation test sets
-# zeta_max.  A setting only tests set is a module constant.
+# Every parameter with a default on a public function or method of any
+# package module: a new setting fails here until the same change lists it.
+# Each one kept has two values in use: critical-dgop draws alpha in
+# {0, 0.25}.  A setting only tests set is a module constant.
 PUBLIC_SETTINGS = {
-    "free_energy_comparison.alpha", "integrate_psi.zeta_max",
-    "kernel_limit_table.alpha",
+    "asym.free_energy_comparison.alpha", "asym.kernel_limit_table.alpha",
+}
+# Not settings: the entry point's argv (None reads sys.argv), and the node
+# counts of the reference discretizations, whose own convergence the tests
+# check.
+EXEMPT_DEFAULTS = {
+    "cli.main.argv", "oracles.fredholm_f2.m", "oracles.resolvent_q.m",
 }
 
 
+def _public_functions(module):
+    """(qualified name, function) for each public function and public
+    method of a class that ``module`` defines."""
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            yield from ((f"{name}.{attr}", func) for attr, func in vars(obj).items()
+                        if inspect.isfunction(func) and not attr.startswith("_"))
+
+
 def test_public_settings_inventory():
-    found = {f"{name}.{param.name}"
-             for name in wm.__all__ if inspect.isfunction(obj := getattr(wm, name))
-             for param in inspect.signature(obj).parameters.values()
+    found = {f"{path.stem}.{qual}.{param.name}"
+             for path in MODULES
+             for qual, func in _public_functions(
+                 importlib.import_module(f"watermelon.{path.stem}"))
+             for param in inspect.signature(func).parameters.values()
              if param.default is not inspect.Parameter.empty}
-    assert found == PUBLIC_SETTINGS
+    assert found == PUBLIC_SETTINGS | EXEMPT_DEFAULTS
