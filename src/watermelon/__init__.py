@@ -18,15 +18,15 @@ _PUBLIC = {
              "kernel_limit_table", "ratio_asymptotics", "s_of_a",
              "subcritical_h"),
     "dgop": ("OrthoSystem", "build_lattice", "build_system", "cd_kernel",
-             "cd_kernel_matrix", "correlation_det", "gue_free_energy",
-             "lattice_nodes", "partition_and_free_energy", "rescale_check",
-             "stieltjes", "toda_residual"),
-    "errors": ("ConvergenceError", "CoverageError", "OrderFitError",
-               "PrecisionError", "WatermelonError", "WindowError"),
+             "cd_kernel_matrix", "correlation_det", "lattice_nodes",
+             "partition_and_free_energy", "rescale_check", "stieltjes",
+             "toda_residual"),
+    "errors": ("ConvergenceError", "CoverageError", "PrecisionError",
+               "WatermelonError", "WindowError"),
     "heights": ("HeightDistribution", "convergence_study",
                 "deformation_identity_check", "height_cdf", "log_height_cdf",
-                "rescaled_cdf", "riemann_sum_order", "small_a_check",
-                "tabulate_rescaled"),
+                "rescaled_cdf", "small_a_check", "tabulate_rescaled"),
+    "oracles": ("gue_free_energy", "riemann_sum_order"),
     "painleve": ("PainleveGrid", "airy_ai", "build_grid", "tracy_widom"),
     "psikernel": ("PsiSolution", "compatibility_defect", "critical_kernel",
                   "integrate_psi", "kernel_integral_form"),
@@ -34,7 +34,7 @@ _PUBLIC = {
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 __all__ = sorted(_HOME)
 # the submodules the package has always bound as attributes
-_SUBMODULES = {*_PUBLIC, "oracles", "tableio"}
+_SUBMODULES = {*_PUBLIC, "tableio"}
 
 
 def __getattr__(name):

@@ -20,6 +20,7 @@ import math
 
 from . import dgop
 from .errors import CoverageError
+from .oracles import gue_free_energy
 from .painleve import PainleveGrid, tracy_widom
 from .psikernel import PsiSolution, critical_kernel_matrix
 
@@ -32,7 +33,8 @@ def _check_n(n: int) -> None:
         raise ValueError("n must be >= 1")
 
 
-def _a_of_L(n: int, L: float) -> float:
+def a_of_L(n: int, L: float) -> float:
+    """a = 1 - L n^{-2/3}; ValueError unless n >= 1, L is finite and a > 0."""
     _check_n(n)
     if not math.isfinite(L):
         raise ValueError(f"L must be finite, not {L}")
@@ -174,9 +176,9 @@ def free_energy_comparison(n: int, L: float, grid: PainleveGrid,
                  - n^{-2} log F2(2^{2/3} n^{2/3} (1-a))
     residual   = |exact - asymptotic|
     """
-    a = _a_of_L(n, L)
+    a = a_of_L(n, L)
     _, f_dope = dgop.partition_and_free_energy(n, alpha, a)
-    exact = f_dope - dgop.gue_free_energy(n)
+    exact = f_dope - gue_free_energy(n)
     f2_arg = 2.0 ** (2.0 / 3.0) * n ** (2.0 / 3.0) * (1.0 - a)
     f2_val = tracy_widom(f2_arg, "F2", grid)
     asymptotic = (math.log(a) / 2.0 - 0.5 * math.log(2.0 / (n * math.pi**2))
@@ -198,7 +200,7 @@ def kernel_limit_table(n: int, L: float, u_grid, v_grid,
     ``psis`` must be the pair at s = 2^{2/3} L (else ``ValueError``);
     ``grid`` is unused, and stays because callers pass ``psis`` after it.
     """
-    a = _a_of_L(n, L)
+    a = a_of_L(n, L)
     s = 2.0 ** (2.0 / 3.0) * L
     if not abs(psis.s - s) <= 1e-12 * abs(s):  # NaN fails too
         raise ValueError(f"psis is at s={psis.s}, not 2^(2/3) L for L={L}")

@@ -218,8 +218,7 @@ def _cmd_dgop(ns):
 def _cmd_kernel(ns):
     from . import asym, psikernel
     pts = _parse_list(ns.grid, float)
-    if not np.isfinite(ns.L):
-        raise UsageError(f"--L must be finite, not {ns.L}")
+    asym.a_of_L(ns.n, ns.L)  # reject (n, L) before the psi pair is built
     grid = build_grid()
     psis = psikernel.integrate_psi(2.0 ** (2.0 / 3.0) * ns.L, painleve=grid)
     rows_raw, skipped = asym.kernel_limit_table(ns.n, ns.L, pts, pts,

@@ -37,13 +37,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
 from .errors import CoverageError, PrecisionError, WindowError
-from .oracles import gue_log_integral
 
 # exp(-_UNDERFLOW_EXPONENT) is the smallest positive double (744.4).
 _UNDERFLOW_EXPONENT = -math.log(np.finfo(float).smallest_subnormal)
@@ -80,8 +78,8 @@ class OrthoSystem:
     ``phi`` holds the orthonormal weight-folded values, one row per degree,
     on the retained nodes: the psi-functions of the Christoffel-Darboux
     kernel.  The build stores none; ``phi_at`` replays the pass's steps from
-    the stored A and B on the node columns asked for alone, and ``phi``,
-    cached on first read, is ``phi_at`` on every node.
+    the stored A and B on the node columns asked for alone, and ``phi`` is
+    ``phi_at`` on every node, replayed on each read.
     """
 
     n: int
@@ -94,7 +92,7 @@ class OrthoSystem:
     nodes: np.ndarray
     amplitudes: np.ndarray
 
-    @cached_property
+    @property
     def phi(self) -> np.ndarray:
         return self.phi_at(slice(None))
 
@@ -330,13 +328,6 @@ def partition_and_free_energy(n: int, alpha: float, a: float):
     system = build_system(n, alpha, a, n - 1)
     log_z = math.lgamma(n + 1) + float(np.sum(system.log_h[:n]))
     return log_z, -log_z / n**2
-
-
-def gue_free_energy(n: int) -> float:
-    """GUE free energy -log Z / n^2 from ``oracles.gue_log_integral``."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return -gue_log_integral(n) / n**2
 
 
 def _check_particles(system: OrthoSystem, n_particles: int) -> None:

@@ -17,9 +17,5 @@ class CoverageError(WatermelonError):
     """An evaluation point lies outside the tabulated grid."""
 
 
-class OrderFitError(WatermelonError):
-    """Errors too small (or too irregular) to fit a convergence order."""
-
-
 class PrecisionError(WatermelonError):
     """The request lies beyond the range double precision can represent."""

@@ -20,14 +20,7 @@ import numpy as np
 
 from . import dgop
 from .choices import WALLS
-from .errors import OrderFitError, WindowError
-from .oracles import (gue_log_integral, lue_log_integral,
-                      vandermonde_lattice_sum)
 from .painleve import PainleveGrid, tracy_widom
-
-X_CUT = 8.0  # lattice cutoff of the Riemann sums (weight exp(-64) there)
-# The sums hold len^2 arrays: 2,001 nodes is 32 MB each, eps >= 0.008 for GUE.
-MAX_LATTICE_NODES = 2001
 
 
 def _parity(wall: str) -> int:
@@ -49,7 +42,6 @@ class HeightDistribution:
 
     N: int
     wall: str
-    M_values: np.ndarray
     cdf: np.ndarray
     k_values: np.ndarray
     clamped: np.ndarray
@@ -135,9 +127,8 @@ def rescaled_cdf(N: int, k: float, wall: str) -> float:
 
 def tabulate_rescaled(N: int, k_grid, wall: str) -> HeightDistribution:
     k_grid = np.asarray(k_grid, dtype=float)
-    M = np.array([rescale_M(N, k) for k in k_grid])
-    logs = [log_height_cdf(N, m, wall) for m in M]
-    return HeightDistribution(N=N, wall=wall, M_values=M,
+    logs = [log_height_cdf(N, rescale_M(N, k), wall) for k in k_grid]
+    return HeightDistribution(N=N, wall=wall,
                               cdf=np.array([_clamped_exp(v) for v in logs]),
                               k_values=k_grid, clamped=np.array(logs) > 0.0)
 
@@ -203,66 +194,3 @@ def deformation_identity_check(N: int, a: float, delta_a: float, wall: str):
     lhs = (lp[2] - 2.0 * lp[1] + lp[0]) / delta_a**2
     rhs = (math.pi**2 / (4.0 * N))**2 * passes[1][1][N]
     return lhs, rhs, abs(lhs - rhs)
-
-
-def _lattice(eps: float, ensemble: str) -> np.ndarray:
-    """Mesh-eps nodes cut at X_CUT: [0, X_CUT) for LUE, symmetric for GUE.
-
-    Raises ``ValueError`` unless eps is finite and positive and
-    ``WindowError`` before allocating more than ``MAX_LATTICE_NODES``.
-    """
-    if not 0.0 < eps < math.inf:  # NaN fails too
-        raise ValueError("eps must be finite and positive")
-    # nodes per half-line before rounding up (inf for a subnormal eps);
-    # rounding up cannot carry a count across the integer bound
-    span = X_CUT / eps
-    if (span if ensemble == "LUE" else 2 * span + 1) > MAX_LATTICE_NODES:
-        raise WindowError(f"eps={eps} needs more than {MAX_LATTICE_NODES} "
-                          f"lattice nodes; raise eps")
-    if ensemble == "LUE":
-        return np.arange(0.0, X_CUT, eps)
-    half = math.ceil(span)
-    return np.arange(-half, half + 1, dtype=float) * eps
-
-
-def _riemann_sum(N: int, eps: float, ensemble: str) -> float:
-    """eps^N times the Vandermonde sum on the mesh-eps lattice cut at X_CUT."""
-    x = _lattice(eps, ensemble)
-    if ensemble == "LUE":
-        y, g = x * x, x * x * np.exp(-x * x)
-    else:
-        y, g = x, np.exp(-x * x)
-    return vandermonde_lattice_sum(y, g, N) * eps**N
-
-
-def riemann_sum_order(N: int, eps_list, ensemble: str) -> float:
-    """Least-squares slope of log-error versus log-eps for lattice sums.
-
-    The LUE integrand is the half-line Vandermonde-squared * prod x^2 *
-    Gaussian; GUE is the full-line Vandermonde-squared Gaussian.  Both are
-    summed by ``oracles.vandermonde_lattice_sum``; exact values come from
-    the Gamma-function product forms.  Raises
-    :class:`OrderFitError` when every error sits below 1e-14 (these
-    analytic integrands are summed to far beyond any polynomial order, so
-    small eps hits roundoff rather than an eps^4 regime).
-    """
-    if N not in (1, 2, 3):
-        raise ValueError("N must be 1, 2, or 3")
-    if len(eps_list) < 3:
-        raise ValueError("need at least 3 eps values")
-    if ensemble == "LUE":
-        exact = math.exp(lue_log_integral(N))
-    elif ensemble == "GUE":
-        exact = math.exp(gue_log_integral(N))
-    else:
-        raise ValueError("ensemble must be 'LUE' or 'GUE'")
-    sums = [_riemann_sum(N, e, ensemble) for e in eps_list]
-    errs = np.abs(np.array(sums) - exact)
-    if np.max(errs) < 1e-14:
-        raise OrderFitError(
-            f"errors {errs} all below 1e-14; cannot fit order, enlarge eps")
-    if np.min(errs) == 0.0:
-        raise OrderFitError("exact cancellation; cannot fit order")
-    slope = float(np.polyfit(np.log(np.asarray(eps_list, dtype=float)),
-                             np.log(errs), 1)[0])
-    return slope

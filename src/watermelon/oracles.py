@@ -7,7 +7,7 @@ path is meaningful evidence of correctness.  The one piece they share with
 the Painleve solver is its Airy function ``painleve.airy_ai`` (checked
 against mpmath on its own), so the Airy-kernel oracles cover arguments
 x >= -30 like it.  The brute-force height CDF and the Riemann sums of
-``heights.riemann_sum_order`` share one N <= 3 sum,
+:func:`riemann_sum_order` share one integer lattice and one N <= 3 sum,
 :func:`vandermonde_lattice_sum`, which never touches the Stieltjes engine;
 the F2 Fredholm determinant and the resolvent q share one Gauss-Legendre
 Nystrom rule on [s, s + SPAN], and :func:`nystrom_det` is that rule's
@@ -23,10 +23,14 @@ from functools import cache
 
 import numpy as np
 
+from .errors import PrecisionError, WindowError
 from .painleve import airy_ai
 
 
 SPAN = 24.0  # truncation of (s, infinity): Ai and K_Ai decay superexponentially
+X_CUT = 8.0  # lattice cutoff of the Riemann sums (weight exp(-64) there)
+# The sums hold len^2 arrays: 2,001 nodes is 32 MB each, eps >= 0.008 for GUE.
+MAX_LATTICE_NODES = 2001
 
 
 def _airy_kernel(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -99,10 +103,9 @@ def resolvent_q(s: float, m: int = 120) -> float:
     return float(airy_ai(s)[0] + _airy_kernel(np.array([s]), xs)[0] @ (ws * Q))
 
 
-def _lattice(alpha: float, half_width: float) -> np.ndarray:
-    k = np.arange(math.floor(-half_width + alpha),
-                  math.ceil(half_width + alpha) + 1, dtype=float)
-    return k - alpha
+def _lattice(lo: float, hi: float) -> np.ndarray:
+    """The integers floor(lo)..ceil(hi), as floats."""
+    return np.arange(math.floor(lo), math.ceil(hi) + 1, dtype=float)
 
 
 def brute_force_height_cdf(N: int, M: float, wall: str) -> float:
@@ -114,12 +117,12 @@ def brute_force_height_cdf(N: int, M: float, wall: str) -> float:
     half = 10.0 * M + 2.0
     lam = math.pi**2 / (2.0 * M * M)
     if wall == "absorbing":
-        x = _lattice(0.0, half)
+        x = _lattice(-half, half)
         log_pref = (-N / 2) * math.log(2.0) + (2 * N * N + N / 2) * math.log(math.pi) \
             - N * (2 * N + 1) * math.log(M) - math.lgamma(N + 1) \
             - sum(math.lgamma(2 * k + 2) for k in range(N))
     elif wall == "reflecting":
-        x = _lattice(0.5, half)
+        x = _lattice(-half + 0.5, half + 0.5) - 0.5
         log_pref = (-N / 2) * math.log(2.0) + (2 * N * N - 3 * N / 2) * math.log(math.pi) \
             - N * (2 * N - 1) * math.log(M) - math.lgamma(N + 1) \
             - sum(math.lgamma(2 * k + 1) for k in range(N))
@@ -134,7 +137,7 @@ def vandermonde_lattice_sum(y: np.ndarray, g: np.ndarray, N: int) -> float:
     """sum over (i_1..i_N) of prod_{j<k} (y_{i_j} - y_{i_k})^2 prod_j g_{i_j}.
 
     The one N <= 3 Vandermonde sum: the brute-force height CDF, the Riemann
-    sums of ``heights.riemann_sum_order`` and the tests' GUE quadrature all
+    sums of :func:`riemann_sum_order` and the tests' GUE quadrature all
     call it.  With D_ij = (y_i - y_j)^2 and E = D diag(g), N = 2 is
     g^T E 1 and N = 3 is g^T ((E D) o E) 1, so memory stays O(len(y)^2).
     """
@@ -172,7 +175,7 @@ def gue_log_integral(n: int) -> float:
     """Closed form log Z for the GUE integral with weight exp(-x^2).
 
     n! times the product of monic Hermite norms sqrt(pi) k! 2^{-k};
-    ``dgop.gue_free_energy`` is -log Z / n^2.  The log norms are computed
+    :func:`gue_free_energy` is -log Z / n^2.  The log norms are computed
     once per process and summed by the built-in ``sum`` in degree order.
     """
     global _gue_terms
@@ -183,3 +186,71 @@ def gue_log_integral(n: int) -> float:
             half_log_pi + math.lgamma(k + 1) - k * log_2
             for k in range(len(terms), n))
     return math.lgamma(n + 1) + sum(terms[:n])
+
+
+def gue_free_energy(n: int) -> float:
+    """GUE free energy -log Z / n^2 from :func:`gue_log_integral`."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return -gue_log_integral(n) / n**2
+
+
+def _riemann_nodes(eps: float, ensemble: str) -> np.ndarray:
+    """Mesh-eps nodes cut at X_CUT: [0, X_CUT) for LUE, symmetric for GUE.
+
+    Raises ``ValueError`` unless eps is finite and positive and
+    ``WindowError`` before allocating more than ``MAX_LATTICE_NODES``.
+    """
+    if not 0.0 < eps < math.inf:  # NaN fails too
+        raise ValueError("eps must be finite and positive")
+    # nodes per half-line before rounding up (inf for a subnormal eps);
+    # rounding up cannot carry a count across the integer bound
+    span = X_CUT / eps
+    if (span if ensemble == "LUE" else 2 * span + 1) > MAX_LATTICE_NODES:
+        raise WindowError(f"eps={eps} needs more than {MAX_LATTICE_NODES} "
+                          f"lattice nodes; raise eps")
+    if ensemble == "LUE":
+        return np.arange(0.0, X_CUT, eps)
+    return _lattice(-span, span) * eps
+
+
+def _riemann_sum(N: int, eps: float, ensemble: str) -> float:
+    """eps^N times the Vandermonde sum on the mesh-eps lattice cut at X_CUT."""
+    x = _riemann_nodes(eps, ensemble)
+    if ensemble == "LUE":
+        y, g = x * x, x * x * np.exp(-x * x)
+    else:
+        y, g = x, np.exp(-x * x)
+    return vandermonde_lattice_sum(y, g, N) * eps**N
+
+
+def riemann_sum_order(N: int, eps_list, ensemble: str) -> float:
+    """Least-squares slope of log-error versus log-eps for lattice sums.
+
+    The LUE integrand is the half-line Vandermonde-squared * prod x^2 *
+    Gaussian; GUE is the full-line Vandermonde-squared Gaussian.  Both are
+    summed by :func:`vandermonde_lattice_sum`; exact values come from the
+    Gamma-function product forms.  Raises :class:`PrecisionError` when
+    every error sits below 1e-14 or one is exactly 0 (these analytic
+    integrands are summed to far beyond any polynomial order, so small eps
+    hits roundoff rather than an eps^4 regime).
+    """
+    if N not in (1, 2, 3):
+        raise ValueError("N must be 1, 2, or 3")
+    if len(eps_list) < 3:
+        raise ValueError("need at least 3 eps values")
+    if ensemble == "LUE":
+        exact = math.exp(lue_log_integral(N))
+    elif ensemble == "GUE":
+        exact = math.exp(gue_log_integral(N))
+    else:
+        raise ValueError("ensemble must be 'LUE' or 'GUE'")
+    sums = [_riemann_sum(N, e, ensemble) for e in eps_list]
+    errs = np.abs(np.array(sums) - exact)
+    if np.max(errs) < 1e-14:
+        raise PrecisionError(
+            f"errors {errs} all below 1e-14; cannot fit order, enlarge eps")
+    if np.min(errs) == 0.0:
+        raise PrecisionError("exact cancellation; cannot fit order")
+    return float(np.polyfit(np.log(np.asarray(eps_list, dtype=float)),
+                            np.log(errs), 1)[0])

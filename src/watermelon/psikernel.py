@@ -70,11 +70,6 @@ class PsiSolution:
             raise CoverageError(f"zeta={zeta} outside [{-top}, {top}]")
         return self._spline("phi1")(zeta), self._spline("phi2")(zeta)
 
-    def phi_prime_at(self, zeta):
-        """Derivatives straight from the ODE right-hand side, shaped as
-        :meth:`phi_at`'s values."""
-        return self._prime(zeta, *self.phi_at(zeta))
-
     def _prime(self, zeta, p1, p2):
         """The ODE right-hand side at zeta, given the pair (p1, p2) there."""
         a, b, c = _zeta_matrix(zeta, self.s, self.q_s, self.qp_s)

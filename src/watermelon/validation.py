@@ -19,7 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import WatermelonError
-from .oracles import brute_force_height_cdf, fredholm_f2, resolvent_q
+from .oracles import (brute_force_height_cdf, fredholm_f2, resolvent_q,
+                      riemann_sum_order)
 from .painleve import PainleveGrid, airy_ai, build_grid, tracy_widom
 
 # Each criterion imports the engine modules it calls, so a suite loads only
@@ -196,7 +197,6 @@ def _c11_free_energy(ctx):
 
 
 def _c12_riemann_order(ctx):
-    from . import heights
     # These analytic integrands beat every polynomial order, so the fit is
     # expected to be impossible and the check records an honest failure
     # (README, Known limitations).
@@ -204,7 +204,7 @@ def _c12_riemann_order(ctx):
     ok = True
     for ens in ("LUE", "GUE"):
         try:
-            slope = heights.riemann_sum_order(2, [0.2, 0.1, 0.05], ens)
+            slope = riemann_sum_order(2, [0.2, 0.1, 0.05], ens)
             fit_ok = 3.5 <= slope <= 4.5
             parts.append(f"{ens}: slope={slope:.2f}")
         except WatermelonError as exc:

@@ -89,6 +89,7 @@ def test_usage_errors_exit_1(run_cli, capsys):
         ["kernel", "--n", "64", "--grid", "inf,0.5"],                       # non-finite u
         ["kernel", "--n", "64", "--grid", "nan,0.5"],
         ["kernel", "--n", "8", "--L", "5"],                                 # a < 0
+        ["kernel", "--n", "64", "--L", "20"],                               # a < 0, s off the grid
         ["dgop", "--n", "4", "--a", "1e308", "--kmax", "2"],                # n pi^2 a = inf
         ["validate", "--suite", "nosuch"],
         ["kernel", "--n", "64", "--L", "nan"],                              # non-finite L
@@ -296,7 +297,7 @@ print(codes, *(sorted(m for m in sys.modules if m.split('.')[0] == top)
 # cli, choices, errors, painleve and tableio every command loads, and
 # whether numpy.polynomial (the oracles' Gauss-Legendre rule) is loaded.
 _BASE = ["choices", "cli", "errors", "painleve", "tableio"]
-_HEIGHTS = ["dgop", "heights", "oracles"]
+_HEIGHTS = ["dgop", "heights"]
 _ASYM = ["asym", "dgop", "oracles", "psikernel"]
 FOOTPRINTS = [
     (["tw", "--which", "f1", "--xmin", "-2", "--xmax", "2"], [], False),
@@ -306,8 +307,7 @@ FOOTPRINTS = [
      _HEIGHTS, False),
     (["converge", "--N-list", "8", "--wall", "both", "--k-grid", "-2:2:1"],
      _HEIGHTS, False),
-    (["dgop", "--n", "32", "--a", "1.0", "--kmax", "32"],
-     ["dgop", "oracles"], False),
+    (["dgop", "--n", "32", "--a", "1.0", "--kmax", "32"], ["dgop"], False),
     (["free-energy", "--n-list", "16", "--L-list", "0"], _ASYM, False),
     (["kernel", "--n", "32", "--L", "1", "--grid", "0.5,-0.5"], _ASYM, False),
     (["validate", "--suite", "painleve"], ["oracles", "validation"], True),
@@ -336,7 +336,7 @@ print(sorted(m.split('.')[1] for m in sys.modules
 
 PUBLIC_NAMES = [
     "ConvergenceError", "CoverageError",
-    "HeightDistribution", "OrderFitError", "OrthoSystem", "PainleveGrid",
+    "HeightDistribution", "OrthoSystem", "PainleveGrid",
     "PrecisionError", "PsiSolution", "WatermelonError",
     "WindowError", "airy_ai", "asymptotic_A",
     "asymptotic_h", "build_grid", "build_lattice",

@@ -6,7 +6,7 @@ Closed forms at rel 1e-15, recurrence values at 1e-13, ODE values at 1e-12.
 import math
 
 import watermelon as wm
-from watermelon import dgop, psikernel
+from watermelon import oracles, psikernel
 
 
 def test_folded_formulas_frozen_values(grid, psis_critical):
@@ -15,7 +15,7 @@ def test_folded_formulas_frozen_values(grid, psis_critical):
 
     for n, want in ((1, -0.5723649429247001), (32, -0.772930873858382),
                     (672, -2.1694979810464963)):
-        close(dgop.gue_free_energy(n), want, 1e-15)
+        close(oracles.gue_free_energy(n), want, 1e-15)
 
     sub = wm.subcritical_h(40, 0.5)
     for key, want in (("log_h_nn", -102.81069958469418),
@@ -38,7 +38,8 @@ def test_folded_formulas_frozen_values(grid, psis_critical):
     # and q' started summing its tail integral downward, and again when the
     # Magnus zeta-solve replaced DOP853 (the old pin carried DOP853's own
     # 1e-11 error; this one is within 2.5e-13 of DOP853 at rtol 2.3e-14)
-    for got, want in zip(psis_critical.phi_prime_at(0.7),
+    psis = psis_critical
+    for got, want in zip(psis._prime(0.7, *psis.phi_at(0.7)),
                          (-3.457624556187918, 0.09806780961588851)):
         close(got, want, 1e-12)
     # re-pinned when the compatibility check's edge flows moved from DOP853
@@ -49,8 +50,6 @@ def test_folded_formulas_frozen_values(grid, psis_critical):
 
 def test_constant_settings_frozen_values(grid):
     """Values of the functions whose settings became module constants."""
-    from watermelon import heights
-
     def close(got, want, rel):
         assert math.isclose(got, want, rel_tol=rel), (got, want)
 
@@ -67,4 +66,4 @@ def test_constant_settings_frozen_values(grid):
     # pin 5.2e-13)
     close(wm.small_a_check(2, [0.5])[0]["one_minus_p"],
           0.0009118359664526324, 1e-13)
-    close(heights._riemann_sum(2, 0.2, "LUE"), 0.5890486225480864, 1e-15)
+    close(oracles._riemann_sum(2, 0.2, "LUE"), 0.5890486225480864, 1e-15)

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import watermelon as wm
-from watermelon.errors import OrderFitError, PrecisionError, WindowError
-from watermelon.heights import _lattice, rescale_M, tabulate_rescaled
-from watermelon.oracles import brute_force_height_cdf
+from watermelon.errors import PrecisionError, WindowError
+from watermelon.heights import rescale_M, tabulate_rescaled
+from watermelon.oracles import _riemann_nodes, brute_force_height_cdf
 
 from reference import deformation_lhs_exact, image_sum_cdf
 
@@ -274,8 +274,19 @@ def test_riemann_sum_errors_below_fit_threshold():
     # order (Poisson summation); at the spec's eps the error is roundoff,
     # and the documented cannot-fit error is the contractual outcome.
     for ens in ("LUE", "GUE"):
-        with pytest.raises(OrderFitError):
+        with pytest.raises(PrecisionError):
             wm.riemann_sum_order(2, [0.2, 0.1, 0.05], ens)
+
+
+def test_riemann_sum_order_fits_coarse_meshes():
+    # at coarse eps the error is still above roundoff and falls faster than
+    # any power (14.19 LUE, 19.05 GUE); a little finer, one sum rounds to
+    # the exact value and the fit is refused
+    for ens in ("LUE", "GUE"):
+        slope = wm.riemann_sum_order(2, [1.2, 1.0, 0.8], ens)
+        assert math.isfinite(slope) and slope > 4.0, (ens, slope)
+        with pytest.raises(PrecisionError, match="exact cancellation"):
+            wm.riemann_sum_order(2, [0.6, 0.5, 0.4], ens)
 
 
 def gue_shift_sum(N: int, eps: float) -> float:
@@ -284,7 +295,7 @@ def gue_shift_sum(N: int, eps: float) -> float:
     Telescopes to zero on the symmetric lattice: the sanity check that the
     first Euler-Maclaurin correction really cancels.
     """
-    x = _lattice(eps, "GUE")
+    x = _riemann_nodes(eps, "GUE")
     w = np.exp(-x * x)
     if N == 1:
         return float(np.sum(-2.0 * x * w)) * eps
@@ -348,11 +359,11 @@ def test_riemann_lattice_bounded():
         with pytest.raises(WindowError):
             gue_shift_sum(2, tiny)
     # the edge of the bound: 2,001 GUE and 2,000 LUE nodes pass
-    assert wm.heights._lattice(0.008, "GUE").size == 2001
-    assert wm.heights._lattice(0.004, "LUE").size == 2000
+    assert wm.oracles._riemann_nodes(0.008, "GUE").size == 2001
+    assert wm.oracles._riemann_nodes(0.004, "LUE").size == 2000
     for ens, eps in (("GUE", 0.0079), ("LUE", 0.00399)):
         with pytest.raises(WindowError):
-            wm.heights._lattice(eps, ens)
+            wm.oracles._riemann_nodes(eps, ens)
 
 
 def test_riemann_order_input_validation():

@@ -125,16 +125,45 @@ def _referenced_names() -> set[str]:
     return found
 
 
+def _public_defs(tree: ast.Module):
+    """(qualified name, name) of each public function and class of a module,
+    and of each public method and property of its public classes."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                or node.name.startswith("_"):
+            continue
+        yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item.name)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_"))
+
+
 def test_every_public_def_is_served_or_used():
-    # a public function or class that only the tests call belongs in
-    # tests/reference.py, not in the package
+    # a public function, class, method or property that only the tests call
+    # belongs in tests/reference.py, not in the package
     keep = {name for names in wm._PUBLIC.values() for name in names}
     keep |= _referenced_names()
-    idle = [f"{path.stem}.{node.name}" for path in MODULES
-            for node in ast.parse(path.read_text(encoding="utf-8")).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_") and node.name not in keep]
+    idle = [f"{path.stem}.{qual}" for path in MODULES
+            for qual, name in _public_defs(
+                ast.parse(path.read_text(encoding="utf-8")))
+            if name not in keep]
     assert idle == []
+
+
+def test_only_the_harnesses_import_the_oracles():
+    # the oracles check the solvers, so no solver leans on them: dgop and
+    # heights load without them, and only the comparison harnesses import
+    # them
+    importers = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0 and (
+                    node.module == "oracles" or node.module is None
+                    and any(alias.name == "oracles" for alias in node.names)):
+                importers.add(path.stem)
+    assert importers == {"asym", "validation"}
 
 
 # Every parameter with a default on a public function or method of any
