@@ -17,7 +17,11 @@ double-precision result and one Stieltjes pass per family suffices.  It is
 the only window: a node at amplitude 0 stays 0 through the recurrence, so
 identities that difference across a (``toda_residual``) need no shared one.
 The pass of a build starts at 0 past its degree's reach (``_pass_start``),
-where every product it would add is below half an ulp of its sums.
+where every product it would add is below half an ulp of its sums, and a
+window of at most 2,048 nodes hands the pass only the 32-column blocks that
+hold the nonzero starts (``_pass_columns``): OpenBLAS then sums every
+nonzero product in the same block, lane and tail as on the whole window, so
+no bit moves.
 
 The pass (Gautschi, Orthogonal Polynomials: Computation and Approximation,
 2004, sec. 2.2) carries u_k = sqrt(B_k) phi_k and x u_k as row pairs of a
@@ -50,7 +54,7 @@ _UNDERFLOW_EXPONENT = -math.log(np.finfo(float).smallest_subnormal)
 # oracle to 2e-15 relative up to k_max = 672; by 704 edge amplitudes underflow.
 MAX_DEGREE = 672
 # The window holds about (4/pi) sqrt(744.4 n / a) nodes, so a small a asks
-# for an unbounded one; no test, example or benchmark family exceeds 2,000.
+# for an unbounded one; the largest a test builds holds 4,395.
 MAX_NODES = 100_000
 
 
@@ -161,7 +165,8 @@ def _first_rows(nodes, amplitudes, h0, k_max):
     of degree k - 1, where rows 0, 1 stand for u_{-1} = 0.  A full buffer
     copies its last two pairs to the front.
     """
-    buf = np.zeros((min(_ROWS, 2 * k_max + 4), len(nodes)))
+    buf = np.empty((min(_ROWS, 2 * k_max + 4), len(nodes)))
+    buf[:2] = 0.0  # rows from 2 on are written before they are read
     np.divide(amplitudes, math.sqrt(h0), out=buf[2])
     np.multiply(nodes, buf[2], out=buf[3])
     return buf
@@ -171,11 +176,11 @@ def _fills(buf, k_max):
     """The step views of a pass's k_max degrees, one buffer fill at a time.
 
     Step k writes u_k and x u_k to a row pair (``row``, ``x_row``) from
-    the four rows ``src`` above it, and ``pair`` views both rows.  The
-    views are built once; between fills the last two pairs are copied to
-    the front.
+    the four rows ``src`` above it, and ``pair_dot`` is the ``dot`` of the
+    view of both rows.  The views are built once; between fills the last
+    two pairs are copied to the front.
     """
-    steps = [(buf[i - 4:i], buf[i], buf[i + 1], buf[i:i + 2])
+    steps = [(buf[i - 4:i], buf[i], buf[i + 1], buf[i:i + 2].dot)
              for i in range(4, len(buf), 2)]
     yield steps
     done = len(steps)
@@ -203,28 +208,30 @@ def stieltjes(nodes: np.ndarray, amplitudes: np.ndarray, k_max: int):
     h0 = float(amplitudes @ amplitudes)
     buf = _first_rows(nodes, amplitudes, h0, k_max)
     r = np.empty(2)
+    sums = memoryview(r)
     buf[2:4].dot(buf[2], out=r)
-    b0, ab = r.tolist()
-    a_k = ab / b0
+    a_k = sums[1] / sums[0]
     A = [a_k]
     B = [0.0]
     c = np.zeros(4)  # slot 1, the weight of x u_{k-2}, stays 0
     coef = memoryview(c)
-    gemv, multiply, read, sqrt = c.dot, np.multiply, r.tolist, math.sqrt
+    gemv, multiply, sqrt = c.dot, np.multiply, math.sqrt
     push_a, push_b = A.append, B.append
     s_prev = s = 1.0
     for fill in _fills(buf, k_max):
-        for src, row, x_row, pair in fill:
-            coef[0], coef[2], coef[3] = -s / s_prev, -a_k / s, 1.0 / s
+        for src, row, x_row, pair_dot in fill:
+            coef[0] = -s / s_prev
+            coef[2] = -a_k / s
+            coef[3] = 1.0 / s
             gemv(src, out=row)
             multiply(nodes, row, x_row)
-            pair.dot(row, out=r)
-            bk, ab = read()
+            pair_dot(row, out=r)
+            bk = sums[0]
             if not bk > 0.0:
                 raise PrecisionError(
                     f"B_{len(B)} lost positivity; double precision exhausted")
             push_b(bk)
-            a_k = ab / bk
+            a_k = sums[1] / bk
             push_a(a_k)
             s_prev, s = s, sqrt(bk)
     log_h = accumulate(map(math.log, B[1:]), initial=math.log(h0))
@@ -287,10 +294,35 @@ def _pass_start(nodes, amplitudes, n, a, k_max):
     return np.where(np.abs(nodes) > reach, 0.0, amplitudes)
 
 
+# OpenBLAS sums a row in 32-column blocks, then a tail of m mod 32 columns;
+# past 2,048 columns its dgemv_t also splits the row, and a cut moved bits.
+_BLOCK, _MAX_CUT = 32, 2048
+
+
+def _pass_columns(start, k_max):
+    """The columns a build's pass runs on: the 32-column blocks that hold
+    the nonzero starts, from the block of the first, and ending at the
+    first column at or past the last + 1 + m mod 32 that leaves the
+    window's remainder m mod 32.  Each live product is then summed in the
+    same block, lane and tail as on the whole window, and every zero column
+    dropped adds only +0 there.  Windows over 2,048 columns, and cuts that
+    keep no more than k_max columns, run whole.
+    """
+    m = len(start)
+    if m > _MAX_CUT:
+        return slice(None)
+    live = np.flatnonzero(start)
+    lo = int(live[0]) // _BLOCK * _BLOCK
+    hi = int(live[-1]) + 1 + m % _BLOCK
+    hi = min(hi + (m - hi) % _BLOCK, m)
+    return slice(lo, hi) if hi - lo > k_max else slice(None)
+
+
 def _build(n, alpha, a, k_max):
     nodes, amplitudes = build_lattice(n, alpha, a, k_max)
-    A, B, log_h = stieltjes(
-        nodes, _pass_start(nodes, amplitudes, n, a, k_max), k_max)
+    start = _pass_start(nodes, amplitudes, n, a, k_max)
+    cut = _pass_columns(start, k_max)
+    A, B, log_h = stieltjes(nodes[cut], start[cut], k_max)
     # every system of the family views these arrays, so none may write them
     for arr in (nodes, amplitudes, A, B, log_h):
         arr.setflags(write=False)

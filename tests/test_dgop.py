@@ -574,6 +574,94 @@ def test_zeroed_pass_start_changes_no_bit(n):
     assert built >= 36  # every family builds at n = 1, most at larger n
 
 
+def _record_pass_columns(monkeypatch):
+    # the nodes each _first_rows call is handed: the build's pass first
+    calls = []
+    first_rows = dgop._first_rows
+
+    def recorded(nodes, *args):
+        calls.append(nodes)
+        return first_rows(nodes, *args)
+
+    monkeypatch.setattr(dgop, "_first_rows", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("family", [(64, 0.25, 1.0, 64), (1, 0.0, 1 / 64, 63),
+                                    (351, 0.0, 1.0 - 351 ** (-2 / 3), 351),
+                                    (100, 0.25, 0.029, 100)],  # 2,038 nodes
+                         ids=str)
+def test_build_pass_runs_on_aligned_live_slice(monkeypatch, family):
+    # the pass takes 32-column blocks from the block of the first live node,
+    # a width that leaves the window's remainder mod 32, and every live node
+    calls = _record_pass_columns(monkeypatch)
+    system = dgop._build(*family)
+    n, _, a, k_max = family
+    m = len(system.nodes)
+    start = dgop._pass_start(system.nodes, system.amplitudes, n, a, k_max)
+    live = np.flatnonzero(start)
+    lo, width = system.node_index(calls[0][0]), len(calls[0])
+    assert m <= 2048 and lo % 32 == 0 and width % 32 == m % 32 and width < m
+    assert lo <= live[0] and live[-1] < lo + width - m % 32
+    assert np.array_equal(calls[0], system.nodes[lo:lo + width])
+
+
+def test_build_pass_runs_whole_past_2048_columns(monkeypatch):
+    calls = _record_pass_columns(monkeypatch)
+    system = dgop._build(192, 0.0, 0.025, 384)
+    start = dgop._pass_start(system.nodes, system.amplitudes, 192, 0.025, 384)
+    assert len(system.nodes) == 3041 and start[0] == 0.0
+    assert len(calls[0]) == 3041
+
+
+def test_build_pass_runs_whole_when_the_cut_keeps_k_max_nodes(monkeypatch):
+    # a start with 8 live nodes in one block stands in for a reach that
+    # keeps too few: its cut, from column 128 to the first column at or past
+    # 136 + 22 that leaves 278 mod 32, would keep 54 <= k_max columns, and
+    # the whole window runs
+    n, alpha, a, k_max = 64, 0.25, 1.0, 64
+    nodes, amplitudes = build_lattice(n, alpha, a, k_max)
+
+    def narrow(nodes, amplitudes, *args):
+        start = np.zeros_like(amplitudes)
+        start[128:136] = amplitudes[128:136]
+        return start
+
+    monkeypatch.setattr(dgop, "_pass_start", narrow)
+    assert dgop._pass_columns(narrow(nodes, amplitudes), k_max) == slice(None)
+    calls = _record_pass_columns(monkeypatch)
+    dgop._build(n, alpha, a, k_max)
+    assert len(nodes) == 278 and len(calls[0]) == 278
+
+
+def test_sliced_pass_changes_no_bit():
+    # the build's pass on its block-aligned slice against the same zeroed
+    # starts on the whole window: workload-shaped families, windows of
+    # 2,000-2,100 nodes (cut up to 2,048) and of about 3,000 (run whole)
+    rng = np.random.default_rng(36)
+    families = []
+    for _ in range(40):
+        n = int(rng.integers(32, 353))
+        x = rng.uniform(-1.0, 2.0)
+        families.append((n, float(rng.choice([0.0, 0.25])),
+                         1.0 - x * n ** (-2 / 3), n))
+    for m in (*rng.uniform(2000.0, 2100.0, 24), *rng.uniform(2900, 3100, 6)):
+        n = int(rng.integers(32, 353))
+        k_max = int(rng.integers(1, min(2 * n, 320)))
+        a = 744.4 * n * (4 / math.pi) ** 2 / m ** 2
+        families.append((n, float(rng.choice([0.0, 0.25])), a, k_max))
+    cut = 0
+    for n, alpha, a, k_max in families:
+        system = dgop._build(n, alpha, a, k_max)
+        start = dgop._pass_start(system.nodes, system.amplitudes, n, a, k_max)
+        cut += len(start[dgop._pass_columns(start, k_max)]) < len(start)
+        got = (system.A, system.B, system.log_h)
+        for name, have, want in zip(("A", "B", "log_h"), got,
+                                    dgop.stieltjes(system.nodes, start, k_max)):
+            assert np.array_equal(have, want), (name, n, alpha, a, k_max)
+    assert cut >= 50
+
+
 def test_node_index_reads_the_lattice():
     system = wm.build_system(64, 0.25, 1.0, 64)
     last = len(system.nodes) - 1
