@@ -305,13 +305,15 @@ def _pass_columns(start, k_max):
     first column at or past the last + 1 + m mod 32 that leaves the
     window's remainder m mod 32.  Each live product is then summed in the
     same block, lane and tail as on the whole window, and every zero column
-    dropped adds only +0 there.  Windows over 2,048 columns, and cuts that
-    keep no more than k_max columns, run whole.
+    dropped adds only +0 there.  Windows over 2,048 columns and windows
+    with no nonzero start run whole, so ``stieltjes`` raises what it raises
+    there.  So do cuts that keep no more than k_max columns, a guard only:
+    the reach of ``_pass_start`` holds more than k_max nodes.
     """
-    m = len(start)
-    if m > _MAX_CUT:
-        return slice(None)
     live = np.flatnonzero(start)
+    m = len(start)
+    if m > _MAX_CUT or not live.size:
+        return slice(None)
     lo = int(live[0]) // _BLOCK * _BLOCK
     hi = int(live[-1]) + 1 + m % _BLOCK
     hi = min(hi + (m - hi) % _BLOCK, m)

@@ -135,6 +135,14 @@ def test_node_bound_exits_2_before_allocating(capsys):
     assert capsys.readouterr().err.startswith("numerical failure:")
 
 
+def test_empty_window_exits_2(capsys):
+    # at alpha = 1/2 and a = 5000 no node of n = 1 lies inside the window
+    assert cli.main(["dgop", "--n", "1", "--alpha", "0.5", "--a", "5000",
+                     "--kmax", "0"]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: degree 0 unreachable with 0 nodes")
+
+
 def test_io_error_exit_3(run_cli, tmp_path):
     proc = run_cli(["--output", str(tmp_path / "no" / "dir" / "x.csv"),
                     "tw", "--which", "f2", "--xmin", "0", "--xmax", "1",

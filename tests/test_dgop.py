@@ -43,6 +43,9 @@ def test_degree_unreachable():
     # only 35 nodes carry a nonzero amplitude at n = 1, a = 1
     with pytest.raises(WindowError):
         wm.build_system(1, 0.0, 1.0, 50)
+    # the half-width 0.2456 keeps neither node +-1/2: a window of 0 nodes
+    with pytest.raises(WindowError, match="degree 0 unreachable with 0"):
+        wm.build_system(1, 0.5, 5000.0, 0)
 
 
 def test_node_bound_edge():
