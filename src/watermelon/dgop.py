@@ -206,6 +206,8 @@ def stieltjes(nodes: np.ndarray, amplitudes: np.ndarray, k_max: int):
     if k_max >= m:
         raise WindowError(f"degree {k_max} unreachable with {m} nodes")
     h0 = float(amplitudes @ amplitudes)
+    if not h0 > 0.0:
+        raise WindowError(f"the weight underflows to 0 on the {m}-node window")
     buf = _first_rows(nodes, amplitudes, h0, k_max)
     r = np.empty(2)
     sums = memoryview(r)

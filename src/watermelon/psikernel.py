@@ -11,15 +11,17 @@ psi-function pair normalized to unit amplitude cos/-sin at infinity.  We
 therefore propagate outward from (1, 0) at zeta = 0, which pins the parity
 exactly and follows the dominant direction through any trapped zone (the
 inward sweep from leading-order asymptotic data picks up an O(1/zeta_max)
-parity-violating admixture that is amplified for s < 0), then rescale so
-the amplitude's asymptotic mean, fitted over the outer half of the sweep,
-is 1.  Pinning the amplitude at zeta_max instead would keep its
-O(q/(2 zeta_max)) oscillation as a bias in the bulk.
+parity-violating admixture that is amplified for s < 0).
 
 Along s at fixed zeta the pair obeys the s-equation of the Lax pair
 (Flaschka & Newell, Commun. Math. Phys. 76 (1980) 65-116),
 
     d/ds (F1, F2) = [[q(s), zeta], [-zeta, -q(s)]] (F1, F2).
+
+At zeta = 0 it reads d/ds F1 = q F1, and the pair tends to (1, 0) as
+s -> +inf, so F1(0, s) = exp(-int_s^inf q) = E(s)^2 with the grid's
+E = exp(-1/2 int_s^inf q) (Tracy & Widom, Commun. Math. Phys. 177 (1996)
+727-754): the outward sweep is scaled by E(s)^2.
 
 Both equations are traceless 2x2 linear systems, and one integrator,
 ``_propagate``, takes closed-form sixth-order Magnus steps on either
@@ -143,29 +145,19 @@ def _propagate(matrix, t0, t1, n, y0):
 
 def integrate_psi(s: float, painleve: PainleveGrid) -> PsiSolution:
     """Build the psi-function pair at parameter s on |zeta| <=
-    ``DEFAULT_ZETA_MAX``, with q(s) and q'(s) read from the Painleve grid.
+    ``DEFAULT_ZETA_MAX``, with q(s), q'(s) and E(s) read from the Painleve
+    grid.
 
-    ``_SUBSTEPS`` Magnus steps per output interval carry (1, 0) out from
-    zeta = 0.  The amplitude is normalized at infinity: the oscillation
-    A^2(z) = c0 + (c1 sin 2theta + c2 cos 2theta)/z is fitted over the outer
-    half of the sweep and the asymptotic mean c0 scaled to 1.
+    ``_SUBSTEPS`` Magnus steps per 0.002 output interval carry (1, 0) out
+    from zeta = 0, and the sweep is scaled by F1(0, s) = E(s)^2.  The
+    truncation point moves no value the pair holds.
     """
-    return _psi_pair(s, painleve, DEFAULT_ZETA_MAX)
-
-
-def _psi_pair(s, painleve, zeta_max):
-    """The pair of :func:`integrate_psi` on |zeta| <= zeta_max."""
     q = painleve.q_at(s)
     r = painleve.q_prime_at(s)
-
-    # outer-half sampling must resolve the 2 theta oscillation for the
-    # amplitude fit: keep the output spacing at 0.002
-    half = np.linspace(0.0, zeta_max, int(500 * zeta_max) + 1)
-    path = _propagate(lambda z: _zeta_matrix(z, s, q, r), 0.0, zeta_max,
-                      _SUBSTEPS * (len(half) - 1), (1.0, 0.0))
-    kept = np.array(path[::_SUBSTEPS])
-    amp = math.sqrt(_asymptotic_mean_square(half, *kept.T, s))
-    p1, p2 = kept.T / amp
+    half = np.linspace(0.0, DEFAULT_ZETA_MAX, int(500 * DEFAULT_ZETA_MAX) + 1)
+    path = _propagate(lambda z: _zeta_matrix(z, s, q, r), 0.0,
+                      DEFAULT_ZETA_MAX, _SUBSTEPS * (len(half) - 1), (1.0, 0.0))
+    p1, p2 = np.array(path[::_SUBSTEPS]).T * painleve.spline("E")(s) ** 2
 
     zeta = np.concatenate([-half[:0:-1], half])
     phi1 = np.concatenate([p1[:0:-1], p1])
@@ -174,24 +166,6 @@ def _psi_pair(s, painleve, zeta_max):
         arr.setflags(write=False)
     return PsiSolution(s=s, zeta_values=zeta, phi1=phi1, phi2=phi2,
                        q_s=q, qp_s=r)
-
-
-def _asymptotic_mean_square(zeta, y1, y2, s):
-    """Asymptotic mean of the squared amplitude.
-
-    A^2(z) oscillates around its limit like (q/2z) sin(2 theta + phase);
-    regressing on [1, sin(2 theta)/z, cos(2 theta)/z] over the outer half
-    of the sweep recovers the limit to O(1/z^2).
-    """
-    sel = zeta >= 0.5 * zeta[-1]
-    z = zeta[sel]
-    p = y1[sel] ** 2 + y2[sel] ** 2
-    two_theta = 2.0 * _theta(z, s)
-    design = np.column_stack([np.ones_like(z),
-                              np.sin(two_theta) / z,
-                              np.cos(two_theta) / z])
-    coef, *_ = np.linalg.lstsq(design, p, rcond=None)
-    return float(coef[0])
 
 
 def critical_kernel(u: float, v: float, psis: PsiSolution) -> float:
@@ -233,9 +207,8 @@ def kernel_integral_form(u: float, v: float, psis: PsiSolution,
     -12), and the spline quadrature of the package integrates the product
     along the mesh.  The
     integrand decays like exp(-(2 sqrt2 / 3)|xi|^{3/2}), so the cutoff
-    truncates below 1e-8.  The flows start at s because the amplitude
-    normalization is fitted there; at xi = -8 the fit is poor.  Given the
-    same pair, this and :func:`critical_kernel` agree to about 3e-9.
+    truncates below 1e-8.  Given the same pair, this and
+    :func:`critical_kernel` agree to about 3e-9.
     """
     s = psis.s
     lower = min(-8.0, s)

@@ -1,10 +1,31 @@
 
+import ctypes
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import watermelon as wm
+
+
+def _openblas_core():
+    """The kernel set numpy's bundled DYNAMIC_ARCH OpenBLAS runs on this
+    CPU, or "unknown" where the library or its symbol is absent."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def pytest_report_header(config):
+    # bit-equality tests depend on the BLAS kernels, so a log names them
+    return f"numpy {np.__version__}, OpenBLAS core {_openblas_core()}"
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -141,6 +142,13 @@ def test_empty_window_exits_2(capsys):
                      "--kmax", "0"]) == cli.EXIT_NUMERICAL
     assert capsys.readouterr().err.startswith(
         "numerical failure: degree 0 unreachable with 0 nodes")
+    # a window whose every weight underflows, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["dgop", "--n", "4", "--alpha", "-0.25", "--a",
+                         "10864", "--kmax", "0"]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: the weight underflows to 0")
 
 
 def test_io_error_exit_3(run_cli, tmp_path):

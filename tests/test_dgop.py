@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,29 @@ def test_degree_unreachable():
     # the half-width 0.2456 keeps neither node +-1/2: a window of 0 nodes
     with pytest.raises(WindowError, match="degree 0 unreachable with 0"):
         wm.build_system(1, 0.5, 5000.0, 0)
+    # a node is kept, but its squared amplitude underflows to h0 = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WindowError, match="weight underflows to 0"):
+            wm.build_system(4, -0.25, 10864.0, 0)
+
+
+def test_tiny_windows_raise_only_typed_errors():
+    # seeded tiny families, where a window may hold a handful of nodes or
+    # none, and its weight may underflow: each builds or raises a
+    # WatermelonError, never a ValueError or a warning
+    rng = np.random.default_rng(3000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(3000):
+            n = int(rng.integers(1, 7))
+            alpha = float(rng.uniform(-0.5, 0.5))
+            a = float(10.0 ** rng.uniform(0.0, 5.0))
+            k_max = int(rng.integers(0, 4))
+            try:
+                wm.build_system(n, alpha, a, k_max)
+            except WatermelonError:
+                pass
 
 
 def test_node_bound_edge():

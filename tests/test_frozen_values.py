@@ -6,7 +6,7 @@ Closed forms at rel 1e-15, recurrence values at 1e-13, ODE values at 1e-12.
 import math
 
 import watermelon as wm
-from watermelon import oracles, psikernel
+from watermelon import oracles
 
 
 def test_folded_formulas_frozen_values(grid, psis_critical):
@@ -35,12 +35,13 @@ def test_folded_formulas_frozen_values(grid, psis_critical):
     close(wm.log_height_cdf(8, 5.0, "reflecting"), -4.5632998194053166e-06, 1e-13)
 
     # re-pinned when the psi amplitude became the fitted mean at infinity
-    # and q' started summing its tail integral downward, and again when the
-    # Magnus zeta-solve replaced DOP853 (the old pin carried DOP853's own
-    # 1e-11 error; this one is within 2.5e-13 of DOP853 at rtol 2.3e-14)
+    # and q' started summing its tail integral downward, when the Magnus
+    # zeta-solve replaced DOP853, and again when the pair was scaled by
+    # F1(0, s) = E(s)^2: 3.9e-13 and 3.7e-12 relative from the pair of a
+    # Magnus s-flow from s = 12 (the fitted pins 2.0e-5 and 2.0e-5)
     psis = psis_critical
     for got, want in zip(psis._prime(0.7, *psis.phi_at(0.7)),
-                         (-3.457624556187918, 0.09806780961588851)):
+                         (-3.457694016713227, 0.09806977970878354)):
         close(got, want, 1e-12)
     # re-pinned when the compatibility check's edge flows moved from DOP853
     # at rtol 1e-13 to Magnus s-steps: the Magnus sweeps from DOP853 edge
@@ -53,11 +54,13 @@ def test_constant_settings_frozen_values(grid):
     def close(got, want, rel):
         assert math.isclose(got, want, rel_tol=rel), (got, want)
 
-    # re-pinned when Magnus s-flows replaced the DOP853 flow at rtol 1e-10
-    # (2.6e-13 from DOP853 at rtol 1e-13, atol 1e-15; the old pin 1.1e-12)
-    psis = psikernel._psi_pair(0.5, grid, 8.0)
+    # re-pinned when Magnus s-flows replaced the DOP853 flow at rtol 1e-10,
+    # and again when the pair was scaled by E(s)^2: 7.9e-13 relative from
+    # the integral form on the pair of a Magnus s-flow from s = 12 (the pin
+    # on the fitted pair 8.5e-4)
+    psis = wm.integrate_psi(0.5, grid)
     close(wm.kernel_integral_form(0.4, -0.3, psis, grid),
-          0.2739853539398912, 1e-12)
+          0.27421860644813767, 1e-12)
     # re-pinned with the Magnus edge flows, which land on the value from
     # DOP853 edge data at rtol 2.3e-14 (the old pin 1.5e-10 relative away)
     close(wm.compatibility_defect(-1.5, 0.03, grid),

@@ -19,13 +19,17 @@ def theta(z, s):
 
 class FreePhase:
     """Stand-in grid with q = q' = 0: the zeta-system has the exact free
-    solution (cos theta, -sin theta).  Like a real grid, it returns an
-    array for an array."""
+    solution (cos theta, -sin theta), and E = 1 exactly.  Like a real grid,
+    it returns an array for an array."""
 
     def q_at(self, s):
         return np.zeros(np.shape(s))[()]
 
     q_prime_at = q_at
+
+    def spline(self, name):
+        assert name == "E"
+        return lambda s: 1.0
 
 
 def test_free_phase_exact():
@@ -74,9 +78,9 @@ def test_validation_sweep_defect_scales_like_inverse_zeta_max(grid):
     # the inward sweep from leading-order data (cos theta, -sin theta) at
     # +zeta_max, against the parity solution at zeta = 0
     s = 2.0 ** (2.0 / 3.0)
+    psis = wm.integrate_psi(s, grid)
 
     def defect(zeta_max):
-        psis = psikernel._psi_pair(s, grid, zeta_max)
         theta = psikernel._theta(zeta_max, s)
         n = psikernel._SUBSTEPS * int(500 * zeta_max)
         f1, f2 = psikernel._propagate(
@@ -92,25 +96,49 @@ def test_validation_sweep_defect_scales_like_inverse_zeta_max(grid):
     assert d20 < 0.7 * d10
 
 
-def test_zeta_max_truncation_effect_on_kernel(grid, psis_critical):
-    s = 2.0 ** (2.0 / 3.0)
-    wide = psikernel._psi_pair(s, grid, 20.0)
-    worst = max(abs(wm.critical_kernel(u, v, psis_critical)
-                    - wm.critical_kernel(u, v, wide))
-                for u in (-1.0, 0.0, 0.5) for v in (-0.5, 0.25, 1.0))
-    assert worst < 5e-3
-
-
-def test_amplitude_fit_independent_of_zeta_max(grid, psis_critical):
-    # the amplitude is fitted at infinity, so the truncation point moves the
-    # kernel by far less than the O(q/(2 zeta_max)) oscillation of an
-    # amplitude pinned at zeta_max (5.2e-3 relative over 8, 10, 12)
-    s = 2.0 ** (2.0 / 3.0)
-    others = [psikernel._psi_pair(s, grid, z) for z in (8.0, 12.0)]
+def test_pair_is_prefix_of_wider_sweep(grid, psis_critical, monkeypatch):
+    # the scale E(s)^2 does not depend on the truncation point, so the pair
+    # is the prefix of a 20-unit sweep, and the kernel reads the same bits
+    # (a fitted amplitude moved it by 2.4e-5 relative over 8, 10 and 12)
+    monkeypatch.setattr(psikernel, "DEFAULT_ZETA_MAX", 20.0)
+    wide = wm.integrate_psi(2.0 ** (2.0 / 3.0), grid)
+    offset = (len(wide.zeta_values) - len(psis_critical.zeta_values)) // 2
+    inner = slice(offset, len(wide.zeta_values) - offset)
+    for name in ("zeta_values", "phi1", "phi2"):
+        assert np.array_equal(getattr(psis_critical, name),
+                              getattr(wide, name)[inner])
     for u, v in ((0.5, -0.5), (1.0, 1.0), (-1.0, 0.5), (0.3, -0.7)):
-        ref = wm.critical_kernel(u, v, psis_critical)
-        for psis in others:
-            assert abs(wm.critical_kernel(u, v, psis) / ref - 1.0) <= 1e-4
+        assert (wm.critical_kernel(u, v, psis_critical)
+                == wm.critical_kernel(u, v, wide))
+
+
+def _s_flow(painleve, s, zeta, start=12.0):
+    """The pair at (zeta, s) by a Magnus s-flow from (cos theta, -sin theta)
+    at s = start, where q is 1.4e-13 at 12."""
+    th = theta(zeta, start)
+    n = math.ceil((start - s) / psikernel._S_STEP)
+    return psikernel._propagate(_s_matrix(painleve, zeta), start, s, n,
+                                (math.cos(th), -math.sin(th)))[-1]
+
+
+def test_pair_matches_s_flow_from_large_s(grid):
+    # the flow into the trapped zone at s = -8 is subdominant: flows from
+    # s = 10 and s = 12 differ by 1.5e-6 there, so the reference is the
+    # weak side (measured 4.1e-13, 4.1e-13, 6.4e-13, 1.0e-11, 9.6e-9)
+    for s, bound in ((2.0 ** (2.0 / 3.0), 1e-9), (0.0, 1e-9), (-1.5, 1e-9),
+                     (-4.0, 1e-9), (-8.0, 1e-7)):
+        psis = wm.integrate_psi(s, grid)
+        zetas = (0.0, 0.37, 1.3, 3.1, 8.0)
+        ref = np.array([_s_flow(grid, s, z) for z in zetas])
+        got = np.array([psis.phi_at(z) for z in zetas])
+        assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref))
+    # the kernel at L = -1 from the flowed pair (measured <= 1.0e-11)
+    s = -(2.0 ** (2.0 / 3.0))
+    psis = wm.integrate_psi(s, grid)
+    for u, v in ((0.5, -0.5), (1.0, 0.25), (-1.0, 0.3), (0.3, -0.7)):
+        (f1u, f2u), (f1v, f2v) = _s_flow(grid, s, u), _s_flow(grid, s, v)
+        want = (f1u * f2v - f2u * f1v) / (math.pi * (u - v))
+        assert abs(wm.critical_kernel(u, v, psis) / want - 1.0) <= 1e-9
 
 
 def test_lhospital_matches_integral_form(grid):
@@ -124,13 +152,13 @@ def test_lhospital_matches_integral_form(grid):
 def test_integral_form_agrees_with_closed_form(grid):
     for u, v, s in ((0.4, -0.3, 0.5), (0.4, 0.4, 1.0), (0.3, -0.2, 0.5),
                     (1.0, 0.5, -1.0), (-0.7, 0.9, 2.0)):
-        psis = psikernel._psi_pair(s, grid, 8.0)
+        psis = wm.integrate_psi(s, grid)
         integral = kernel_integral_form(u, v, psis, grid)
         assert abs(integral - wm.critical_kernel(u, v, psis)) <= 1e-7
     # at, below or just above the -8 cutoff the integral is (nearly) empty:
     # K is ~1e-12 there
     for s in (-9.0, math.nextafter(-8.0, 0.0), -7.99):
-        psis = psikernel._psi_pair(s, grid, 8.0)
+        psis = wm.integrate_psi(s, grid)
         assert 0.0 <= kernel_integral_form(0.4, 0.4, psis, grid) <= 1e-8
 
 
@@ -145,20 +173,21 @@ def _dop853(rhs, t_span, y0, tol, atol=None, t_eval=None):
 
 def test_magnus_matches_tight_dop853(grid):
     for s in (2.0 ** (2.0 / 3.0), -1.5):
-        psis = psikernel._psi_pair(s, grid, 8.0)
+        psis = wm.integrate_psi(s, grid)
 
         def rhs(z, y):
             a, b, c = _zeta_matrix(z, s, psis.q_s, psis.qp_s)
             return a * y[0] + b * y[1], c * y[0] - a * y[1]
 
-        # outward from (1, 0): both pairs scaled by their own fitted
-        # amplitude, on the half-mesh
-        half = psis.zeta_values[len(psis.zeta_values) // 2:]
-        y = _dop853(rhs, (0.0, 8.0), [1.0, 0.0], 1e-13, t_eval=half)
-        amp = math.sqrt(psikernel._asymptotic_mean_square(half, *y, s))
-        mid = len(half) - 1
-        assert np.max(np.abs(psis.phi1[mid:] - y[0] / amp)) <= 3e-11
-        assert np.max(np.abs(psis.phi2[mid:] - y[1] / amp)) <= 3e-11
+        # outward from (1, 0), scaled by E(s)^2, on zeta <= 8 of the
+        # half-mesh
+        mid = len(psis.zeta_values) // 2
+        inner = slice(mid, mid + 4001)
+        y = _dop853(rhs, (0.0, 8.0), [1.0, 0.0], 1e-13,
+                    t_eval=psis.zeta_values[inner])
+        y *= grid.spline("E")(s) ** 2
+        assert np.max(np.abs(psis.phi1[inner] - y[0])) <= 3e-11
+        assert np.max(np.abs(psis.phi2[inner] - y[1])) <= 3e-11
         # inward from leading-order edge data at zeta = 10, read at the
         # compatibility check's mesh points: 4.9e-12 and 1.7e-11 off; with
         # the step read off the mesh instead of the span, 1.6e-9 and 5.1e-9
@@ -177,7 +206,7 @@ def test_magnus_matches_tight_dop853(grid):
     lower = max(grid.s_min, -8.0)
     for u, v, s in ((0.4, -0.3, 0.5), (0.4, 0.4, 1.0), (0.3, -0.2, 0.5),
                     (1.0, 0.5, -1.0), (-0.7, 0.9, 2.0)):
-        psis = psikernel._psi_pair(s, grid, 8.0)
+        psis = wm.integrate_psi(s, grid)
 
         def rhs(xi, y):
             q = grid.q_at(xi)
@@ -265,11 +294,10 @@ def test_coverage_and_precondition_errors(grid):
 
 def test_parallel_construction_matches_serial(grid):
     svals = (0.5, 1.5)
-    serial = [psikernel._psi_pair(s, grid, 8.0) for s in svals]
+    serial = [wm.integrate_psi(s, grid) for s in svals]
     with ThreadPoolExecutor(max_workers=2) as pool:
         parallel = list(pool.map(
-            lambda s: psikernel._psi_pair(s, grid, 8.0),
-            svals))
+            lambda s: wm.integrate_psi(s, grid), svals))
     for a, b in zip(serial, parallel):
         assert np.array_equal(a.phi1, b.phi1)
         assert np.array_equal(a.phi2, b.phi2)
