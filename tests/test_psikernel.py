@@ -96,20 +96,43 @@ def test_validation_sweep_defect_scales_like_inverse_zeta_max(grid):
     assert d20 < 0.7 * d10
 
 
-def test_pair_is_prefix_of_wider_sweep(grid, psis_critical, monkeypatch):
-    # the scale E(s)^2 does not depend on the truncation point, so the pair
-    # is the prefix of a 20-unit sweep, and the kernel reads the same bits
-    # (a fitted amplitude moved it by 2.4e-5 relative over 8, 10 and 12)
-    monkeypatch.setattr(psikernel, "DEFAULT_ZETA_MAX", 20.0)
-    wide = wm.integrate_psi(2.0 ** (2.0 / 3.0), grid)
-    offset = (len(wide.zeta_values) - len(psis_critical.zeta_values)) // 2
+def _swept_to(zeta_max, grid, monkeypatch):
+    monkeypatch.setattr(psikernel, "DEFAULT_ZETA_MAX", zeta_max)
+    return wm.integrate_psi(2.0 ** (2.0 / 3.0), grid)
+
+
+def _assert_prefix(short, wide):
+    offset = (len(wide.zeta_values) - len(short.zeta_values)) // 2
     inner = slice(offset, len(wide.zeta_values) - offset)
     for name in ("zeta_values", "phi1", "phi2"):
-        assert np.array_equal(getattr(psis_critical, name),
-                              getattr(wide, name)[inner])
+        assert np.array_equal(getattr(short, name), getattr(wide, name)[inner])
+
+
+def test_zeta_max_truncation_effect_on_kernel(grid, psis_critical,
+                                               monkeypatch):
+    # the scale E(s)^2 does not depend on the truncation point, so the pair
+    # is the prefix of a 20-unit sweep, and the kernel reads the same bits
+    wide = _swept_to(20.0, grid, monkeypatch)
+    _assert_prefix(psis_critical, wide)
+    for u in (-1.0, 0.0, 0.5):
+        for v in (-0.5, 0.25, 1.0):
+            assert (wm.critical_kernel(u, v, psis_critical)
+                    == wm.critical_kernel(u, v, wide))
+
+
+def test_amplitude_fit_independent_of_zeta_max(grid, psis_critical,
+                                               monkeypatch):
+    # no amplitude is fitted any more: pairs swept to 8, 10 and 12 share
+    # their bits on |zeta| <= 8 (a fitted amplitude moved the kernel by
+    # 2.4e-5 relative over 8, 10 and 12)
+    short = _swept_to(8.0, grid, monkeypatch)
+    wide = _swept_to(12.0, grid, monkeypatch)
+    _assert_prefix(short, psis_critical)
+    _assert_prefix(psis_critical, wide)
     for u, v in ((0.5, -0.5), (1.0, 1.0), (-1.0, 0.5), (0.3, -0.7)):
-        assert (wm.critical_kernel(u, v, psis_critical)
-                == wm.critical_kernel(u, v, wide))
+        ref = wm.critical_kernel(u, v, psis_critical)
+        for psis in (short, wide):
+            assert wm.critical_kernel(u, v, psis) == ref
 
 
 def _s_flow(painleve, s, zeta, start=12.0):
