@@ -221,17 +221,17 @@ def kernel_limit_table(n: int, L: float, u_grid, v_grid,
     ks = sorted({k for pair in pairs for k in pair})
     column = {k: i for i, k in enumerate(ks)}
     if ks:
-        phi = system.phi_at([system.node_index((k - alpha) / n)
-                             for k in ks])[:n]
+        phi = list(system.phi_at([system.node_index((k - alpha) / n)
+                                  for k in ks])[:n].T)  # strided columns
         # distinct nodes lie C n^{-2/3} >= 1e-6 apart in u for n <= MAX_DEGREE
         us = [KERNEL_SCALE_C * ((k - alpha) / n) * n ** (1.0 / 3.0) for k in ks]
-        limits = critical_kernel_matrix(us, psis)
+        limits = critical_kernel_matrix(us, psis).tolist()
     rows = []
     for k_n, m_n in pairs:
         i, j = column[k_n], column[m_n]
         u, v = us[i], us[j]
-        kn = float(phi[:, i] @ phi[:, j])
-        limit = float(limits[i, j])
+        kn = float(phi[i].dot(phi[j]))
+        limit = limits[i][j]
         if k_n == m_n:
             exact = scale * (1.0 - kn)
         else:

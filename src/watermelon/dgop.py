@@ -16,12 +16,8 @@ exp(-n pi^2 a x^2 / 4) is exactly 0, so no wider window can change a
 double-precision result and one Stieltjes pass per family suffices.  It is
 the only window: a node at amplitude 0 stays 0 through the recurrence, so
 identities that difference across a (``toda_residual``) need no shared one.
-The pass of a build starts at 0 past its degree's reach (``_pass_start``),
-where every product it would add is below half an ulp of its sums, and a
-window of at most 2,048 nodes hands the pass only the 32-column blocks that
-hold the nonzero starts (``_pass_columns``): OpenBLAS then sums every
-nonzero product in the same block, lane and tail as on the whole window, so
-no bit moves.
+A build's pass starts at 0 past its degree's reach and runs on the
+32-column blocks that hold the nonzero starts (``_pass_window``): no bit moves.
 
 The pass (Gautschi, Orthogonal Polynomials: Computation and Approximation,
 2004, sec. 2.2) carries u_k = sqrt(B_k) phi_k and x u_k as row pairs of a
@@ -40,8 +36,8 @@ columns asked for alone, with no dot product and no second pass.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -70,9 +66,12 @@ def lattice_nodes(n: int, alpha: float, half_width: float) -> np.ndarray:
     hi = math.ceil(half_width * n + alpha)
     if hi - lo + 1 > MAX_NODES:
         raise WindowError(f"window of {hi - lo + 1} nodes {bound}")
-    k = np.arange(lo, hi + 1)
-    x = (k - alpha) / n
-    return x[np.abs(x) <= half_width]
+    # |x| <= half_width on one run of nodes: its ends, in the array's arithmetic
+    while lo <= hi and abs((lo - alpha) / n) > half_width:
+        lo += 1
+    while hi >= lo and abs((hi - alpha) / n) > half_width:
+        hi -= 1
+    return (np.arange(lo, hi + 1, dtype=float) - alpha) / n
 
 
 @dataclass
@@ -107,28 +106,27 @@ class OrthoSystem:
         ``idx`` alone, every degree's gemv coefficients computed once from A
         and B by the pass's divisions.  A degree's gemv and multiply act on
         each column alone and phi_0 divides by the whole window's h_0, so
-        inside the reach of ``_pass_start`` each value is bit for bit the
+        inside the reach of ``_pass_window`` each value is bit for bit the
         pass's own; past it, where the pass starts at 0, the true value.
         """
-        cols = np.arange(len(self.nodes))
-        keep = cols[idx]
+        keep, cols = np.arange(len(self.nodes))[idx], slice(None)
         # OpenBLAS runs a gemv 2 or 3 columns wide by another path, which moved
         # phi in 591 of 752 families; so a gather repeats its first column up
         # to 4, and a window under 4 nodes replays whole: no bit moved in 1,124
-        if len(cols) >= 4:
-            cols = np.append(keep, keep[:1].repeat(max(0, 4 - len(keep))))
+        if len(self.nodes) >= 4:
+            cols = np.concatenate((keep, keep[:1].repeat(max(0, 4 - len(keep)))))
             keep = slice(len(keep))
         nodes, multiply = self.nodes[cols], np.multiply
         s = np.sqrt(self.B)
         s[0] = 1.0  # u_0 = phi_0
         coef = np.zeros((self.k_max, 4))
-        coef[:, 0] = -s[:-1] / np.append(1.0, s[:-2])
-        coef[:, 2] = -self.A[:-1] / s[:-1]
-        coef[:, 3] = 1.0 / s[:-1]
+        coef[:, 0] = -s[:-1] / np.concatenate(([1.0], s[:-2]))
+        np.divide(-self.A[:-1], s[:-1], out=coef[:, 2])
+        np.divide(1.0, s[:-1], out=coef[:, 3])
         rows = iter(coef)
         buf = _first_rows(nodes, self.amplitudes[cols],
-                          float(self.amplitudes @ self.amplitudes), self.k_max)
-        u = np.empty((self.k_max + 1, len(cols)))
+                          float(self.amplitudes.dot(self.amplitudes)), self.k_max)
+        u = np.empty((self.k_max + 1, len(nodes)))
         first, top = 0, 2  # first u_k not kept, and its buffer row
         for fill in _fills(buf, self.k_max):
             for (src, row, x_row, _), c in zip(fill, rows):
@@ -205,7 +203,7 @@ def stieltjes(nodes: np.ndarray, amplitudes: np.ndarray, k_max: int):
     m = len(nodes)
     if k_max >= m:
         raise WindowError(f"degree {k_max} unreachable with {m} nodes")
-    h0 = float(amplitudes @ amplitudes)
+    h0 = float(amplitudes.dot(amplitudes))
     if not h0 > 0.0:
         raise WindowError(f"the weight underflows to 0 on the {m}-node window")
     buf = _first_rows(nodes, amplitudes, h0, k_max)
@@ -214,7 +212,7 @@ def stieltjes(nodes: np.ndarray, amplitudes: np.ndarray, k_max: int):
     buf[2:4].dot(buf[2], out=r)
     a_k = sums[1] / sums[0]
     A = [a_k]
-    B = [0.0]
+    B = [h0]  # B_0 = 0 once log h is summed, in order as cumsum adds
     c = np.zeros(4)  # slot 1, the weight of x u_{k-2}, stays 0
     coef = memoryview(c)
     gemv, multiply, sqrt = c.dot, np.multiply, math.sqrt
@@ -236,8 +234,9 @@ def stieltjes(nodes: np.ndarray, amplitudes: np.ndarray, k_max: int):
             a_k = sums[1] / bk
             push_a(a_k)
             s_prev, s = s, sqrt(bk)
-    log_h = accumulate(map(math.log, B[1:]), initial=math.log(h0))
-    return np.array(A), np.array(B), np.array(list(log_h))
+    log_h = np.fromiter(map(math.log, B), float, len(B)).cumsum()
+    B[0] = 0.0
+    return np.fromiter(A, float, len(A)), np.fromiter(B, float, len(B)), log_h
 
 
 def build_lattice(n: int, alpha: float, a: float, k_max: int):
@@ -257,9 +256,14 @@ def build_lattice(n: int, alpha: float, a: float, k_max: int):
         raise PrecisionError(f"k_max={k_max} > {MAX_DEGREE}, the double-range cap")
     x = lattice_nodes(n, alpha, (2.0 / math.pi) * math.sqrt(
         _UNDERFLOW_EXPONENT / (n * a)))
-    amplitudes = np.exp(-n * math.pi**2 * a * x * x / 4.0) / math.sqrt(n)
-    keep = amplitudes > 0.0
-    return x[keep], amplitudes[keep]
+    amplitudes = np.exp(-n * math.pi**2 * a / 4.0 * x * x) / math.sqrt(n)
+    # an amplitude falls with |x|, so only the two ends can underflow to 0
+    lo, hi = 0, len(x)
+    while lo < hi and amplitudes[lo] == 0.0:
+        lo += 1
+    while hi > lo and amplitudes[hi - 1] == 0.0:
+        hi -= 1
+    return x[lo:hi], amplitudes[lo:hi]
 
 
 def build_system(n: int, alpha: float, a: float, k_max: int) -> OrthoSystem:
@@ -279,54 +283,44 @@ def build_system(n: int, alpha: float, a: float, k_max: int) -> OrthoSystem:
                        nodes=entry.nodes, amplitudes=entry.amplitudes)
 
 
-def _pass_start(nodes, amplitudes, n, a, k_max):
-    """The amplitudes with 0 past degree k_max's reach: 8 Airy units
-    (k_max^{-2/3} relative) beyond the band edge (2/pi) sqrt(k_max / (n a)),
-    or beyond the packed half-width (k_max + 1)/(2n) once the family
-    saturates.  What those nodes add is below half an ulp of the sums they
-    join, so B and log h keep every bit (A too, but where it cancels to
-    noise below 1e-70), and the pass no longer pays for their subnormal
-    arithmetic.  At 5 units 7 of 2,000 swept families change bits of B or
-    log h.
-    """
-    if k_max == 0:
-        return amplitudes
-    reach = (1.0 + 8.0 * k_max ** (-2.0 / 3.0)) * max(
-        (2.0 / math.pi) * math.sqrt(k_max / (n * a)), (k_max + 1) / (2.0 * n))
-    return np.where(np.abs(nodes) > reach, 0.0, amplitudes)
-
-
 # OpenBLAS sums a row in 32-column blocks, then a tail of m mod 32 columns;
 # past 2,048 columns its dgemv_t also splits the row, and a cut moved bits.
 _BLOCK, _MAX_CUT = 32, 2048
 
 
-def _pass_columns(start, k_max):
-    """The columns a build's pass runs on: the 32-column blocks that hold
-    the nonzero starts, from the block of the first, and ending at the
-    first column at or past the last + 1 + m mod 32 that leaves the
-    window's remainder m mod 32.  Each live product is then summed in the
-    same block, lane and tail as on the whole window, and every zero column
-    dropped adds only +0 there.  Windows over 2,048 columns and windows
-    with no nonzero start run whole, so ``stieltjes`` raises what it raises
-    there.  So do cuts that keep no more than k_max columns, a guard only:
-    the reach of ``_pass_start`` holds more than k_max nodes.
+def _pass_window(nodes, amplitudes, n, a, k_max):
+    """The nodes and starts of a build's pass: the amplitudes with 0 past
+    degree k_max's reach, 8 Airy units (k_max^{-2/3} relative) beyond the
+    band edge (2/pi) sqrt(k_max / (n a)) or the packed half-width
+    (k_max + 1)/(2n).  What those nodes add is below half an ulp of the
+    sums they join, so A moves only where it is noise below 1e-70 (at 5
+    units, B or log h moved in 7 of 2,000 families).  The live run, found
+    by bisection in the sorted nodes, sets the 32-column blocks the pass
+    takes: from the first live node's to the first multiple of 32 at or
+    past the run's end, plus the window's remainder m mod 32, so each live
+    product is summed in the same block, lane and tail as on the whole
+    window.  Windows over 2,048 columns, or with no live node, run whole
+    (``stieltjes`` raises what it raises there), as do cuts of no more than
+    k_max columns, a guard only.
     """
-    live = np.flatnonzero(start)
-    m = len(start)
-    if m > _MAX_CUT or not live.size:
-        return slice(None)
-    lo = int(live[0]) // _BLOCK * _BLOCK
-    hi = int(live[-1]) + 1 + m % _BLOCK
-    hi = min(hi + (m - hi) % _BLOCK, m)
-    return slice(lo, hi) if hi - lo > k_max else slice(None)
+    if k_max == 0:
+        return nodes, amplitudes
+    reach = (1.0 + 8.0 * k_max ** (-2.0 / 3.0)) * max(
+        (2.0 / math.pi) * math.sqrt(k_max / (n * a)), (k_max + 1) / (2.0 * n))
+    view, m = memoryview(nodes), len(nodes)
+    first, end = bisect_left(view, -reach), bisect_right(view, reach)
+    lo = first // _BLOCK * _BLOCK
+    hi = min(-(-end // _BLOCK) * _BLOCK + m % _BLOCK, m)
+    if m > _MAX_CUT or first == end or hi - lo <= k_max:
+        lo, hi = 0, m
+    return nodes[lo:hi], np.concatenate(
+        (np.zeros(first - lo), amplitudes[first:end], np.zeros(hi - end)))
 
 
 def _build(n, alpha, a, k_max):
     nodes, amplitudes = build_lattice(n, alpha, a, k_max)
-    start = _pass_start(nodes, amplitudes, n, a, k_max)
-    cut = _pass_columns(start, k_max)
-    A, B, log_h = stieltjes(nodes[cut], start[cut], k_max)
+    A, B, log_h = stieltjes(*_pass_window(nodes, amplitudes, n, a, k_max),
+                            k_max)
     # every system of the family views these arrays, so none may write them
     for arr in (nodes, amplitudes, A, B, log_h):
         arr.setflags(write=False)
@@ -362,7 +356,7 @@ def rescale_check(system: OrthoSystem, direction: int) -> float:
 def partition_and_free_energy(n: int, alpha: float, a: float):
     """log Z = log n! + sum_{k<n} log h_k and F = -log Z / n^2."""
     system = build_system(n, alpha, a, n - 1)
-    log_z = math.lgamma(n + 1) + float(np.sum(system.log_h[:n]))
+    log_z = math.lgamma(n + 1) + float(system.log_h[:n].sum())
     return log_z, -log_z / n**2
 
 

@@ -117,17 +117,21 @@ def rescale_M(N: int, k: float) -> float:
     return math.sqrt(2.0 * N) + k * 2.0 ** (-11.0 / 6.0) * N ** (-1.0 / 6.0)
 
 
-def rescaled_cdf(N: int, k: float, wall: str) -> float:
-    """CDF at the rescaled coordinate k (the Tracy-Widom GOE variable)."""
+def _barrier(N: int, k: float) -> float:
     M = rescale_M(N, k)
     if M <= 0.0:
         raise ValueError(f"k={k} drives the barrier nonpositive at N={N}")
-    return height_cdf(N, M, wall)
+    return M
+
+
+def rescaled_cdf(N: int, k: float, wall: str) -> float:
+    """CDF at the rescaled coordinate k (the Tracy-Widom GOE variable)."""
+    return height_cdf(N, _barrier(N, k), wall)
 
 
 def tabulate_rescaled(N: int, k_grid, wall: str) -> HeightDistribution:
     k_grid = np.asarray(k_grid, dtype=float)
-    logs = [log_height_cdf(N, rescale_M(N, k), wall) for k in k_grid]
+    logs = [log_height_cdf(N, _barrier(N, k), wall) for k in k_grid]
     return HeightDistribution(N=N, wall=wall,
                               cdf=np.array([_clamped_exp(v) for v in logs]),
                               k_values=k_grid, clamped=np.array(logs) > 0.0)

@@ -183,17 +183,18 @@ def critical_kernel_matrix(points, psis: PsiSolution) -> np.ndarray:
     """K(u_i, u_j) on points at least 1e-6 apart, the diagonal in the
     L'Hospital form of :func:`critical_kernel`; one array read of the pair
     serves every entry, derivatives included.  Closer points raise
-    ``ValueError``."""
-    u = np.asarray(points, dtype=float)
-    diff = np.subtract.outer(u, u)
-    np.fill_diagonal(diff, 1.0)
-    if np.any(np.abs(diff) < 1e-6):
+    ``ValueError``.  The entries are Python-float sums after that read."""
+    u = [float(v) for v in points]
+    if any(abs(v - w) < 1e-6 for i, v in enumerate(u) for w in u[:i]):
         raise ValueError("kernel points must lie at least 1e-6 apart")
-    p1, p2 = psis.phi_at(u)
-    d1, d2 = psis._prime(u, p1, p2)
-    K = (np.multiply.outer(p1, p2) - np.multiply.outer(p2, p1)) / (math.pi * diff)
-    np.fill_diagonal(K, (d1 * p2 - d2 * p1) / math.pi)
-    return K
+    read = list(zip(u, *(p.tolist() for p in psis.phi_at(np.array(u)))))
+    K = []
+    for i, (v, p1, p2) in enumerate(read):
+        d1, d2 = psis._prime(v, p1, p2)
+        K.append([(d1 * p2 - d2 * p1) / math.pi if j == i else
+                  (p1 * q2 - p2 * q1) / (math.pi * (v - w))
+                  for j, (w, q1, q2) in enumerate(read)])
+    return np.array(K).reshape(len(u), len(u))
 
 
 def kernel_integral_form(u: float, v: float, psis: PsiSolution,

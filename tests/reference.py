@@ -4,7 +4,7 @@ Brute-force, extended-precision or earlier counterparts of the package's
 engines: explicit Gram-Schmidt (in doubles and in mpmath software floats),
 a 120-bit Stieltjes recurrence and the 160-bit second a-difference of the
 height norms built on it, the double-precision pass that stores phi, the
-image-sum height CDF, the tensor Gauss-Hermite GUE integral, the
+masked lattice window and pass columns, the image-sum height CDF, the tensor Gauss-Hermite GUE integral, the
 Stirling correction and the Ferrari-Spohn Fredholm determinant for F1.
 They are slow by design and never needed at run time, so they live here,
 and mpmath is a test dependency only.  The CSV and JSON table parsers live
@@ -19,6 +19,7 @@ import math
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
+from watermelon import dgop
 from watermelon.dgop import build_lattice
 from watermelon.errors import PrecisionError, WatermelonError, WindowError
 from watermelon.oracles import nystrom_det, vandermonde_lattice_sum
@@ -198,6 +199,65 @@ def stieltjes_keeping_phi(nodes: np.ndarray, amplitudes: np.ndarray,
         roots.append(s)
     phi = buf[2::2] / np.array(roots)[:, None]
     return np.array(A), np.array(B), np.array(log_h), phi
+
+
+def masked_lattice_nodes(n: int, alpha: float, half_width: float):
+    """Nodes (k - alpha)/n with |x| <= half_width, by a mask over the
+    integers from floor(-half_width n + alpha) to ceil(half_width n + alpha):
+    the rule ``dgop.lattice_nodes`` applied before it found the two ends
+    directly, in the same arithmetic."""
+    lo = math.floor(-half_width * n + alpha)
+    hi = math.ceil(half_width * n + alpha)
+    k = np.arange(lo, hi + 1)
+    x = (k - alpha) / n
+    return x[np.abs(x) <= half_width]
+
+
+def masked_lattice(n: int, alpha: float, a: float):
+    """A family's window by masks, (nodes, amplitudes): the nodes of
+    ``masked_lattice_nodes`` within the underflow half-width, then those
+    whose folded amplitude is nonzero, the rule ``dgop.build_lattice``
+    applied before it found the underflowed ends directly."""
+    x = masked_lattice_nodes(n, alpha, (2.0 / math.pi) * math.sqrt(
+        dgop._UNDERFLOW_EXPONENT / (n * a)))
+    amplitudes = np.exp(-n * math.pi**2 * a * x * x / 4.0) / math.sqrt(n)
+    keep = amplitudes > 0.0
+    return x[keep], amplitudes[keep]
+
+
+def pass_start(nodes, amplitudes, n, a, k_max):
+    """The amplitudes with 0 past degree k_max's reach: 8 Airy units
+    (k_max^{-2/3} relative) beyond the band edge (2/pi) sqrt(k_max / (n a)),
+    or beyond the packed half-width (k_max + 1)/(2n) once the family
+    saturates.
+
+    With ``pass_columns``, the rule a build's pass followed before
+    ``dgop._pass_window`` found the same columns by bisection: a mask over
+    the whole window, then ``np.where``.
+    """
+    if k_max == 0:
+        return amplitudes
+    reach = (1.0 + 8.0 * k_max ** (-2.0 / 3.0)) * max(
+        (2.0 / math.pi) * math.sqrt(k_max / (n * a)), (k_max + 1) / (2.0 * n))
+    return np.where(np.abs(nodes) > reach, 0.0, amplitudes)
+
+
+def pass_columns(start, k_max):
+    """The columns a build's pass runs on: the 32-column blocks that hold
+    the nonzero starts, from the block of the first, and ending at the
+    first column at or past the last + 1 + m mod 32 that leaves the
+    window's remainder m mod 32.  Windows over 2,048 columns, windows with
+    no nonzero start and cuts that keep no more than k_max columns run
+    whole.
+    """
+    live = np.flatnonzero(start)
+    m = len(start)
+    if m > dgop._MAX_CUT or not live.size:
+        return slice(None)
+    lo = int(live[0]) // dgop._BLOCK * dgop._BLOCK
+    hi = int(live[-1]) + 1 + m % dgop._BLOCK
+    hi = min(hi + (m - hi) % dgop._BLOCK, m)
+    return slice(lo, hi) if hi - lo > k_max else slice(None)
 
 
 def image_sum_cdf(N: int, M: float, wall: str) -> float:

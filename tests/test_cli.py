@@ -107,6 +107,11 @@ def test_usage_errors_exit_1(run_cli, capsys):
         assert cli.main(args) == cli.EXIT_USAGE, args
         err = capsys.readouterr().err
         assert err.startswith("usage error:"), (args, err)
+    # the default k-grid starts at k = -6, which drives the barrier M below
+    # 0 at N = 1: converge names k and N, as height does
+    assert cli.main(["converge", "--N-list", "1"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "k=-6.0" in err and "N=1" in err, err
     # removed global flags are named, not mistaken for a command
     for args in (["--cache-dir", "x", "tw", "--which", "f2"],
                  ["--config", "x", "tw", "--which", "f2"],

@@ -12,8 +12,9 @@ from watermelon.dgop import MAX_DEGREE, build_lattice, lattice_nodes
 from watermelon.errors import (CoverageError, PrecisionError, WatermelonError,
                                WindowError)
 from reference import (gram_schmidt_log_norms, gram_schmidt_log_norms_exact,
-                       gue_log_partition_quadrature, stieltjes_exact,
-                       stieltjes_keeping_phi)
+                       gue_log_partition_quadrature, masked_lattice,
+                       masked_lattice_nodes, pass_columns, pass_start,
+                       stieltjes_exact, stieltjes_keeping_phi)
 
 
 def test_lattice_nodes_alpha_zero():
@@ -394,7 +395,7 @@ def test_phi_at_matches_phi_keeping_pass(family, alpha):
     # the replay runs on the asked columns alone, at least 4 of them; the
     # window's ends lie past the pass's reach, where the pass started at 0
     # (at n = 672 the window ends first)
-    start = dgop._pass_start(system.nodes, system.amplitudes, n, a, k_max)
+    start = pass_start(system.nodes, system.amplitudes, n, a, k_max)
     assert (start[0] == start[-1] == 0.0) == (n != 672)
     mid = last // 2
     for idx in (*(list(range(mid, mid + width)) for width in range(1, 6)),
@@ -625,7 +626,7 @@ def test_build_pass_runs_on_aligned_live_slice(monkeypatch, family):
     system = dgop._build(*family)
     n, _, a, k_max = family
     m = len(system.nodes)
-    start = dgop._pass_start(system.nodes, system.amplitudes, n, a, k_max)
+    start = pass_start(system.nodes, system.amplitudes, n, a, k_max)
     live = np.flatnonzero(start)
     lo, width = system.node_index(calls[0][0]), len(calls[0])
     assert m <= 2048 and lo % 32 == 0 and width % 32 == m % 32 and width < m
@@ -636,29 +637,90 @@ def test_build_pass_runs_on_aligned_live_slice(monkeypatch, family):
 def test_build_pass_runs_whole_past_2048_columns(monkeypatch):
     calls = _record_pass_columns(monkeypatch)
     system = dgop._build(192, 0.0, 0.025, 384)
-    start = dgop._pass_start(system.nodes, system.amplitudes, 192, 0.025, 384)
+    start = pass_start(system.nodes, system.amplitudes, 192, 0.025, 384)
     assert len(system.nodes) == 3041 and start[0] == 0.0
     assert len(calls[0]) == 3041
 
 
 def test_build_pass_runs_whole_when_the_cut_keeps_k_max_nodes(monkeypatch):
-    # a start with 8 live nodes in one block stands in for a reach that
-    # keeps too few: its cut, from column 128 to the first column at or past
-    # 136 + 22 that leaves 278 mod 32, would keep 54 <= k_max columns, and
-    # the whole window runs
+    # the reach read at n = 1000, a = 14.92 (4.003/64) in place of the
+    # family's stands in for a reach that keeps too few: its 8 live nodes,
+    # columns 135-142, would cut from column 128 to the first column at or
+    # past 143 + 22 that leaves 278 mod 32, 54 <= k_max columns, and the
+    # whole window runs, with the starts past the reach at 0
     n, alpha, a, k_max = 64, 0.25, 1.0, 64
     nodes, amplitudes = build_lattice(n, alpha, a, k_max)
+    window = dgop._pass_window
 
-    def narrow(nodes, amplitudes, *args):
-        start = np.zeros_like(amplitudes)
-        start[128:136] = amplitudes[128:136]
-        return start
+    def narrow(nodes, amplitudes, n, a, k_max):
+        return window(nodes, amplitudes, 1000, 14.92, k_max)
 
-    monkeypatch.setattr(dgop, "_pass_start", narrow)
-    assert dgop._pass_columns(narrow(nodes, amplitudes), k_max) == slice(None)
+    cut, start = narrow(nodes, amplitudes, n, a, k_max)
+    assert np.array_equal(np.flatnonzero(start), np.arange(135, 143))
+    assert pass_columns(start, k_max) == slice(None)
+    assert np.array_equal(cut, nodes)
+    assert np.array_equal(start, pass_start(nodes, amplitudes, 1000, 14.92, k_max))
+    monkeypatch.setattr(dgop, "_pass_window", narrow)
     calls = _record_pass_columns(monkeypatch)
     dgop._build(n, alpha, a, k_max)
     assert len(nodes) == 278 and len(calls[0]) == 278
+
+
+def test_pass_window_matches_masked_start_and_columns():
+    # the bisected window against the mask rule it replaced: the same
+    # nodes, the same starts bit for bit (zeroed past the reach), on
+    # workload-shaped families, saturated ones, small and large a, windows
+    # over 2,048 nodes and k_max = 0
+    rng = np.random.default_rng(38)
+    families = [(192, 0.0, 0.025, 384), (1, 0.0, 1 / 64, 63), (64, 0.25, 1.0, 0),
+                (672, 0.0, 1.0, 672), (1, 0.5, 5000.0, 3)]
+    for _ in range(300):
+        n = int(rng.integers(1, 673))
+        k_max = int(rng.integers(0, min(2 * n, MAX_DEGREE) + 1))
+        sigma = float(rng.choice([0.05, 0.5, 1.0, 1.1, 2.0, 10.0]))
+        families.append((n, float(rng.choice([0.0, 0.25, -0.5])),
+                         sigma * n / max(k_max, 1), k_max))
+    cut = 0
+    for n, alpha, a, k_max in families:
+        nodes, amplitudes = build_lattice(n, alpha, a, k_max)
+        start = pass_start(nodes, amplitudes, n, a, k_max)
+        columns = pass_columns(start, k_max)
+        got_nodes, got_start = dgop._pass_window(nodes, amplitudes, n, a, k_max)
+        family = (n, alpha, a, k_max)
+        assert np.array_equal(got_nodes, nodes[columns]), family
+        assert np.array_equal(got_start, start[columns]), family
+        cut += len(got_nodes) < len(nodes)
+    assert cut >= 100
+
+
+def test_window_matches_masked_lattice():
+    # the window's ends, found directly, against the masks that kept
+    # |x| <= half-width and amplitude > 0: the same nodes and amplitudes bit
+    # for bit, for every n up to 672 at four alphas, a from 1e-3 to 1e3,
+    # and the height barriers for N = 1-336 on both walls
+    rng = np.random.default_rng(3801)
+    families = []
+    for n in range(1, MAX_DEGREE + 1):
+        for alpha in (0.0, 0.25, 0.5, -0.5):
+            families.append((n, alpha, float(10.0 ** rng.uniform(-3.0, 3.0))))
+    for N in range(1, 337):
+        for wall in ("absorbing", "reflecting"):
+            for k in (-6.0, -2.0, 0.0, 4.0):
+                M = wm.heights.rescale_M(N, k)
+                families.append((1, 0.0 if wall == "absorbing" else 0.5,
+                                 1.0 / (M * M)))
+    underflowed = 0
+    for n, alpha, a in families:
+        half_width = (2.0 / math.pi) * math.sqrt(
+            dgop._UNDERFLOW_EXPONENT / (n * a))
+        within = masked_lattice_nodes(n, alpha, half_width)
+        assert np.array_equal(lattice_nodes(n, alpha, half_width), within)
+        nodes, amplitudes = build_lattice(n, alpha, a, 0)
+        want_nodes, want_amplitudes = masked_lattice(n, alpha, a)
+        assert np.array_equal(nodes, want_nodes), (n, alpha, a)
+        assert np.array_equal(amplitudes, want_amplitudes), (n, alpha, a)
+        underflowed += len(nodes) < len(within)
+    assert len(families) > 4000 and underflowed >= 1000
 
 
 def test_sliced_pass_changes_no_bit():
@@ -680,8 +742,8 @@ def test_sliced_pass_changes_no_bit():
     cut = 0
     for n, alpha, a, k_max in families:
         system = dgop._build(n, alpha, a, k_max)
-        start = dgop._pass_start(system.nodes, system.amplitudes, n, a, k_max)
-        cut += len(start[dgop._pass_columns(start, k_max)]) < len(start)
+        start = pass_start(system.nodes, system.amplitudes, n, a, k_max)
+        cut += len(start[pass_columns(start, k_max)]) < len(start)
         got = (system.A, system.B, system.log_h)
         for name, have, want in zip(("A", "B", "log_h"), got,
                                     dgop.stieltjes(system.nodes, start, k_max)):
