@@ -179,11 +179,10 @@ def _cmd_height(ns):
                       columns=("M", "cdf"), rows=rows)
     else:
         grid = build_grid()
-        rows = []
-        for k in _grid_spec(ns.k_grid):
-            cdf = heights.rescaled_cdf(ns.N, float(k), ns.wall)
-            f1 = tracy_widom(float(k), "F1", grid)
-            rows.append((float(k), cdf, f1, cdf - f1))
+        ks = _grid_spec(ns.k_grid).tolist()
+        cdfs = heights.tabulate_rescaled(ns.N, ks, ns.wall).cdf.tolist()
+        f1s = [tracy_widom(k, "F1", grid) for k in ks]
+        rows = [(k, c, f, c - f) for k, c, f in zip(ks, cdfs, f1s)]
         table = Table(name="watermelon", params=params,
                       columns=("k", "cdf", "F1", "diff"), rows=rows)
     _emit(ns, table)

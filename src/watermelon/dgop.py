@@ -299,9 +299,8 @@ def _pass_window(nodes, amplitudes, n, a, k_max):
     takes: from the first live node's to the first multiple of 32 at or
     past the run's end, plus the window's remainder m mod 32, so each live
     product is summed in the same block, lane and tail as on the whole
-    window.  Windows over 2,048 columns, or with no live node, run whole
-    (``stieltjes`` raises what it raises there), as do cuts of no more than
-    k_max columns, a guard only.
+    window.  Windows over 2,048 columns run whole; the cut of any other
+    nonempty window keeps the node nearest 0 and more than k_max columns.
     """
     if k_max == 0:
         return nodes, amplitudes
@@ -311,7 +310,7 @@ def _pass_window(nodes, amplitudes, n, a, k_max):
     first, end = bisect_left(view, -reach), bisect_right(view, reach)
     lo = first // _BLOCK * _BLOCK
     hi = min(-(-end // _BLOCK) * _BLOCK + m % _BLOCK, m)
-    if m > _MAX_CUT or first == end or hi - lo <= k_max:
+    if m > _MAX_CUT:
         lo, hi = 0, m
     return nodes[lo:hi], np.concatenate(
         (np.zeros(first - lo), amplitudes[first:end], np.zeros(hi - end)))

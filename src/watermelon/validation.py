@@ -137,7 +137,7 @@ def _c08_asymptotic_h(ctx):
     for x in (-1.0, 0.0, 2.0):
         errs = {}
         for n in (32, 64, 128, 256):
-            a = 1.0 - x * n ** (-2.0 / 3.0)
+            a = asym.a_of_L(n, x)
             system = dgop.build_system(n, 0.0, a, n)
             pred, _ = asym.asymptotic_h(n, 0.0, a, grid)
             errs[n] = abs(math.expm1(system.log_h[n] - pred))

@@ -23,9 +23,21 @@ def _openblas_core():
     return "unknown"
 
 
+def _package_size():
+    """The package's source size, e.g. "src/watermelon: 2,541 lines in 12
+    modules", read from the directory of the imported package."""
+    package = Path(wm.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    lines = sum(len(path.read_text().splitlines()) for path in modules)
+    return (f"{package.parent.name}/{package.name}: {lines:,} lines in "
+            f"{len(modules)} modules")
+
+
 def pytest_report_header(config):
-    # bit-equality tests depend on the BLAS kernels, so a log names them
-    return f"numpy {np.__version__}, OpenBLAS core {_openblas_core()}"
+    # bit-equality tests depend on the BLAS kernels, so a log names them;
+    # the package size is the figure each change to src/ reports
+    return [f"numpy {np.__version__}, OpenBLAS core {_openblas_core()}",
+            _package_size()]
 
 
 @pytest.fixture(scope="session")

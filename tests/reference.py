@@ -31,7 +31,7 @@ def fredholm_f1(s: float) -> float:
     """GOE edge CDF F1(s) = det(I - B_s) on L^2(0, infinity).
 
     B_s(x, y) = Ai(x + y + s) is the Ferrari-Spohn kernel; truncated to
-    [0, SPAN] and discretized on 120 nodes like ``oracles.fredholm_f2``, so
+    [0, SPAN] and discretized on 120 nodes like ``oracles.resolvent_q``, so
     it is independent of the Painleve II solver.
     """
     return nystrom_det(lambda xs: airy_ai(np.add.outer(xs, xs) + s)[0], 0.0, 120)

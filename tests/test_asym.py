@@ -249,6 +249,24 @@ class TestKernelLimit:
         with pytest.raises(ValueError, match="L too large; a nonpositive"):
             wm.kernel_limit_table(8, 5.0, [0.5], [0.5], grid, psis_critical)
 
+    @pytest.mark.parametrize("u_grid, v_grid, tags", [
+        ((0.5,), (0.5,), ("diagonal",)), ((0.5,), (-0.5,), ("offdiagonal",)),
+        ((0.5, -0.5, 1.0), (0.5, -0.5, 1.0), ("diagonal", "offdiagonal"))],
+        ids=["diagonal-only", "offdiagonal-only", "both"])
+    def test_table_distance_per_sub_table(self, grid, psis_critical, u_grid,
+                                          v_grid, tags):
+        # a sub-table with no row has no entry; each entry is the sup of
+        # |exact - limit| over its rows divided by the sup of |limit|
+        rows, skipped = wm.kernel_limit_table(64, 1.0, u_grid, v_grid, grid,
+                                              psis_critical)
+        assert not skipped
+        dist = asym.kernel_table_distance(rows)
+        assert tuple(dist) == tags
+        for tag in tags:
+            sub = [r for r in rows if r["diagonal"] == (tag == "diagonal")]
+            assert dist[tag] == (max(r["abs_diff"] for r in sub)
+                                 / max(abs(r["limit"]) for r in sub))
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_nonfinite_L_rejected(self, grid, psis_critical, bad):
         # NaN and -inf made a NaN or infinite a, which the lattice blamed

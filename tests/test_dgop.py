@@ -642,35 +642,12 @@ def test_build_pass_runs_whole_past_2048_columns(monkeypatch):
     assert len(calls[0]) == 3041
 
 
-def test_build_pass_runs_whole_when_the_cut_keeps_k_max_nodes(monkeypatch):
-    # the reach read at n = 1000, a = 14.92 (4.003/64) in place of the
-    # family's stands in for a reach that keeps too few: its 8 live nodes,
-    # columns 135-142, would cut from column 128 to the first column at or
-    # past 143 + 22 that leaves 278 mod 32, 54 <= k_max columns, and the
-    # whole window runs, with the starts past the reach at 0
-    n, alpha, a, k_max = 64, 0.25, 1.0, 64
-    nodes, amplitudes = build_lattice(n, alpha, a, k_max)
-    window = dgop._pass_window
-
-    def narrow(nodes, amplitudes, n, a, k_max):
-        return window(nodes, amplitudes, 1000, 14.92, k_max)
-
-    cut, start = narrow(nodes, amplitudes, n, a, k_max)
-    assert np.array_equal(np.flatnonzero(start), np.arange(135, 143))
-    assert pass_columns(start, k_max) == slice(None)
-    assert np.array_equal(cut, nodes)
-    assert np.array_equal(start, pass_start(nodes, amplitudes, 1000, 14.92, k_max))
-    monkeypatch.setattr(dgop, "_pass_window", narrow)
-    calls = _record_pass_columns(monkeypatch)
-    dgop._build(n, alpha, a, k_max)
-    assert len(nodes) == 278 and len(calls[0]) == 278
-
-
 def test_pass_window_matches_masked_start_and_columns():
     # the bisected window against the mask rule it replaced: the same
     # nodes, the same starts bit for bit (zeroed past the reach), on
     # workload-shaped families, saturated ones, small and large a, windows
-    # over 2,048 nodes and k_max = 0
+    # over 2,048 nodes and k_max = 0; and the window needs no exit for a
+    # cut that keeps too few columns or a window with no live node
     rng = np.random.default_rng(38)
     families = [(192, 0.0, 0.025, 384), (1, 0.0, 1 / 64, 63), (64, 0.25, 1.0, 0),
                 (672, 0.0, 1.0, 672), (1, 0.5, 5000.0, 3)]
@@ -689,6 +666,9 @@ def test_pass_window_matches_masked_start_and_columns():
         family = (n, alpha, a, k_max)
         assert np.array_equal(got_nodes, nodes[columns]), family
         assert np.array_equal(got_start, start[columns]), family
+        if k_max and len(nodes) <= 2048:
+            assert len(got_nodes) == len(nodes) or len(got_nodes) > k_max, family
+        assert np.any(got_start) or not len(nodes), family
         cut += len(got_nodes) < len(nodes)
     assert cut >= 100
 

@@ -164,6 +164,19 @@ def test_pair_matches_s_flow_from_large_s(grid):
         assert abs(wm.critical_kernel(u, v, psis) / want - 1.0) <= 1e-9
 
 
+def test_pair_between_samples_matches_s_flow(grid):
+    # phi_at reads between the 0.002-spaced samples through the spline, as
+    # kernel tables do at snapped points; its error grows with zeta
+    # (measured at s = 2^{2/3}: 7.9e-12, 5.8e-11, 7.1e-10, 3.5e-9 of the
+    # larger |pair| component; 6.9e-8 at 3.0013 and 3.1e-4 at 9.9017)
+    for s in (2.0 ** (2.0 / 3.0), 0.0, -2.0):
+        psis = wm.integrate_psi(s, grid)
+        for zeta in (0.5011, 1.0007, 1.5009, 2.0011):
+            ref = np.array(_s_flow(grid, s, zeta))
+            got = np.array(psis.phi_at(zeta))
+            assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
 def test_lhospital_matches_integral_form(grid):
     s, u = 1.0, 0.4
     psis = wm.integrate_psi(s, painleve=grid)
